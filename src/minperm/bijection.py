@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .permutations import decreasing_run_lengths, minimality_violation
-from .tableaux import (SkewShape, SkewTableau, conjugate, is_standard,
-                       is_two_regular, shape_from_runs)
+from .tableaux import (SkewTableau, is_standard, is_two_regular,
+                       shape_from_runs)
 
 
 def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
@@ -33,7 +33,7 @@ def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
         raise ValueError(f"permutation {w} is not minimal: {reason}")
     runs = decreasing_run_lengths(w)
     by_cols = shape_from_runs(runs)  # row j of this shape = drawn column j
-    shape = SkewShape(conjugate(by_cols.outer), conjugate(by_cols.inner))
+    shape = by_cols.conjugated()
     grid = {}
     pos = 0
     for j, run_length in enumerate(runs):

@@ -83,8 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=("all", "counts", "bijection", "rsk"),
                         default="all")
     verify.add_argument("--inject-fault", action="store_true",
-                        help="(testing) flip one determinant matrix entry to "
-                             "prove mismatches are detected")
+                        help="(testing) hand the counting checks a determinant "
+                             "sum that is off by one, to prove mismatches are "
+                             "detected")
     verify.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -13,17 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .tableaux import det_rational
-
-# Test-only hook: when True, one matrix entry of the banded determinant is
-# perturbed so verification harnesses can prove they detect mismatches.
-fault_injection = False
-
-
-def _exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"{what} evaluated to {value}, expected a nonnegative integer")
-    return int(value)
+from .tableaux import _exact_int, det_rational
 
 
 def catalan(n: int) -> int:
@@ -94,8 +84,6 @@ def minimal_count_by_runs(runs: Sequence[int]) -> int:
                 matrix[i][j] = Fraction(1, math.factorial(sum(a[i:j + 1]) - (j - i)))
             elif j == i - 2 and a[i - 1] == 2:
                 matrix[i][j] = Fraction(1)
-    if fault_injection:
-        matrix[0][0] += 1
     n = sum(a)
     return _exact_int(math.factorial(n) * det_rational(matrix), f"count for runs {a}")
 

@@ -36,7 +36,7 @@ def is_permutation(word: Sequence[int]) -> bool:
     n = len(word)
     seen = [False] * (n + 1)
     for x in word:
-        if not isinstance(x, int) or not 1 <= x <= n or seen[x]:
+        if isinstance(x, bool) or not isinstance(x, int) or not 1 <= x <= n or seen[x]:
             return False
         seen[x] = True
     return True
@@ -131,6 +131,29 @@ def decreasing_run_lengths(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(runs)
 
 
+def _first_violation(perm: Sequence[int]) -> int | None:
+    """The 1-indexed position where the structural test first fails, or
+    None if perm is minimal: 0 for a word too short to start with a
+    descent, 1 or n-1 for an ascent at either end, otherwise an interior
+    ascent whose four-element window is not of type 2143 or 3142."""
+    n = len(perm)
+    if n < 2:
+        return 0
+    if perm[0] < perm[1]:
+        return 1
+    if perm[n - 2] < perm[n - 1]:
+        return n - 1
+    for j in range(1, n - 2):
+        a, b = perm[j], perm[j + 1]
+        if a < b:
+            # the window standardizes to 2143 or 3142 exactly when the
+            # ascent pair are its strict minimum and maximum
+            p, s = perm[j - 1], perm[j + 2]
+            if not (a < p < b and a < s < b):
+                return j + 1
+    return None
+
+
 def is_minimal(perm: Sequence[int]) -> bool:
     """Structural minimality test: starts and ends with a descent, and every
     ascent is interior with its four-element window of type 2143 or 3142.
@@ -142,39 +165,22 @@ def is_minimal(perm: Sequence[int]) -> bool:
     >>> is_minimal((1, 3, 2))
     False
     """
-    n = len(perm)
-    if n < 2 or perm[0] < perm[1] or perm[n - 2] < perm[n - 1]:
-        return False
-    for j in range(1, n - 2):
-        a, b = perm[j], perm[j + 1]
-        if a < b:
-            # the window standardizes to 2143 or 3142 exactly when the
-            # ascent pair are its strict minimum and maximum
-            p, s = perm[j - 1], perm[j + 2]
-            if not (a < p < b and a < s < b):
-                return False
-    return True
+    return _first_violation(perm) is None
 
 
 def minimality_violation(perm: Sequence[int]) -> str | None:
     """Explain why perm is not minimal, or None if it is.  Positions in the
     message are 1-indexed."""
-    n = len(perm)
-    if n < 2:
+    pos = _first_violation(perm)
+    if pos is None:
+        return None
+    if pos == 0:
         return "length-1 permutations have no descent to start with"
-    if perm[0] < perm[1]:
-        return "position 1 is an ascent, not a descent"
-    if perm[n - 2] < perm[n - 1]:
-        return f"position {n - 1} is an ascent, not a descent"
-    for j in range(1, n - 2):
-        a, b = perm[j], perm[j + 1]
-        if a < b:
-            p, s = perm[j - 1], perm[j + 2]
-            if not (a < p < b and a < s < b):
-                window = (p, a, b, s)
-                return (f"ascent at position {j + 1}: window {window} is of type "
-                        f"{''.join(map(str, standardize(window)))}, not 2143 or 3142")
-    return None
+    if pos in (1, len(perm) - 1):
+        return f"position {pos} is an ascent, not a descent"
+    window = tuple(perm[pos - 2:pos + 2])
+    return (f"ascent at position {pos}: window {window} is of type "
+            f"{''.join(map(str, standardize(window)))}, not 2143 or 3142")
 
 
 def is_minimal_by_deletion(perm: Sequence[int]) -> bool:

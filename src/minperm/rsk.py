@@ -3,6 +3,8 @@ normal form for minimal permutations of odd length with one double descent.
 
 Straight-shape tableaux here are plain tuples of row tuples on distinct
 integers.  Cells are addressed (row, column), 1-indexed, row 1 on top.
+Bumping (_bump) and reverse bumping (_unbump) work in place on lists of
+rows; row_insert and inverse_bump wrap them on copies.
 
 A minimal permutation of length 2n+1 with n+1 descents has exactly one
 adjacent descent pair, at positions (2i-1, 2i) for some 1 <= i <= n.  Such
@@ -27,6 +29,37 @@ Cell = tuple[int, int]
 _PATTERNS = {"bac": (2, 1, 3), "bca": (2, 3, 1), "acb": (1, 3, 2), "cab": (3, 1, 2)}
 _SWAP_FIRST = {"acb", "cab"}
 _INVERSE = {"bac": "bca", "bca": "bac", "acb": "cab", "cab": "acb"}
+_KINDS = {pattern: kind for kind, pattern in _PATTERNS.items()}
+
+
+def _bump(rows: list[list[int]], x: int) -> list[Cell]:
+    """Row-insert x into rows in place, bumping down row by row, and return
+    the insertion path, one cell per row touched, ending at the new cell."""
+    path = []
+    for r, row in enumerate(rows, start=1):
+        pos = bisect.bisect_left(row, x)
+        path.append((r, pos + 1))
+        if pos == len(row):
+            row.append(x)
+            return path
+        x, row[pos] = row[pos], x
+    rows.append([x])
+    path.append((len(rows), 1))
+    return path
+
+
+def _unbump(rows: list[list[int]], r: int) -> int:
+    """Remove the last cell of the 0-indexed row r in place, reverse the
+    bumping up through the rows above, and return the value evicted from
+    the top row.  An emptied row is left in place."""
+    x = rows[r].pop()
+    for i in range(r - 1, -1, -1):
+        row = rows[i]
+        pos = bisect.bisect_left(row, x) - 1
+        if pos < 0:
+            raise ValueError("rows are not column-strict above the corner")
+        x, row[pos] = row[pos], x
+    return x
 
 
 def row_insert(rows: Sequence[Sequence[int]], value: int) -> tuple[Rows, tuple[Cell, ...]]:
@@ -42,22 +75,7 @@ def row_insert(rows: Sequence[Sequence[int]], value: int) -> tuple[Rows, tuple[C
     for row in tableau:
         if value in row:
             raise ValueError(f"value {value} is already present")
-    path = []
-    x = value
-    r = 0
-    while True:
-        if r == len(tableau):
-            tableau.append([x])
-            path.append((r + 1, 1))
-            break
-        row = tableau[r]
-        pos = bisect.bisect_left(row, x)
-        path.append((r + 1, pos + 1))
-        if pos == len(row):
-            row.append(x)
-            break
-        x, row[pos] = row[pos], x
-        r += 1
+    path = _bump(tableau, value)
     return tuple(tuple(row) for row in tableau), tuple(path)
 
 
@@ -67,17 +85,17 @@ def rsk_trace(word: Sequence[int]) -> tuple[Rows, Rows, tuple[tuple[Cell, ...], 
     w = tuple(word)
     if len(set(w)) != len(w):
         raise ValueError(f"entries are not distinct: {w}")
-    p: Rows = ()
+    p: list[list[int]] = []
     q: list[list[int]] = []
     paths = []
     for step, x in enumerate(w, start=1):
-        p, path = row_insert(p, x)
-        paths.append(path)
+        path = _bump(p, x)
+        paths.append(tuple(path))
         r, _ = path[-1]
         if r > len(q):
             q.append([])
         q[r - 1].append(step)
-    return p, tuple(tuple(row) for row in q), tuple(paths)
+    return tuple(tuple(row) for row in p), tuple(tuple(row) for row in q), tuple(paths)
 
 
 def rsk(word: Sequence[int]) -> tuple[Rows, Rows]:
@@ -99,28 +117,21 @@ def insertion_tableau(word: Sequence[int]) -> Rows:
 
 def rsk_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
     """Recover the inserted word from an (insertion, recording) pair."""
-    p_rows = [list(r) for r in p]
     positions = {}
     for i, row in enumerate(q):
         for j, v in enumerate(row):
             positions[v] = (i, j)
     if sorted(positions) != list(range(1, sum(map(len, q)) + 1)):
         raise ValueError("recording tableau is not standard on 1..n")
+    if tuple(map(len, p)) != tuple(map(len, q)):
+        raise ValueError("recording tableau does not match the insertion shape")
+    rows = [list(r) for r in p]
     word = []
     for step in range(len(positions), 0, -1):
         i, j = positions[step]
-        if j != len(p_rows[i]) - 1:
+        if j != len(rows[i]) - 1:
             raise ValueError("recording tableau does not match the insertion shape")
-        x = p_rows[i].pop()
-        for r in range(i - 1, -1, -1):
-            row = p_rows[r]
-            pos = bisect.bisect_left(row, x) - 1
-            if pos < 0:
-                raise ValueError("tableaux are not column-strict")
-            x, row[pos] = row[pos], x
-        word.append(x)
-        if not p_rows[i]:
-            p_rows.pop()
+        word.append(_unbump(rows, i))
     return tuple(reversed(word))
 
 
@@ -138,13 +149,7 @@ def inverse_bump(rows: Sequence[Sequence[int]], corner: Cell) -> tuple[Rows, int
         raise ValueError(f"cell {corner} is not the last cell of its row")
     if r < len(tableau) and len(tableau[r]) >= c:
         raise ValueError(f"cell {corner} has a cell below it, not a removable corner")
-    x = tableau[r - 1].pop()
-    for i in range(r - 2, -1, -1):
-        row = tableau[i]
-        pos = bisect.bisect_left(row, x) - 1
-        if pos < 0:
-            raise ValueError("rows are not column-strict above the corner")
-        x, row[pos] = row[pos], x
+    x = _unbump(tableau, r - 1)
     if not tableau[-1]:
         tableau.pop()
     return tuple(tuple(row) for row in tableau), x
@@ -181,9 +186,8 @@ def apply_knuth_move(word: Sequence[int], move: KnuthMove) -> tuple[int, ...]:
     triple = w[t - 1:t + 2]
     found = standardize(triple)
     if found != _PATTERNS[move.kind]:
-        names = {v: k for k, v in _PATTERNS.items()}
         raise ValueError(f"triple {triple} at position {t} has pattern "
-                         f"{names.get(found, found)}, not {move.kind}")
+                         f"{_KINDS.get(found, found)}, not {move.kind}")
     if move.kind in _SWAP_FIRST:
         return w[:t - 1] + (w[t], w[t - 1]) + w[t + 1:]
     return w[:t] + (w[t + 1], w[t]) + w[t + 2:]
@@ -192,10 +196,9 @@ def apply_knuth_move(word: Sequence[int], move: KnuthMove) -> tuple[int, ...]:
 def legal_knuth_moves(word: Sequence[int]) -> list[KnuthMove]:
     """All elementary moves applicable to the word."""
     w = tuple(word)
-    names = {v: k for k, v in _PATTERNS.items()}
     moves = []
     for t in range(1, len(w) - 1):
-        kind = names.get(standardize(w[t - 1:t + 2]))
+        kind = _KINDS.get(standardize(w[t - 1:t + 2]))
         if kind is not None:
             moves.append(KnuthMove(t, kind))
     return moves
@@ -302,13 +305,11 @@ def syt_to_minimal(rows: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
         raise ValueError(f"expected shape (n, n+1-k, k), got {tuple(map(len, p))}")
     if not 1 <= k <= min(i, n - i + 1):
         raise ValueError(f"third row length {k} is incompatible with i={i}")
-    targets = [(2, c) for c in range(n + 1 - k, i, -1)]
-    targets += [(3, c) for c in range(k, 0, -1)]
-    evicted = []
-    current: Rows = p
-    for cell in targets:
-        current, value = inverse_bump(current, cell)
-        evicted.append(value)
+    # row 2 beyond column i, then all of row 3, each from the right; k <= i
+    # leaves every such cell a removable corner
+    current = [list(r) for r in p]
+    evicted = [_unbump(current, 1) for _ in range(n + 1 - k - i)]
+    evicted += [_unbump(current, 2) for _ in range(k)]
     top = (None,) * (i - 1) + tuple(reversed(evicted))
     skew = SkewTableau(SkewShape((n, n, i), (i - 1,)), (top, current[0], current[1]))
     perm = tableau_to_perm(skew)

@@ -7,6 +7,8 @@ A partition is a weakly decreasing tuple of positive integers.
 Counting is exact.  The determinant route clears each matrix row by a
 common factorial denominator and runs fraction-free integer elimination;
 the independent oracle is a backtracking enumeration of the fillings.
+Both skew_standard_tableaux and count_standard_fillings run the same
+iterative traversal, _fillings.
 """
 
 from __future__ import annotations
@@ -225,6 +227,12 @@ def shape_from_runs(runs: Sequence[int]) -> SkewShape:
     return SkewShape(tuple(lam), tuple(mu))
 
 
+def _exact_int(value: Fraction, what: str) -> int:
+    if value.denominator != 1 or value < 0:
+        raise ArithmeticError(f"{what} evaluated to {value}, expected a nonnegative integer")
+    return int(value)
+
+
 def _det_bareiss(m: list[list[int]]) -> int:
     """Fraction-free integer elimination; every division is exact."""
     n = len(m)
@@ -293,12 +301,8 @@ def skew_syt_count(shape: SkewShape) -> int:
             e = outer[i] - inner[j] - i + j
             row.append(Fraction(1, math.factorial(e)) if e >= 0 else Fraction(0))
         matrix.append(row)
-    value = math.factorial(shape.size) * det_rational(matrix)
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(
-            f"determinant count for {format_shape(shape)} is {value}, "
-            "expected a nonnegative integer")
-    return int(value)
+    return _exact_int(math.factorial(shape.size) * det_rational(matrix),
+                      f"determinant count for {format_shape(shape)}")
 
 
 def hook_length(parts: Sequence[int], row: int, col: int) -> int:
@@ -345,39 +349,57 @@ def _check_cells_cap(shape: SkewShape, max_cells: int | None) -> None:
             f"enumeration cap {limit}")
 
 
+def _fillings(shape: SkewShape) -> Iterator[list[list[int | None]]]:
+    """Backtracking traversal of the standard fillings, iterative so that
+    no shape meets the recursion limit.  Yields the working grid itself at
+    each completed filling; it changes afterwards, so callers copy it."""
+    outer = shape.outer
+    r, total = len(outer), shape.size
+    # nxt[i] is the first empty column of row i.  Row 0 reads nxt[-1], an
+    # extra entry that no column reaches, as if the row above were full.
+    nxt = [*shape.inner, shape.column_count]
+    grid: list[list[int | None]] = [[None] * lam for lam in outer]
+    placed: list[int] = []  # the row of each value placed so far
+    i = v = 0               # next candidate row for value v + 1
+    while True:
+        if v == total:
+            yield grid
+            i = r
+        while i < r:
+            c = nxt[i]
+            # the cell above is filled or outside the shape exactly when the
+            # row above has filled past column c (outer is a partition)
+            if c < outer[i] and c < nxt[i - 1]:
+                break
+            i += 1
+        if i < r:
+            v += 1
+            placed.append(i)
+            grid[i][c] = v
+            nxt[i] = c + 1
+            i = 0
+        elif v:
+            v -= 1
+            i = placed.pop()
+            nxt[i] -= 1
+            grid[i][nxt[i]] = None
+            i += 1
+        else:
+            return
+
+
 def skew_standard_tableaux(shape: SkewShape,
                            max_cells: int | None = None) -> Iterator[SkewTableau]:
     """Backtracking enumeration of every standard filling, each exactly
-    once, in a fixed order: values 1..N are placed in turn, trying candidate
-    rows from the top down.  Refuses shapes above the cell cap (default 16).
+    once, in the fixed order of _fillings: values 1..N are placed in turn,
+    trying candidate rows from the top down.  Refuses shapes above the cell
+    cap (default 16).
 
     >>> [t.rows for t in skew_standard_tableaux(SkewShape((2, 2)))]
     [((1, 2), (3, 4)), ((1, 3), (2, 4))]
     """
     _check_cells_cap(shape, max_cells)
-    outer, inner = shape.outer, shape.inner
-    r = len(outer)
-    nxt = list(inner)
-    grid = [[None] * outer[i] for i in range(r)]
-    total = shape.size
-
-    def place(v: int) -> Iterator[SkewTableau]:
-        if v > total:
-            yield SkewTableau(shape, tuple(tuple(row) for row in grid))
-            return
-        for i in range(r):
-            c = nxt[i]
-            if c >= outer[i]:
-                continue
-            if i > 0 and inner[i - 1] <= c < outer[i - 1] and nxt[i - 1] <= c:
-                continue  # the cell above exists and is still empty
-            nxt[i] = c + 1
-            grid[i][c] = v
-            yield from place(v + 1)
-            grid[i][c] = None
-            nxt[i] = c
-
-    return place(1)
+    return (SkewTableau(shape, tuple(map(tuple, grid))) for grid in _fillings(shape))
 
 
 def count_standard_fillings(shape: SkewShape, max_cells: int | None = None) -> int:
@@ -385,28 +407,7 @@ def count_standard_fillings(shape: SkewShape, max_cells: int | None = None) -> i
     skew_standard_tableaux without materializing tableaux, usable as an
     independent oracle against the determinant on larger sweeps."""
     _check_cells_cap(shape, max_cells)
-    outer, inner = shape.outer, shape.inner
-    r = len(outer)
-    nxt = list(inner)
-    count = 0
-
-    def place(remaining: int) -> None:
-        nonlocal count
-        if remaining == 0:
-            count += 1
-            return
-        for i in range(r):
-            c = nxt[i]
-            if c >= outer[i]:
-                continue
-            if i > 0 and inner[i - 1] <= c < outer[i - 1] and nxt[i - 1] <= c:
-                continue
-            nxt[i] = c + 1
-            place(remaining - 1)
-            nxt[i] = c
-
-    place(shape.size)
-    return count
+    return sum(1 for _ in _fillings(shape))
 
 
 def tableau_to_json(t: SkewTableau) -> dict:

@@ -9,12 +9,12 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
 
-from . import counting
 from .bijection import perm_to_tableau, tableau_to_perm
 from .counting import (catalan, compositions_min2, double_descent_count,
                        mansour_yan, minimal_count, minimal_count_by_runs,
@@ -62,7 +62,13 @@ def _fail(name: str, detail: str) -> Check:
     return Check(name, False, detail)
 
 
-def check_three_way_counts(max_n: int) -> Check:
+def _faulty_minimal_count(n: int, d: int) -> int:
+    """A deliberately wrong count, handed to the counting checks by
+    run_suite(inject_fault=True) to prove that they detect a mismatch."""
+    return minimal_count(n, d) + 1
+
+
+def check_three_way_counts(max_n: int, count=minimal_count) -> Check:
     """Structural filter, deletion oracle, and determinant sum agree; the
     two oracles are compared on every single permutation."""
     name = "three-way count agreement"
@@ -76,62 +82,53 @@ def check_three_way_counts(max_n: int) -> Check:
             if structural:
                 tally[descent_count(w)] += 1
         for d in range(0, n + 1):
-            det = minimal_count(n, d)
+            det = count(n, d)
             if det != tally[d]:
                 return _fail(name, f"n={n} d={d}: brute={tally[d]} determinant={det}")
     return _ok(name, f"all (d, n) with n <= {top}, oracles compared per permutation")
 
 
-def check_catalan_law(max_n: int) -> Check:
-    name = "even-length Catalan counts"
-    for m in range(1, 9):
-        if minimal_count(2 * m, m) != catalan(m):
-            return _fail(name, f"determinant sum at (n={2 * m}, d={m}) is not catalan({m})")
-    for m in range(1, min(max_n // 2, 4) + 1):
-        brute = sum(1 for _ in enumerate_minimal(2 * m, d=m))
-        if brute != catalan(m):
-            return _fail(name, f"brute count at (n={2 * m}, d={m}) is {brute}, "
-                               f"expected {catalan(m)}")
-    return _ok(name, "determinants to n=16, brute force to n=8")
+def _closed_form_check(name: str, formula, case, det_range, brute_range, count,
+                       detail: str) -> Check:
+    """Compare formula(k) at each (n, d) = case(k) with the determinant sum
+    count(n, d) for k in det_range, then with a brute-force count for k in
+    brute_range."""
+    for k in det_range:
+        n, d = case(k)
+        if formula(k) != count(n, d):
+            return _fail(name, f"closed form and determinant sum differ at (n={n}, d={d})")
+    for k in brute_range:
+        n, d = case(k)
+        brute = sum(1 for _ in enumerate_minimal(n, d=d))
+        if brute != formula(k):
+            return _fail(name, f"brute count at (n={n}, d={d}) is {brute}, "
+                               f"expected {formula(k)}")
+    return _ok(name, detail)
 
 
-def check_one_ascent_closed_form(max_n: int) -> Check:
-    name = "one-ascent closed form"
-    for n in range(4, 31):
-        if one_ascent_count(n) != minimal_count(n, n - 2):
-            return _fail(name, f"closed form and determinant sum differ at n={n}")
-    for n in range(4, min(max_n, 9) + 1):
-        brute = sum(1 for _ in enumerate_minimal(n, d=n - 2))
-        if brute != one_ascent_count(n):
-            return _fail(name, f"brute count at n={n} is {brute}, "
-                               f"expected {one_ascent_count(n)}")
-    return _ok(name, "closed form = determinant sum for 4 <= n <= 30")
+def check_catalan_law(max_n: int, count=minimal_count) -> Check:
+    return _closed_form_check("even-length Catalan counts", catalan, lambda m: (2 * m, m),
+                              range(1, 9), range(1, min(max_n // 2, 4) + 1), count,
+                              "determinants to n=16, brute force to n=8")
 
 
-def check_two_ascent_closed_form(max_n: int) -> Check:
-    name = "two-ascent closed form"
-    for n in range(5, 31):
-        if two_ascent_count(n) != minimal_count(n, n - 3):
-            return _fail(name, f"closed form and determinant sum differ at n={n}")
-    for n in range(5, min(max_n, 9) + 1):
-        brute = sum(1 for _ in enumerate_minimal(n, d=n - 3))
-        if brute != two_ascent_count(n):
-            return _fail(name, f"brute count at n={n} is {brute}, "
-                               f"expected {two_ascent_count(n)}")
-    return _ok(name, "closed form = determinant sum for 5 <= n <= 30")
+def check_one_ascent_closed_form(max_n: int, count=minimal_count) -> Check:
+    return _closed_form_check("one-ascent closed form", one_ascent_count,
+                              lambda n: (n, n - 2), range(4, 31), range(4, min(max_n, 9) + 1),
+                              count, "closed form = determinant sum for 4 <= n <= 30")
 
 
-def check_odd_length_formula(max_n: int) -> Check:
-    name = "odd-length product formula"
-    for m in range(1, 13):
-        if mansour_yan(m) != minimal_count(2 * m + 1, m + 1):
-            return _fail(name, f"product formula and determinant sum differ at m={m}")
-    for m in range(1, min((max_n - 1) // 2, 4) + 1):
-        brute = sum(1 for _ in enumerate_minimal(2 * m + 1, d=m + 1))
-        if brute != mansour_yan(m):
-            return _fail(name, f"brute count at length {2 * m + 1} is {brute}, "
-                               f"expected {mansour_yan(m)}")
-    return _ok(name, "formula = determinant sum for m <= 12, brute force to length 9")
+def check_two_ascent_closed_form(max_n: int, count=minimal_count) -> Check:
+    return _closed_form_check("two-ascent closed form", two_ascent_count,
+                              lambda n: (n, n - 3), range(5, 31), range(5, min(max_n, 9) + 1),
+                              count, "closed form = determinant sum for 5 <= n <= 30")
+
+
+def check_odd_length_formula(max_n: int, count=minimal_count) -> Check:
+    return _closed_form_check("odd-length product formula", mansour_yan,
+                              lambda m: (2 * m + 1, m + 1), range(1, 13),
+                              range(1, min((max_n - 1) // 2, 4) + 1), count,
+                              "formula = determinant sum for m <= 12, brute force to length 9")
 
 
 def check_double_descent_refinement(max_n: int) -> Check:
@@ -380,7 +377,8 @@ SUITES: dict[str, tuple] = {
 
 def run_suite(suite: str, max_n: int = 8, inject_fault: bool = False) -> dict:
     """Run one suite (or "all") and return a JSON-ready report.  max_n caps
-    the brute-force sweeps; formula-only ranges are fixed and cheap."""
+    the brute-force sweeps; formula-only ranges are fixed and cheap.  With
+    inject_fault, the checks that take a count get _faulty_minimal_count."""
     if suite == "all":
         functions = [fn for fns in SUITES.values() for fn in fns]
     elif suite in SUITES:
@@ -390,12 +388,9 @@ def run_suite(suite: str, max_n: int = 8, inject_fault: bool = False) -> dict:
     cap = max_brute_n()
     if max_n > cap:
         raise CapExceededError(f"max_n {max_n} exceeds the brute-force cap {cap}")
-    previous = counting.fault_injection
-    counting.fault_injection = inject_fault
-    try:
-        checks = [fn(max_n) for fn in functions]
-    finally:
-        counting.fault_injection = previous
+    count = _faulty_minimal_count if inject_fault else minimal_count
+    checks = [fn(max_n, count=count) if "count" in inspect.signature(fn).parameters
+              else fn(max_n) for fn in functions]
     return {
         "suite": suite,
         "max_n": max_n,

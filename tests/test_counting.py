@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-import minperm.counting as counting
+import minperm.verify as verify
 from minperm import (SkewShape, catalan, compositions_min2,
                      decreasing_run_lengths, double_descent_count,
                      enumerate_minimal, hook_count, mansour_yan,
                      minimal_count, minimal_count_by_runs, one_ascent_count,
-                     shape_from_runs, skew_syt_count, three_row_syt_count,
-                     two_ascent_count)
+                     run_suite, shape_from_runs, skew_syt_count,
+                     three_row_syt_count, two_ascent_count)
 
 
 class TestCatalan:
@@ -71,12 +71,10 @@ class TestRunCounts:
             minimal_count_by_runs(())
 
     def test_fault_injection_hook_changes_result(self):
-        clean = minimal_count_by_runs((2, 2, 2))
-        counting.fault_injection = True
-        try:
-            assert minimal_count_by_runs((2, 2, 2)) != clean
-        finally:
-            counting.fault_injection = False
+        assert verify._faulty_minimal_count(6, 3) != minimal_count(6, 3)
+        assert not run_suite("counts", 4, inject_fault=True)["passed"]
+        # the fault travels as an argument, so nothing leaks into a later run
+        assert run_suite("counts", 4)["passed"]
 
 
 class TestMinimalCount:

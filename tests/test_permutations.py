@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minperm import (CapExceededError, ascent_set, contains_pattern,
-                     decreasing_run_lengths, descent_count, descent_set,
-                     duplicate_loss, enumerate_minimal, format_permutation,
-                     is_minimal, is_minimal_by_deletion, is_permutation,
-                     max_brute_n, minimality_violation, parse_permutation,
-                     standardize)
+from minperm import (CapExceededError, ascent_set, check_permutation,
+                     contains_pattern, decreasing_run_lengths, descent_count,
+                     descent_set, duplicate_loss, enumerate_minimal,
+                     format_permutation, is_minimal, is_minimal_by_deletion,
+                     is_permutation, max_brute_n, minimality_violation,
+                     parse_permutation, standardize)
 
 perms = lambda n: st.permutations(list(range(1, n + 1)))
 
@@ -228,6 +228,12 @@ class TestSerialization:
             parse_permutation("1 3")
         with pytest.raises(ValueError):
             parse_permutation("")
+
+    def test_bool_entries_rejected(self):
+        assert not is_permutation((True, 2))
+        assert not is_permutation((2, True))
+        with pytest.raises(ValueError, match="not a permutation"):
+            check_permutation((True,))
 
     def test_round_trip_random(self):
         rng = random.Random(11)

@@ -1,3 +1,4 @@
+import bisect
 import random
 
 import pytest
@@ -17,6 +18,16 @@ def random_syt(rng, values):
     for x in order:
         p, _ = row_insert(p, x)
     return p
+
+
+def longest_increasing(word):
+    """Patience sorting: pile tops stay sorted, and the pile count is the
+    length of a longest increasing subsequence."""
+    tops = []
+    for x in word:
+        k = bisect.bisect_left(tops, x)
+        tops[k:k + 1] = [x]
+    return len(tops)
 
 
 class TestRowInsert:
@@ -58,6 +69,25 @@ class TestRSK:
             n = rng.randint(1, 9)
             w = tuple(rng.sample(range(1, n + 1), n))
             assert rsk_inverse(*rsk(w)) == w
+
+    def test_long_words(self):
+        # long enough that an aliasing slip in the in-place bump would show
+        rng = random.Random(5)
+        for _ in range(30):
+            n = rng.randint(10, 500)
+            w = tuple(rng.sample(range(1, 3 * n), n))
+            p, q = rsk(w)
+            assert rsk_inverse(p, q) == w
+            assert all(a < b for row in p for a, b in zip(row, row[1:]))
+            assert all(upper[c] < lower[c] for upper, lower in zip(p, p[1:])
+                       for c in range(len(lower)))
+            assert len(p[0]) == longest_increasing(w)
+
+    def test_inverse_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            rsk_inverse(((1, 2),), ((1,), (2,)))
+        with pytest.raises(ValueError, match="shape"):
+            rsk_inverse(((1,), (2,)), ((1,),))
 
     def test_paths_reported(self):
         _, _, paths = rsk_trace((3, 2, 1, 5, 4))

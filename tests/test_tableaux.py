@@ -235,6 +235,12 @@ class TestEnumeration:
             count_standard_fillings(SkewShape((9, 8)))
         assert count_standard_fillings(SkewShape((9, 8)), max_cells=17) > 0
 
+    def test_deep_shape_past_recursion_limit(self):
+        column = SkewShape((1,) * 1100)
+        assert count_standard_fillings(column, max_cells=1100) == 1
+        (t,) = skew_standard_tableaux(column, max_cells=1100)
+        assert t.rows == tuple((v,) for v in range(1, 1101))
+
     def test_deterministic(self):
         shape = SkewShape((4, 3, 1), (1,))
         first = [t.rows for t in skew_standard_tableaux(shape)]
