@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 brute-force cap exceeded.  Counts print as CSV (header n,d,count) or
-JSON lines with big integers rendered as decimal strings.
+3 brute-force or determinant cap exceeded.  Counts print as CSV (header
+n,d,count) or JSON lines with big integers rendered as decimal strings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from typing import Sequence
@@ -26,6 +27,9 @@ from .tableaux import tableau_from_json, tableau_to_json
 from .verify import run_suite
 
 OK, VERIFY_FAILURE, USAGE_ERROR, CAP_ERROR = 0, 1, 2, 3
+# the det band of length n takes Fibonacci(n - 1) run-profile determinants:
+# 75,025 at n = 26, 121,393 at n = 27 and 63 million at n = 40
+MAX_DET_PROFILES = 100_000
 
 
 def _ascents_arg(text: str) -> tuple[int, ...]:
@@ -142,6 +146,12 @@ def _cmd_count(args) -> int:
                 tally[descent_count(w)] += 1
             rows.extend((n, d, tally[d]) for d in band)
         elif args.method == "det":
+            # minimal_count(n, d) takes one per composition of n into n - d parts >= 2
+            profiles = sum(math.comb(d - 1, n - d - 1) for d in band if d < n <= 2 * d)
+            if profiles > MAX_DET_PROFILES:
+                raise CapExceededError(
+                    f"n={n} needs {profiles} run-profile determinants, above the "
+                    f"cap {MAX_DET_PROFILES}")
             rows.extend((n, d, minimal_count(n, d)) for d in band)
         else:
             for d in band:

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .tableaux import _exact_int, det_rational
+from .tableaux import _exact_int, shape_from_runs, skew_syt_count
 
 
 def catalan(n: int) -> int:
@@ -56,13 +56,12 @@ def compositions_min2(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def minimal_count_by_runs(runs: Sequence[int]) -> int:
     """Number of minimal permutations with the given decreasing-run
-    lengths, as length! times a banded determinant: reciprocal factorials
-    1/part! on the diagonal, ones on the subdiagonal, a 1 two below the
-    diagonal exactly when the part in between equals 2, zeros further down,
-    and 1/((sum of parts i..j) - (j - i))! above the diagonal.
-
-    This equals the generic skew-tableau determinant on shape_from_runs;
-    the agreement is a mandatory test, not an assumption.
+    lengths: the skew-tableau determinant skew_syt_count on
+    shape_from_runs(runs).  Adjacent columns of that shape share exactly
+    two rows, so its matrix is the paper's banded one: reciprocal
+    factorials 1/((sum of parts i..j) - (j - i))! on and above the
+    diagonal, ones on the subdiagonal, a 1 two below the diagonal exactly
+    when the part in between equals 2, and zeros further down.
 
     >>> minimal_count_by_runs((2, 2))
     2
@@ -71,21 +70,7 @@ def minimal_count_by_runs(runs: Sequence[int]) -> int:
     >>> minimal_count_by_runs((2, 2, 2))
     5
     """
-    a = tuple(int(x) for x in runs)
-    if not a:
-        raise ValueError("runs must be nonempty")
-    if any(x < 2 for x in a):
-        raise ValueError(f"every run length must be >= 2, got {a}")
-    k = len(a)
-    matrix = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if j >= i - 1:
-                matrix[i][j] = Fraction(1, math.factorial(sum(a[i:j + 1]) - (j - i)))
-            elif j == i - 2 and a[i - 1] == 2:
-                matrix[i][j] = Fraction(1)
-    n = sum(a)
-    return _exact_int(math.factorial(n) * det_rational(matrix), f"count for runs {a}")
+    return skew_syt_count(shape_from_runs(runs))
 
 
 def minimal_count(n: int, d: int) -> int:
@@ -145,7 +130,7 @@ def mansour_yan(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return _exact_int(Fraction(2) ** (n - 2) * n * catalan(n + 1),
-                      f"odd-length count at n={n}")
+                      lambda: f"odd-length count at n={n}")
 
 
 def double_descent_count(n: int, i: int) -> int:
@@ -175,4 +160,4 @@ def three_row_syt_count(n: int, k: int) -> int:
     if k == 1:
         return base
     return _exact_int(Fraction(n - 2 * k + 2, k - 1) * math.comb(n - 1, k - 2) * base,
-                      f"three-row tableau count (n={n}, k={k})")
+                      lambda: f"three-row tableau count (n={n}, k={k})")

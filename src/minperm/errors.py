@@ -1,2 +1,3 @@
 class CapExceededError(RuntimeError):
-    """Raised when a brute-force sweep would exceed the configured size cap."""
+    """Raised when a brute-force sweep or a determinant sum would exceed
+    its size cap."""

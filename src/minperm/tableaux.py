@@ -7,6 +7,9 @@ A partition is a weakly decreasing tuple of positive integers.
 Counting is exact.  The determinant route clears each matrix row by a
 common factorial denominator and runs fraction-free integer elimination;
 the independent oracle is a backtracking enumeration of the fillings.
+The paper's banded determinant per decreasing-run profile a is
+skew_syt_count on shape_from_runs(a): it is banded because adjacent
+columns of that shape share exactly two rows.
 Both skew_standard_tableaux and count_standard_fillings run the same
 iterative traversal, _fillings.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceededError
 
@@ -227,9 +230,10 @@ def shape_from_runs(runs: Sequence[int]) -> SkewShape:
     return SkewShape(tuple(lam), tuple(mu))
 
 
-def _exact_int(value: Fraction, what: str) -> int:
+def _exact_int(value: Fraction, what: Callable[[], str]) -> int:
+    """value as an int; what() names it, and is called only on failure."""
     if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"{what} evaluated to {value}, expected a nonnegative integer")
+        raise ArithmeticError(f"{what()} evaluated to {value}, expected a nonnegative integer")
     return int(value)
 
 
@@ -302,7 +306,7 @@ def skew_syt_count(shape: SkewShape) -> int:
             row.append(Fraction(1, math.factorial(e)) if e >= 0 else Fraction(0))
         matrix.append(row)
     return _exact_int(math.factorial(shape.size) * det_rational(matrix),
-                      f"determinant count for {format_shape(shape)}")
+                      lambda: f"determinant count for {format_shape(shape)}")
 
 
 def hook_length(parts: Sequence[int], row: int, col: int) -> int:

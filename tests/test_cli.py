@@ -70,6 +70,13 @@ class TestCount:
         code, _, err = run(capsys, "count", "--n", "12", "--method", "brute")
         assert code == 3 and "cap" in err
 
+    def test_det_profile_cap(self, capsys):
+        # the band at n = 40 is 63 million determinants, and --d 26 alone is
+        # 5 million: both are refused before any is evaluated
+        for argv in (("--n", "40"), ("--n", "40", "--d", "26")):
+            code, out, err = run(capsys, "count", *argv)
+            assert code == 3 and out == "" and "cap 100000" in err
+
     def test_cap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "6")
         assert run(capsys, "count", "--n", "7", "--method", "brute")[0] == 3

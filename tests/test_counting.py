@@ -57,6 +57,25 @@ class TestRunCounts:
                 for a in compositions_min2(total, parts):
                     assert minimal_count_by_runs(a) == skew_syt_count(shape_from_runs(a))
 
+    def test_shape_matrix_is_the_banded_form(self):
+        # the exponent of 1/(outer[i] - inner[j] - i + j)! on shape_from_runs
+        # is the paper's banded matrix entry for entry
+        for total in range(2, 17):
+            for parts in range(1, total // 2 + 1):
+                for a in compositions_min2(total, parts):
+                    shape = shape_from_runs(a)
+                    for i in range(parts):
+                        for j in range(parts):
+                            e = shape.outer[i] - shape.inner[j] - i + j
+                            if j >= i:
+                                assert e == sum(a[i:j + 1]) - (j - i), (a, i, j)
+                            elif j == i - 1:
+                                assert e == 1, (a, i, j)
+                            elif j == i - 2:
+                                assert e == 2 - a[i - 1], (a, i, j)
+                            else:
+                                assert e < 0, (a, i, j)
+
     def test_matches_brute_force(self):
         for a in [(2, 2), (2, 3), (3, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (4, 4)]:
             n = sum(a)
