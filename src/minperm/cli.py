@@ -121,6 +121,10 @@ def _emit_rows(rows: Sequence[tuple[int, int, int]], fmt: str) -> None:
 
 def _cmd_count(args) -> int:
     n = args.n
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
+    if args.d is not None and args.d < 0:
+        raise ValueError(f"--d must be >= 0, got {args.d}")
     if args.ascents is not None and args.d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
     rows: list[tuple[int, int, int]] = []

@@ -24,10 +24,8 @@ def catalan(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    quotient, rem = divmod(math.comb(2 * n, n), n + 1)
-    if rem:
-        raise ArithmeticError(f"Catalan division was not exact at n={n}")
-    return quotient
+    return _exact_int(Fraction(math.comb(2 * n, n), n + 1),
+                      lambda: f"Catalan number at n={n}")
 
 
 def compositions_min2(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -113,9 +111,7 @@ def two_ascent_count(n: int) -> int:
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
     poly = n ** 4 - 7 * n ** 3 + 19 * n ** 2 - 21 * n + 2
-    half, rem = divmod(poly, 2)
-    if rem:
-        raise ArithmeticError(f"polynomial part {poly} is odd at n={n}")
+    half = _exact_int(Fraction(poly, 2), lambda: f"half the polynomial part at n={n}")
     return 3 ** n - (n * n - 2 * n + 4) * 2 ** (n - 1) + half
 
 

@@ -276,6 +276,8 @@ def enumerate_minimal(n: int, d: int | None = None,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if d is not None and d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
     cap = max_brute_n(max_n)
     if n > cap:
         raise CapExceededError(

@@ -4,9 +4,9 @@ English convention throughout: row 1 is the top row, cells are addressed
 (row, column) 1-indexed, and entries increase along rows and down columns.
 A partition is a weakly decreasing tuple of positive integers.
 
-Counting is exact.  The determinant route clears each matrix row by a
-common factorial denominator and runs fraction-free integer elimination;
-the independent oracle is a backtracking enumeration of the fillings.
+Counting is exact.  The determinant route builds each matrix row integral
+and runs fraction-free integer elimination; the independent oracle is a
+backtracking enumeration of the fillings.
 The paper's banded determinant per decreasing-run profile a is
 skew_syt_count on shape_from_runs(a): it is banded because adjacent
 columns of that shape share exactly two rows.
@@ -261,10 +261,9 @@ def _det_bareiss(m: list[list[int]]) -> int:
 
 
 def det_rational(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix.  Each row is cleared by the
-    least common multiple of its denominators (for rows of factorial
-    reciprocals that is the largest factorial present), the integer matrix
-    goes through Bareiss elimination, and the scaling divides back exactly."""
+    """Exact determinant of a rational matrix: each row is made integral by
+    the least common multiple of its denominators, goes through
+    fraction-free Bareiss elimination, and the scaling divides back exactly."""
     n = len(matrix)
     if n == 0:
         return Fraction(1)
@@ -273,10 +272,9 @@ def det_rational(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
-        entries = [Fraction(x) for x in row]
-        mult = math.lcm(*(e.denominator for e in entries))
+        mult = math.lcm(*(x.denominator for x in row))
         scale *= mult
-        rows.append([int(e * mult) for e in entries])
+        rows.append([x.numerator * (mult // x.denominator) for x in row])
     return Fraction(_det_bareiss(rows), scale)
 
 
@@ -286,8 +284,9 @@ def skew_syt_count(shape: SkewShape) -> int:
 
         count = n! * det( 1 / (outer[i] - inner[j] - i + j)! ),  1 <= i,j <= r,
 
-    where 1/m! = 0 for m < 0.  A non-integral or negative result signals an
-    arithmetic bug and raises.
+    where 1/m! = 0 for m < 0.  Row i is built integral, times top! for its
+    largest exponent top (at j = r), and goes through fraction-free
+    elimination.  A non-integral or negative result signals a bug and raises.
 
     >>> skew_syt_count(SkewShape((2, 2)))
     2
@@ -296,16 +295,14 @@ def skew_syt_count(shape: SkewShape) -> int:
     """
     outer, inner = shape.outer, shape.inner
     r = len(outer)
-    if r == 0:
-        return 1
-    matrix = []
+    rows = []
+    scale = 1
     for i in range(r):
-        row = []
-        for j in range(r):
-            e = outer[i] - inner[j] - i + j
-            row.append(Fraction(1, math.factorial(e)) if e >= 0 else Fraction(0))
-        matrix.append(row)
-    return _exact_int(math.factorial(shape.size) * det_rational(matrix),
+        top = outer[i] - inner[r - 1] - i + r - 1
+        scale *= math.factorial(top)
+        rows.append([math.perm(top, top - e) if e >= 0 else 0
+                     for e in (outer[i] - inner[j] - i + j for j in range(r))])
+    return _exact_int(math.factorial(shape.size) * det_rational(rows) / scale,
                       lambda: f"determinant count for {format_shape(shape)}")
 
 
@@ -339,10 +336,8 @@ def hook_count(parts: Sequence[int]) -> int:
     for i, length in enumerate(lam, start=1):
         for j in range(1, length + 1):
             product *= lam[i - 1] + conj[j - 1] - i - j + 1
-    quotient, rem = divmod(math.factorial(sum(lam)), product)
-    if rem:
-        raise ArithmeticError(f"hook product {product} does not divide {sum(lam)}!")
-    return quotient
+    return _exact_int(Fraction(math.factorial(sum(lam)), product),
+                      lambda: f"hook length formula for {lam}")
 
 
 def _check_cells_cap(shape: SkewShape, max_cells: int | None) -> None:

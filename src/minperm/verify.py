@@ -383,6 +383,8 @@ def run_suite(suite: str, max_n: int = 8, inject_fault: bool = False) -> dict:
         functions = list(SUITES[suite])
     else:
         raise ValueError(f"unknown suite {suite!r}; choose all, " + ", ".join(SUITES))
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     cap = max_brute_n()
     if max_n > cap:
         raise CapExceededError(f"max_n {max_n} exceeds the brute-force cap {cap}")

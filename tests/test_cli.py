@@ -65,6 +65,10 @@ class TestCount:
         assert run(capsys, "count", "--n", "7", "--d", "9", "--method", "closed")[0] == 2
         assert run(capsys, "count", "--n", "6", "--method", "nope")[0] == 2
         assert run(capsys, "count")[0] == 2
+        for argv in (["--n", "5", "--d", "-3"], ["--n", "0"], ["--n", "-2"]):
+            code, out, err = run(capsys, "count", *argv)
+            assert (code, out) == (2, ""), argv
+            assert "must be" in err
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "count", "--n", "12", "--method", "brute")
@@ -96,6 +100,10 @@ class TestEnumerate:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 5 and "3 2 1 5 4" in lines
+
+    def test_negative_descents_rejected(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--n", "5", "--d", "-3")
+        assert (code, out) == (2, "") and "d must be >= 0" in err
 
     def test_deterministic(self, capsys):
         first = run(capsys, "enumerate", "--n", "6")
@@ -179,6 +187,11 @@ class TestVerify:
     def test_cap_guard(self, capsys):
         code, _, err = run(capsys, "verify", "--max-n", "12")
         assert code == 3 and "cap" in err
+
+    def test_max_n_below_one_rejected(self, capsys):
+        for max_n in ("0", "-5"):
+            code, out, err = run(capsys, "verify", "--max-n", max_n, "--suite", "counts")
+            assert (code, out) == (2, "") and "max_n must be >= 1" in err
 
     def test_byte_identical_reports(self, capsys):
         first = run(capsys, "verify", "--suite", "rsk", "--max-n", "5")

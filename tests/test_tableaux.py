@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from minperm import (CapExceededError, SkewShape, SkewTableau, conjugate,
                      shape_from_runs, shape_is_two_regular,
                      skew_standard_tableaux, skew_syt_count,
                      tableau_from_json, tableau_to_json)
-from minperm.tableaux import det_rational
+from minperm.counting import compositions_min2
+from minperm.tableaux import _exact_int, det_rational
 
 
 @st.composite
@@ -40,6 +42,17 @@ def skew_shapes(draw, max_cells=10):
         # resample rather than skewing the distribution with assume
         return draw(skew_shapes(max_cells=max_cells))
     return shape
+
+
+def reciprocal_factorial_count(shape):
+    """The determinant formula over Fraction(1, e!) entries, as written:
+    an oracle for the integral rows that skew_syt_count builds."""
+    outer, inner = shape.outer, shape.inner
+    r = len(outer)
+    matrix = [[Fraction(1, math.factorial(e)) if e >= 0 else Fraction(0)
+               for e in (outer[i] - inner[j] - i + j for j in range(r))]
+              for i in range(r)]
+    return math.factorial(shape.size) * det_rational(matrix)
 
 
 class TestPartitions:
@@ -179,6 +192,29 @@ class TestCounting:
         # inner equal to outer in some rows still counts correctly
         assert skew_syt_count(SkewShape((2, 2), (2, 2))) == 1
         assert skew_syt_count(SkewShape((3, 2), (2, 2))) == 1
+
+    def test_integral_rows_match_reciprocal_factorials(self):
+        shapes = [shape_from_runs(a) for n in range(2, 17)
+                  for k in range(1, n // 2 + 1) for a in compositions_min2(n, k)]
+        shapes += [SkewShape((2, 2), (2, 2)), SkewShape((3, 2), (2, 2)),
+                   shape_from_runs((3, 4) * 20)]
+        for shape in shapes:
+            assert skew_syt_count(shape) == reciprocal_factorial_count(shape), shape
+
+    @given(skew_shapes())
+    def test_integral_rows_match_reciprocal_factorials_random(self, shape):
+        assert skew_syt_count(shape) == reciprocal_factorial_count(shape)
+
+    def test_exact_int_guard(self):
+        for value in (Fraction(1, 2), Fraction(-3)):
+            with pytest.raises(ArithmeticError, match="the label"):
+                _exact_int(value, lambda: "the label")
+
+        def label():
+            raise AssertionError("label built for a valid value")
+
+        assert _exact_int(Fraction(12, 4), label) == 3
+        assert _exact_int(Fraction(0), label) == 0
 
     def test_determinant_core(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
