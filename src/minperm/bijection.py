@@ -2,17 +2,18 @@
 
 A minimal permutation with decreasing runs of lengths (a1, ..., ak) maps to
 the standard skew tableau whose j-th column, read from its lowest cell
-upward, spells the j-th run left to right.  Adjacent columns overlap in
-exactly two rows, which is precisely what makes the rows of the image
-increase.
+upward, spells the j-th run left to right: reverse each run, then
+transpose.  Adjacent columns overlap in exactly two rows, which is
+precisely what makes the rows of the image increase.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 from .permutations import decreasing_run_lengths, minimality_violation
-from .tableaux import (SkewTableau, is_standard, is_two_regular,
+from .tableaux import (SkewTableau, _transpose, is_standard, is_two_regular,
                        shape_from_runs)
 
 
@@ -33,21 +34,11 @@ def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
         raise ValueError(f"permutation {w} is not minimal: {reason}")
     runs = decreasing_run_lengths(w)
     by_cols = shape_from_runs(runs)  # row j of this shape = drawn column j
-    shape = by_cols.conjugated()
-    grid = {}
-    pos = 0
-    for j, run_length in enumerate(runs):
-        run = w[pos:pos + run_length]
-        pos += run_length
-        top = by_cols.inner[j] + 1
-        # the run is decreasing, so reading the column bottom-to-top spells
-        # it left to right; top-to-bottom it goes reversed
-        for offset, value in enumerate(reversed(run)):
-            grid[(top + offset, j + 1)] = value
-    rows = tuple(
-        tuple(grid.get((i, c)) for c in range(1, shape.outer[i - 1] + 1))
-        for i in range(1, shape.row_count + 1))
-    return SkewTableau(shape, rows)
+    # drawn column j is inner[j] empty cells above run j; the run decreases,
+    # so read from the bottom cell upward the column spells it left to right
+    cols = [(None,) * mu + w[end - a:end][::-1]
+            for mu, a, end in zip(by_cols.inner, runs, accumulate(runs))]
+    return SkewTableau(by_cols.conjugated(), _transpose(cols))
 
 
 def tableau_to_perm(t: SkewTableau) -> tuple[int, ...]:
@@ -61,8 +52,4 @@ def tableau_to_perm(t: SkewTableau) -> tuple[int, ...]:
         raise ValueError("tableau is not standard")
     if not is_two_regular(t):
         raise ValueError("tableau is not 2-regular")
-    word = []
-    for c in range(1, t.shape.column_count + 1):
-        span = t.shape.column_rows(c)
-        word.extend(t.rows[i - 1][c - 1] for i in reversed(span))
-    return tuple(word)
+    return tuple(x for col in _transpose(t.rows) for x in reversed(col) if x is not None)

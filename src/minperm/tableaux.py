@@ -4,6 +4,9 @@ English convention throughout: row 1 is the top row, cells are addressed
 (row, column) 1-indexed, and entries increase along rows and down columns.
 A partition is a weakly decreasing tuple of positive integers.
 
+Drawn column j of a skew shape is row j of shape.conjugated(); every
+column access goes through the conjugate, _transpose for fillings.
+
 Counting is exact.  The determinant route builds each matrix row integral
 and runs fraction-free integer elimination; the independent oracle is a
 backtracking enumeration of the fillings.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceededError
@@ -29,7 +33,9 @@ DEFAULT_MAX_CELLS = 16
 def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing sequence of positive parts; trailing
     zeros are tolerated and dropped."""
-    p = tuple(int(x) for x in parts)
+    p = tuple(parts)
+    if not {int}.issuperset(map(type, p)):  # exact type: no bool, no float
+        raise ValueError(f"partition parts must be integers: {p}")
     while p and p[-1] == 0:
         p = p[:-1]
     for i, x in enumerate(p):
@@ -41,7 +47,8 @@ def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
 
 
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
-    """Transpose the diagram of a partition.
+    """Transpose the diagram of a partition, in time linear in its rows
+    plus its columns.
 
     >>> conjugate((3, 2, 2))
     (3, 3, 1)
@@ -49,9 +56,11 @@ def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
     (2, 2)
     """
     p = check_partition(parts)
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x >= c) for c in range(1, p[0] + 1))
+    conj: list[int] = []
+    # from the bottom row up, row i ends the columns that reach no lower row
+    for i in range(len(p), 0, -1):
+        conj.extend([i] * (p[i - 1] - len(conj)))
+    return tuple(conj)
 
 
 @dataclass(frozen=True)
@@ -85,17 +94,6 @@ class SkewShape:
     @property
     def column_count(self) -> int:
         return self.outer[0] if self.outer else 0
-
-    def column_rows(self, col: int) -> range:
-        """1-indexed rows whose cells include the 1-indexed column col; the
-        set is always a contiguous interval."""
-        lo = hi = None
-        for i, (lam, mu) in enumerate(zip(self.outer, self.inner), start=1):
-            if mu < col <= lam:
-                if lo is None:
-                    lo = i
-                hi = i
-        return range(0) if lo is None else range(lo, hi + 1)
 
     def conjugated(self) -> "SkewShape":
         return SkewShape(conjugate(self.outer), conjugate(self.inner))
@@ -151,7 +149,7 @@ class SkewTableau:
                 if c <= mu:
                     if x is not None:
                         raise ValueError(f"cell ({i + 1},{c}) lies inside the inner shape")
-                elif not isinstance(x, int):
+                elif type(x) is not int:
                     raise ValueError(f"cell ({i + 1},{c}) must hold an integer, got {x!r}")
         object.__setattr__(self, "rows", rows)
 
@@ -161,6 +159,14 @@ class SkewTableau:
                 and self.shape.inner[row - 1] < col <= self.shape.outer[row - 1]):
             raise ValueError(f"cell ({row},{col}) is outside the shape")
         return self.rows[row - 1][col - 1]
+
+
+def _transpose(rows: Sequence[Sequence[int | None]]) -> tuple[tuple[int | None, ...], ...]:
+    """The columns of a skew filling given row by row, None in inner cells.
+    Row lengths weakly decrease, so column c is the first
+    conjugate(row lengths)[c] entries of the padded transpose."""
+    heights = conjugate([len(row) for row in rows])
+    return tuple(col[:h] for col, h in zip(zip_longest(*rows), heights))
 
 
 def is_standard(t: SkewTableau) -> bool:
@@ -184,18 +190,12 @@ def is_standard(t: SkewTableau) -> bool:
 
 def shape_is_two_regular(shape: SkewShape) -> bool:
     """Every column has at least two cells and adjacent columns share
-    exactly two rows."""
-    cols = shape.column_count
-    if cols == 0:
-        return False
-    spans = [shape.column_rows(c) for c in range(1, cols + 1)]
-    if any(len(span) < 2 for span in spans):
-        return False
-    for left, right in zip(spans, spans[1:]):
-        overlap = min(left.stop, right.stop) - max(left.start, right.start)
-        if overlap != 2:
-            return False
-    return True
+    exactly two rows.  Column c covers rows [lo[c], hi[c]) with lo, hi the
+    inner and outer conjugate; both weakly decrease, so columns c and c + 1
+    share rows [lo[c], hi[c + 1])."""
+    conj = shape.conjugated()
+    lo, hi = conj.inner, conj.outer
+    return bool(hi) and hi[0] - lo[0] >= 2 and all(h - l == 2 for l, h in zip(lo, hi[1:]))
 
 
 def is_two_regular(t: SkewTableau) -> bool:
@@ -215,7 +215,9 @@ def shape_from_runs(runs: Sequence[int]) -> SkewShape:
     >>> shape_from_runs((2, 2, 2))
     SkewShape(outer=(2, 2, 2), inner=(0, 0, 0))
     """
-    a = tuple(int(x) for x in runs)
+    a = tuple(runs)
+    if not {int}.issuperset(map(type, a)):
+        raise ValueError(f"run lengths must be integers: {a}")
     if not a:
         raise ValueError("run lengths must be nonempty")
     if any(x < 2 for x in a):

@@ -107,9 +107,11 @@ def _closed_form_check(name: str, formula, case, det_range, brute_range, count,
 
 
 def check_catalan_law(max_n: int, count=minimal_count) -> Check:
+    brute = range(1, min(max_n // 2, 4) + 1)
+    reach = (f"brute force to n={2 * brute[-1]}" if brute
+             else f"no brute force at max_n={max_n}")
     return _closed_form_check("even-length Catalan counts", catalan, lambda m: (2 * m, m),
-                              range(1, 9), range(1, min(max_n // 2, 4) + 1), count,
-                              "determinants to n=16, brute force to n=8")
+                              range(1, 9), brute, count, f"determinants to n=16, {reach}")
 
 
 def check_one_ascent_closed_form(max_n: int, count=minimal_count) -> Check:
@@ -125,10 +127,12 @@ def check_two_ascent_closed_form(max_n: int, count=minimal_count) -> Check:
 
 
 def check_odd_length_formula(max_n: int, count=minimal_count) -> Check:
+    brute = range(1, min((max_n - 1) // 2, 4) + 1)
+    reach = (f"brute force to length {2 * brute[-1] + 1}" if brute
+             else f"no brute force at max_n={max_n}")
     return _closed_form_check("odd-length product formula", mansour_yan,
-                              lambda m: (2 * m + 1, m + 1), range(1, 13),
-                              range(1, min((max_n - 1) // 2, 4) + 1), count,
-                              "formula = determinant sum for m <= 12, brute force to length 9")
+                              lambda m: (2 * m + 1, m + 1), range(1, 13), brute, count,
+                              f"formula = determinant sum for m <= 12, {reach}")
 
 
 def check_double_descent_refinement(max_n: int) -> Check:

@@ -1,14 +1,49 @@
+import random
 from collections import Counter
 
 import pytest
 
 from minperm import (SkewShape, SkewTableau, compositions_min2,
-                     decreasing_run_lengths, enumerate_minimal, is_standard,
-                     is_two_regular, perm_to_tableau, shape_from_runs,
-                     skew_standard_tableaux, tableau_to_perm)
+                     decreasing_run_lengths, enumerate_minimal, is_minimal,
+                     is_standard, is_two_regular, perm_to_tableau,
+                     shape_from_runs, skew_standard_tableaux, tableau_to_perm)
 from minperm.verify import (WORKED_PERM_16, WORKED_TABLEAU_16_ROWS,
                             WORKED_TABLEAU_16_SHAPE)
 from minperm.tableaux import format_shape
+
+
+def perm_to_tableau_by_grid(w):
+    """Reference map: cells keyed by (row, col) are filled run by run, each
+    run upward from the lowest cell of its column, then read row by row."""
+    runs = decreasing_run_lengths(w)
+    by_cols = shape_from_runs(runs)
+    shape = by_cols.conjugated()
+    grid = {}
+    pos = 0
+    for j, run_length in enumerate(runs):
+        run = w[pos:pos + run_length]
+        pos += run_length
+        top = by_cols.inner[j] + 1
+        for offset, value in enumerate(reversed(run)):
+            grid[(top + offset, j + 1)] = value
+    rows = tuple(
+        tuple(grid.get((i, c)) for c in range(1, shape.outer[i - 1] + 1))
+        for i in range(1, shape.row_count + 1))
+    return SkewTableau(shape, rows)
+
+
+def random_filling(shape, rng):
+    """A standard filling built by placing 1, 2, ... each in a cell chosen
+    uniformly among those whose left and upper neighbours are filled or
+    outside the shape."""
+    outer, nxt = shape.outer, list(shape.inner)  # nxt[i]: first empty column
+    rows = [[None] * lam for lam in outer]
+    for v in range(1, shape.size + 1):
+        i = rng.choice([i for i, c in enumerate(nxt)
+                        if c < outer[i] and (i == 0 or c < nxt[i - 1])])
+        rows[i][nxt[i]] = v
+        nxt[i] += 1
+    return SkewTableau(shape, rows)
 
 
 def test_single_run_is_one_column():
@@ -73,3 +108,22 @@ def test_cardinality_per_run_profile():
                 assert len(tableaux) == by_runs[a]
                 for t in tableaux:
                     assert perm_to_tableau(tableau_to_perm(t)) == t
+
+
+def test_grid_reference_agrees():
+    for n in range(2, 10):
+        for w in enumerate_minimal(n):
+            assert perm_to_tableau(w) == perm_to_tableau_by_grid(w)
+
+
+def test_round_trips_long():
+    rng = random.Random(2010)
+    for k in (50, 120, 250, 400):
+        runs = tuple(rng.randint(2, 6) for _ in range(k))
+        t = random_filling(shape_from_runs(runs).conjugated(), rng)
+        assert is_standard(t) and is_two_regular(t)
+        w = tableau_to_perm(t)
+        assert decreasing_run_lengths(w) == runs
+        assert is_minimal(w)
+        assert perm_to_tableau(w) == t
+        assert perm_to_tableau_by_grid(w) == t

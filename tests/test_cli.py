@@ -1,7 +1,8 @@
 import json
 
 from minperm.cli import main
-from minperm.verify import WORKED_PERM_13, WORKED_SPLIT_13
+from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
+                            check_odd_length_formula)
 
 
 def run(capsys, *argv):
@@ -137,6 +138,12 @@ class TestBijection:
     def test_requires_exactly_one_input(self, capsys):
         assert run(capsys, "bijection")[0] == 2
 
+    def test_bool_entry_rejected(self, capsys):
+        tableau = json.dumps({"shape": "2,2", "rows": [[True, 3], [2, 4]]})
+        code, out, err = run(capsys, "bijection", "--tableau", tableau)
+        assert (code, out) == (2, "")
+        assert "cell (1,1) must hold an integer, got True" in err
+
 
 class TestRsk:
     def test_shape_reported(self, capsys):
@@ -192,6 +199,15 @@ class TestVerify:
         for max_n in ("0", "-5"):
             code, out, err = run(capsys, "verify", "--max-n", max_n, "--suite", "counts")
             assert (code, out) == (2, "") and "max_n must be >= 1" in err
+
+    def test_brute_force_details_follow_max_n(self):
+        # the details of `verify --suite counts --max-n 3`
+        assert check_catalan_law(3).detail == "determinants to n=16, brute force to n=2"
+        assert check_odd_length_formula(3).detail == \
+            "formula = determinant sum for m <= 12, brute force to length 3"
+        assert check_odd_length_formula(8).detail.endswith("brute force to length 7")
+        assert check_odd_length_formula(2).detail.endswith("no brute force at max_n=2")
+        assert check_catalan_law(1).detail.endswith("no brute force at max_n=1")
 
     def test_byte_identical_reports(self, capsys):
         first = run(capsys, "verify", "--suite", "rsk", "--max-n", "5")

@@ -55,6 +55,40 @@ def reciprocal_factorial_count(shape):
     return math.factorial(shape.size) * det_rational(matrix)
 
 
+def conjugate_by_counting(parts):
+    """Column c of the diagram has as many cells as there are parts >= c."""
+    p = tuple(parts)
+    return tuple(sum(1 for x in p if x >= c) for c in range(1, p[0] + 1)) if p else ()
+
+
+def column_rows_by_scan(shape, col):
+    """1-indexed rows holding a cell of the 1-indexed column col, found by
+    scanning every row."""
+    lo = hi = None
+    for i, (lam, mu) in enumerate(zip(shape.outer, shape.inner), start=1):
+        if mu < col <= lam:
+            if lo is None:
+                lo = i
+            hi = i
+    return range(0) if lo is None else range(lo, hi + 1)
+
+
+def two_regular_by_scan(shape):
+    """shape_is_two_regular over row-scanned column spans."""
+    spans = [column_rows_by_scan(shape, c) for c in range(1, shape.column_count + 1)]
+    if not spans or any(len(span) < 2 for span in spans):
+        return False
+    return all(min(left.stop, right.stop) - max(left.start, right.start) == 2
+               for left, right in zip(spans, spans[1:]))
+
+
+def assert_columns_match_scan(shape):
+    for s in (shape, shape.conjugated()):
+        assert shape_is_two_regular(s) == two_regular_by_scan(s)
+        assert conjugate(s.outer) == conjugate_by_counting(s.outer)
+        assert conjugate(s.inner) == conjugate_by_counting(s.inner)
+
+
 class TestPartitions:
     def test_conjugate_examples(self):
         assert conjugate((5,)) == (1, 1, 1, 1, 1)
@@ -65,6 +99,22 @@ class TestPartitions:
     @given(partitions())
     def test_conjugate_involution(self, lam):
         assert conjugate(conjugate(lam)) == lam
+
+    def test_non_integer_parts_rejected(self):
+        for bad in [lambda: SkewShape((2.7, 1)), lambda: SkewShape((2, 1), (True,)),
+                    lambda: conjugate((3.9, 2))]:
+            with pytest.raises(ValueError, match="partition parts must be integers"):
+                bad()
+        for runs in [(2.9, 3), (True, 2)]:
+            with pytest.raises(ValueError, match="run lengths must be integers"):
+                shape_from_runs(runs)
+
+    def test_long_partitions_against_counting(self):
+        rng = random.Random(7)
+        for rows in (100, 300, 600):
+            lam = tuple(sorted((rng.randint(1, 400) for _ in range(rows)), reverse=True))
+            assert conjugate(lam) == conjugate_by_counting(lam)
+            assert conjugate(conjugate(lam)) == lam
 
     def test_invalid_partitions(self):
         with pytest.raises(ValueError):
@@ -134,6 +184,30 @@ class TestShapeFromRuns:
 
 
 class TestTwoRegular:
+    @given(skew_shapes())
+    def test_conjugate_spans_match_scan(self, shape):
+        assert_columns_match_scan(shape)
+
+    def test_run_shapes_match_scan(self):
+        for n in range(2, 15):
+            for parts in range(1, n // 2 + 1):
+                for a in compositions_min2(n, parts):
+                    assert_columns_match_scan(shape_from_runs(a))
+
+    def test_long_shapes_match_scan(self):
+        rng = random.Random(11)
+        for k in (100, 300):
+            shape = shape_from_runs(tuple(rng.randint(2, 5) for _ in range(k)))
+            assert shape_is_two_regular(shape.conjugated())
+            assert_columns_match_scan(shape)
+            # one more cell in the last indented row breaks 2-regularity
+            inner = list(shape.inner)
+            i = max(j for j, mu in enumerate(inner) if mu)
+            inner[i] -= 1
+            broken = SkewShape(shape.outer, tuple(inner))
+            assert not shape_is_two_regular(broken.conjugated())
+            assert_columns_match_scan(broken)
+
     def test_straight_two_rows(self):
         for n in range(2, 6):
             t = next(skew_standard_tableaux(SkewShape((n, n))))
