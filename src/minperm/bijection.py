@@ -12,7 +12,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence
 
-from .permutations import decreasing_run_lengths, minimality_violation
+from .permutations import (check_permutation, decreasing_run_lengths,
+                           minimality_violation)
 from .tableaux import (SkewTableau, _transpose, is_standard, is_two_regular,
                        shape_from_runs)
 
@@ -20,15 +21,16 @@ from .tableaux import (SkewTableau, _transpose, is_standard, is_two_regular,
 def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
     """Map a minimal permutation to its 2-regular skew tableau.
 
-    Minimality is validated on entry; a non-minimal word would otherwise
-    produce a non-standard filling silently.
+    The word is checked to be a permutation and then to be minimal; a
+    non-minimal word would otherwise produce a non-standard filling
+    silently.
 
     >>> perm_to_tableau((3, 2, 1)).rows
     ((1,), (2,), (3,))
     >>> perm_to_tableau((2, 1, 4, 3)).rows
     ((1, 3), (2, 4))
     """
-    w = tuple(perm)
+    w = check_permutation(perm)
     reason = minimality_violation(w)
     if reason is not None:
         raise ValueError(f"permutation {w} is not minimal: {reason}")

@@ -172,6 +172,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.ascents is not None and args.d is not None:
+        raise ValueError("--d and --ascents are mutually exclusive")
     stream = enumerate_minimal(args.n, d=args.d, runs=args.ascents,
                                double_descent_at=args.double_descent_at,
                                max_n=args.max_brute_n)

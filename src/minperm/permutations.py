@@ -15,6 +15,7 @@ an assumption.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 from typing import Iterable, Iterator, Sequence
@@ -158,6 +159,10 @@ def is_minimal(perm: Sequence[int]) -> bool:
     """Structural minimality test: starts and ends with a descent, and every
     ascent is interior with its four-element window of type 2143 or 3142.
 
+    It compares entries only and does not check that perm is a permutation
+    (it runs on every search leaf); callers holding untrusted input run
+    check_permutation first.
+
     >>> is_minimal((3, 2, 1))
     True
     >>> is_minimal((2, 1, 4, 3)) and is_minimal((3, 1, 4, 2))
@@ -261,13 +266,16 @@ def enumerate_minimal(n: int, d: int | None = None,
                       double_descent_at: int | None = None,
                       max_n: int | None = None) -> Iterator[tuple[int, ...]]:
     """All minimal permutations of length n in lexicographic order,
-    optionally filtered by descent count, by decreasing-run lengths, or by
-    requiring descents at both positions j and j+1 (double_descent_at=j).
+    optionally restricted to descent count d, to decreasing-run lengths
+    runs, or to descents at both positions j and j+1 (double_descent_at=j).
 
-    The search is a pruned depth-first walk of the prefix tree.  Pruning
-    uses necessary conditions of the structural test only; every completed
-    word is still validated with is_minimal, so correctness never rests on
-    the pruning being sharp.  Refuses n above the brute-force cap.
+    The search is a depth-first walk of the prefix tree.  The constraints
+    are pruned during the walk, not filtered at its leaves: runs and j fix
+    some steps to ascend or descend, and d bounds the ascent count of every
+    prefix, so each completed word meets them and the work grows with the
+    output.  Every completed word is still validated with is_minimal, so
+    correctness never rests on the pruning.  Refuses n above the
+    brute-force cap.
 
     >>> list(enumerate_minimal(3))
     [(3, 2, 1)]
@@ -276,6 +284,8 @@ def enumerate_minimal(n: int, d: int | None = None,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if d is not None and type(d) is not int:
+        raise ValueError(f"d must be an integer, got {d!r}")
     if d is not None and d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
     cap = max_brute_n(max_n)
@@ -284,69 +294,102 @@ def enumerate_minimal(n: int, d: int | None = None,
             f"enumeration over S_{n} exceeds the brute-force cap {cap}; raise it "
             f"via {MAX_BRUTE_N_ENV} or the max_n argument")
     wanted = None if runs is None else tuple(runs)
+    if wanted is not None and not {int}.issuperset(map(type, wanted)):
+        raise ValueError(f"run lengths must be integers: {wanted}")
     if wanted is not None and sum(wanted) != n:
         raise ValueError(f"run lengths {wanted} do not sum to {n}")
     j = double_descent_at
+    if j is not None and type(j) is not int:
+        raise ValueError(f"double-descent position must be an integer, got {j!r}")
     if j is not None and not 1 <= j <= n - 2:
         raise ValueError(f"double-descent position must be in 1..{n - 2}, got {j}")
-
-    def generate():
-        for w in _search_minimal(n):
-            if d is not None and descent_count(w) != d:
-                continue
-            if wanted is not None and decreasing_run_lengths(w) != wanted:
-                continue
-            if j is not None and not (w[j - 1] > w[j] > w[j + 1]):
-                continue
-            yield w
-
-    return generate()
-
-
-def _can_extend(word: list[int], v: int, n: int) -> bool:
-    """Prune test for appending v to the current prefix (0-indexed slot m)."""
-    m = len(word)
-    if m == 0:
-        return True
-    if word[m - 1] < v:
-        # would create an ascent at 1-indexed position m
-        if m == 1 or m == n - 1:
-            return False
-        if not word[m - 1] < word[m - 2] < v:
-            return False
-    if m >= 3 and word[m - 2] < word[m - 1]:
-        # v completes the window of the ascent at position m-1
-        if not word[m - 2] < v < word[m - 1]:
-            return False
-    return True
+    # step s (1 <= s <= n-1) goes from position s to s+1; minimality makes
+    # the first and last steps descend
+    ascend = [1 < s < n - 1 for s in range(n)]
+    fewest, most = 0, n
+    if wanted is not None:
+        if min(wanted) < 2:
+            return iter(())
+        # the ascents fall at the prefix sums of all runs but the last; as
+        # they are isolated and their count is fixed, each must be taken
+        tops = set(itertools.accumulate(wanted[:-1]))
+        ascend = [s in tops for s in range(n)]
+        fewest = most = len(wanted) - 1
+    if d is not None:
+        if not fewest <= n - 1 - d <= most:
+            return iter(())
+        fewest = most = n - 1 - d
+        if most == 0:
+            ascend = [False] * n
+    if j is not None:
+        ascend[j] = ascend[j + 1] = False
+    return _search_minimal(n, ascend, fewest, most)
 
 
-def _search_minimal(n: int) -> Iterator[tuple[int, ...]]:
-    if n < 2:
+def _search_minimal(n: int, ascend: list[bool], fewest: int,
+                    most: int) -> Iterator[tuple[int, ...]]:
+    """Minimal permutations of length n in lexicographic order whose step s
+    ascends only if ascend[s], and whose ascent count lies in fewest..most.
+
+    Each node lists, on entry, the unused values its prefix may take next:
+    the structural test read one step at a time.  An ascent must exceed the
+    value before the descent that precedes it and leave an unused value
+    between its ends, which the value after it must take (a window of type
+    2143 or 3142).  A value followed by k steps that must descend needs k
+    unused values below it.
+    """
+    # room[s]: the most ascents steps s..n-1 can take when step s-1
+    # descends (ascents are isolated, each needing descents on both sides);
+    # fall[s]: how many steps from s on must descend in a row, so a value
+    # placed before step s needs that many unused values below it
+    room = [0] * (n + 2)
+    fall = [0] * (n + 2)
+    for s in range(n - 1, 0, -1):
+        if ascend[s]:
+            room[s] = max(room[s + 1], 1 + room[s + 2])
+        else:
+            room[s] = room[s + 1]
+            fall[s] = fall[s + 1] + 1
+    if room[1] < fewest:
         return
-    word: list[int] = []
-    used = [False] * (n + 1)
-    tries = [1]
-    while tries:
-        v = tries[-1]
-        while v <= n and (used[v] or not _can_extend(word, v, n)):
-            v += 1
-        if v > n:
-            tries.pop()
-            if word:
-                used[word.pop()] = False
+    # a prefix with a ascents may take step s down if a >= down[s], and up
+    # if up[s] <= a < most
+    down = [fewest - room[s + 1] for s in range(n)]
+    up = [fewest - 1 - room[s + 2] if ascend[s] else n + 1 for s in range(n)]
+    word = [n + 1]  # a sentinel above every value, so a step 0 "descends"
+    free = list(range(1, n + 1))  # the unused values, in increasing order
+    ascents = [0]  # ascents[i]: the ascent count of the prefix ending at word[i]
+    pending = [iter(free[fall[1]:])]
+    while pending:
+        v = next(pending[-1], 0)
+        if not v:
+            pending.pop()
+            bisect.insort(free, word.pop())
+            ascents.pop()
             continue
-        tries[-1] = v + 1
-        if len(word) == n - 1:
-            word.append(v)
-            candidate = tuple(word)
-            word.pop()
+        s = len(word)  # v sits at position s, so the next value takes step s
+        if s == n:
+            candidate = (*word[1:], v)
             if is_minimal(candidate):
                 yield candidate
+            continue
+        prev = word[-1]
+        a = ascents[-1] + (prev < v)
+        word.append(v)
+        ascents.append(a)
+        free.remove(v)
+        below = bisect.bisect(free, v)  # free[:below] lie below v
+        first = fall[s + 1]  # free[i] leaves i unused values below it
+        nexts = []
+        if prev < v:
+            if a >= down[s]:
+                nexts = free[max(bisect.bisect(free, prev), first):below]
         else:
-            used[v] = True
-            word.append(v)
-            tries.append(1)
+            if a >= down[s]:
+                nexts = free[first:below]
+            if up[s] <= a < most:
+                nexts += free[max(bisect.bisect(free, prev), below + 1, first):]
+        pending.append(iter(nexts))
 
 
 def format_permutation(perm: Sequence[int]) -> str:

@@ -318,6 +318,8 @@ def hook_length(parts: Sequence[int], row: int, col: int) -> int:
     1
     """
     lam = check_partition(parts)
+    if type(row) is not int or type(col) is not int:
+        raise ValueError(f"cell coordinates must be integers: ({row!r}, {col!r})")
     if not (1 <= row <= len(lam) and 1 <= col <= lam[row - 1]):
         raise ValueError(f"cell ({row},{col}) is outside the partition {lam}")
     return lam[row - 1] + conjugate(lam)[col - 1] - row - col + 1

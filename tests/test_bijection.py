@@ -80,6 +80,13 @@ def test_non_minimal_input_rejected_with_reason():
         perm_to_tableau((3, 1, 2, 5, 4))
 
 
+def test_non_permutation_rejected_before_minimality():
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.2: \(2\.0, 1\)"):
+        perm_to_tableau((2.0, 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        perm_to_tableau((3, 1, 3))
+
+
 def test_bad_tableaux_rejected():
     not_standard = SkewTableau(SkewShape((2, 2)), ((1, 2), (4, 3)))
     with pytest.raises(ValueError, match="standard"):

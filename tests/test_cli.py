@@ -106,6 +106,10 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--n", "5", "--d", "-3")
         assert (code, out) == (2, "") and "d must be >= 0" in err
 
+    def test_d_with_ascents_rejected(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--n", "5", "--ascents", "2,3", "--d", "2")
+        assert (code, out) == (2, "") and "--d and --ascents are mutually exclusive" in err
+
     def test_deterministic(self, capsys):
         first = run(capsys, "enumerate", "--n", "6")
         second = run(capsys, "enumerate", "--n", "6")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import minperm.permutations as permutations_module
 from minperm import (CapExceededError, ascent_set, check_permutation,
                      contains_pattern, decreasing_run_lengths, descent_count,
                      descent_set, duplicate_loss, enumerate_minimal,
@@ -17,6 +18,19 @@ perms = lambda n: st.permutations(list(range(1, n + 1)))
 
 def all_perms(n):
     return itertools.permutations(range(1, n + 1))
+
+
+def compositions(n):
+    """Every composition of n, parts of 1 included."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        parts, length = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(length)
+                length = 1
+            else:
+                length += 1
+        yield (*parts, length)
 
 
 class TestStandardize:
@@ -208,6 +222,71 @@ class TestEnumerateMinimal:
             enumerate_minimal(6, runs=(2, 2))
         with pytest.raises(ValueError):
             enumerate_minimal(6, double_descent_at=5)
+
+    def test_non_integer_runs_rejected(self):
+        with pytest.raises(ValueError, match=r"run lengths must be integers: \(2\.0, 3\)"):
+            enumerate_minimal(5, runs=(2.0, 3))
+        with pytest.raises(ValueError, match="run lengths must be integers"):
+            enumerate_minimal(4, runs=(True, 3))
+
+    def test_non_integer_double_descent_rejected(self):
+        with pytest.raises(ValueError, match="double-descent position must be an integer, got True"):
+            enumerate_minimal(5, double_descent_at=True)
+        with pytest.raises(ValueError, match="double-descent position must be an integer"):
+            enumerate_minimal(5, double_descent_at=1.0)
+
+    def test_non_integer_d_rejected(self):
+        with pytest.raises(ValueError, match="d must be an integer, got True"):
+            enumerate_minimal(2, d=True)
+        with pytest.raises(ValueError, match="d must be an integer"):
+            enumerate_minimal(4, d=2.0)
+
+    def test_short_runs_yield_nothing(self):
+        for runs in ((1, 4), (3, 1, 1), (5, 0), (6, -1), (1,) * 5):
+            assert list(enumerate_minimal(5, runs=runs)) == []
+
+
+def leaf_filter(rows, d=None, runs=None, j=None):
+    """The filter the search once applied to every leaf of the unconstrained
+    walk; rows holds (w, descent_count(w), decreasing_run_lengths(w))."""
+    return [w for w, descents, lengths in rows
+            if (d is None or descents == d)
+            and (runs is None or lengths == runs)
+            and (j is None or w[j - 1] > w[j] > w[j + 1])]
+
+
+class TestConstrainedSearch:
+    """Constraints are pruned inside the search; the leaf filter it replaced
+    is the oracle."""
+
+    def test_matches_leaf_filter(self):
+        for n in range(1, 10):
+            rows = [(w, descent_count(w), decreasing_run_lengths(w))
+                    for w in enumerate_minimal(n)]
+            ds, js = range(n + 1), range(1, n - 1)
+            cases = [{"d": d} for d in ds] + [{"j": j} for j in js]
+            cases += [{"runs": runs} for runs in compositions(n)]
+            cases += [{"d": d, "j": j} for d in ds for j in js]
+            if n <= 8:
+                cases += [{"d": d, "runs": runs} for d in ds for runs in compositions(n)]
+            for case in cases:
+                got = enumerate_minimal(n, d=case.get("d"), runs=case.get("runs"),
+                                        double_descent_at=case.get("j"))
+                assert list(got) == leaf_filter(rows, **case), (n, case)
+
+    def test_leaves_equal_outputs(self, monkeypatch):
+        leaves = []
+
+        def counting(w):
+            leaves.append(w)
+            return is_minimal(w)
+
+        monkeypatch.setattr(permutations_module, "is_minimal", counting)
+        for constraints in ({}, {"d": 5}, {"runs": (2, 2, 2, 3)},
+                            {"d": 5, "double_descent_at": 3}):
+            leaves.clear()
+            out = list(enumerate_minimal(9, **constraints))
+            assert out and len(leaves) == len(out), constraints
 
 
 class TestSerialization:

@@ -316,6 +316,11 @@ class TestHooks:
         with pytest.raises(ValueError):
             hook_length((3, 2, 2), 1, 4)
 
+    def test_hook_length_coordinates_must_be_integers(self):
+        for row, col in ((1, True), (True, 1), (1.0, 1), (1, 2.0)):
+            with pytest.raises(ValueError, match="cell coordinates must be integers"):
+                hook_length((3, 2), row, col)
+
     def test_hook_count_examples(self):
         assert hook_count((3, 3, 1)) == 21
         assert hook_count((2, 2)) == skew_syt_count(SkewShape((2, 2)))
