@@ -1,19 +1,19 @@
 """Exact counting formulas for minimal permutations and the associated
 tableau families.
 
-Every result is an arbitrary-precision integer.  Formulas involving
-division (Catalan numbers, the three-row tableau counts, the odd-length
-product formula, the half-integer polynomial) are evaluated with exact
-rationals and asserted integral.
+Every result is an arbitrary-precision integer, computed with integers
+only.  Formulas involving division (Catalan numbers, the three-row tableau
+counts, the odd-length product formula, the half-integer polynomial) divide
+through the exact-division guard tableaux._exact_div, which raises unless
+the quotient is a nonnegative integer.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .tableaux import _exact_int, shape_from_runs, skew_syt_count
+from .tableaux import _exact_div, shape_from_runs, skew_syt_count
 
 
 def catalan(n: int) -> int:
@@ -24,8 +24,7 @@ def catalan(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _exact_int(Fraction(math.comb(2 * n, n), n + 1),
-                      lambda: f"Catalan number at n={n}")
+    return _exact_div(math.comb(2 * n, n), n + 1, lambda: f"Catalan number at n={n}")
 
 
 def compositions_min2(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -111,22 +110,21 @@ def two_ascent_count(n: int) -> int:
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
     poly = n ** 4 - 7 * n ** 3 + 19 * n ** 2 - 21 * n + 2
-    half = _exact_int(Fraction(poly, 2), lambda: f"half the polynomial part at n={n}")
+    half = _exact_div(poly, 2, lambda: f"half the polynomial part at n={n}")
     return 3 ** n - (n * n - 2 * n + 4) * 2 ** (n - 1) + half
 
 
 def mansour_yan(n: int) -> int:
     """The product formula 2^(n-2) * n * catalan(n+1) counting minimal
-    permutations of length 2n+1 with n+1 descents; the n = 1 case divides
-    by two exactly.
+    permutations of length 2n+1 with n+1 descents, as 2^n * n * catalan(n+1)
+    divided exactly by 4 so that n = 1 stays an integer.
 
     >>> [mansour_yan(n) for n in (1, 2, 3, 4)]
     [1, 10, 84, 672]
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _exact_int(Fraction(2) ** (n - 2) * n * catalan(n + 1),
-                      lambda: f"odd-length count at n={n}")
+    return _exact_div(2 ** n * n * catalan(n + 1), 4, lambda: f"odd-length count at n={n}")
 
 
 def double_descent_count(n: int, i: int) -> int:
@@ -155,5 +153,5 @@ def three_row_syt_count(n: int, k: int) -> int:
     base = math.comb(2 * n + 1, n - 1)
     if k == 1:
         return base
-    return _exact_int(Fraction(n - 2 * k + 2, k - 1) * math.comb(n - 1, k - 2) * base,
+    return _exact_div((n - 2 * k + 2) * math.comb(n - 1, k - 2) * base, k - 1,
                       lambda: f"three-row tableau count (n={n}, k={k})")

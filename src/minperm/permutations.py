@@ -250,12 +250,15 @@ def duplicate_loss(perm: Sequence[int], start: int, stop: int,
 
 def max_brute_n(override: int | None = None) -> int:
     """Resolve the brute-force size cap: an explicit override wins, then the
-    MINPERM_MAX_BRUTE_N environment variable, then the default of 11."""
+    MINPERM_MAX_BRUTE_N environment variable, then the default of 11.  An
+    override must be an int; the variable's text is parsed with int()."""
     if override is not None:
-        value = int(override)
+        value = override
     else:
         env = os.environ.get(MAX_BRUTE_N_ENV)
         value = int(env) if env else DEFAULT_MAX_BRUTE_N
+    if type(value) is not int:  # exact type: no bool, no float
+        raise ValueError(f"brute-force cap must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"brute-force cap must be >= 1, got {value}")
     return value
@@ -282,6 +285,8 @@ def enumerate_minimal(n: int, d: int | None = None,
     >>> list(enumerate_minimal(4, d=2))
     [(2, 1, 4, 3), (3, 1, 4, 2)]
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if d is not None and type(d) is not int:

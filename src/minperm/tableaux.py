@@ -7,9 +7,10 @@ A partition is a weakly decreasing tuple of positive integers.
 Drawn column j of a skew shape is row j of shape.conjugated(); every
 column access goes through the conjugate, _transpose for fillings.
 
-Counting is exact.  The determinant route builds each matrix row integral
-and runs fraction-free integer elimination; the independent oracle is a
-backtracking enumeration of the fillings.
+Counting is exact and uses integers only.  The determinant route builds
+each matrix row integral and runs fraction-free elimination (det_rational);
+every exact quotient goes through the one guard _exact_div.  The
+independent oracle is a backtracking enumeration of the fillings.
 The paper's banded determinant per decreasing-run profile a is
 skew_syt_count on shape_from_runs(a): it is banded because adjacent
 columns of that shape share exactly two rows.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Iterator, Sequence
 
@@ -232,18 +232,27 @@ def shape_from_runs(runs: Sequence[int]) -> SkewShape:
     return SkewShape(tuple(lam), tuple(mu))
 
 
-def _exact_int(value: Fraction, what: Callable[[], str]) -> int:
-    """value as an int; what() names it, and is called only on failure."""
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"{what()} evaluated to {value}, expected a nonnegative integer")
-    return int(value)
+def _exact_div(num: int, den: int, what: Callable[[], str]) -> int:
+    """num / den as an int, raising ArithmeticError unless the division is
+    exact and the quotient nonnegative; what() names the quotient, and is
+    called only on failure."""
+    q, rem = divmod(num, den)
+    if rem or q < 0:
+        raise ArithmeticError(f"{what()} evaluated to {num}/{den}, expected a nonnegative integer")
+    return q
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free integer elimination; every division is exact."""
-    n = len(m)
-    sign = 1
-    prev = 1
+def det_rational(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free Bareiss
+    elimination, in which every division is exact.  The name predates the
+    integer-only rows: perfbench/tracing.py wraps the function by it and
+    reads len(matrix) and the result's numerator and denominator, which an
+    int also has."""
+    n = len(matrix)
+    m = [list(row) for row in matrix]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    sign = prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -257,27 +266,8 @@ def _det_bareiss(m: list[list[int]]) -> int:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
         prev = pivot
-    return sign * m[-1][-1]
-
-
-def det_rational(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix: each row is made integral by
-    the least common multiple of its denominators, goes through
-    fraction-free Bareiss elimination, and the scaling divides back exactly."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    rows: list[list[int]] = []
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        mult = math.lcm(*(x.denominator for x in row))
-        scale *= mult
-        rows.append([x.numerator * (mult // x.denominator) for x in row])
-    return Fraction(_det_bareiss(rows), scale)
+    return sign * m[-1][-1] if n else 1
 
 
 def skew_syt_count(shape: SkewShape) -> int:
@@ -287,8 +277,9 @@ def skew_syt_count(shape: SkewShape) -> int:
         count = n! * det( 1 / (outer[i] - inner[j] - i + j)! ),  1 <= i,j <= r,
 
     where 1/m! = 0 for m < 0.  Row i is built integral, times top! for its
-    largest exponent top (at j = r), and goes through fraction-free
-    elimination.  A non-integral or negative result signals a bug and raises.
+    largest exponent top (at j = r), so the count is the integer
+    n! * det over the product of those top!, divided exactly by _exact_div;
+    a remainder or a negative quotient signals a bug and raises.
 
     >>> skew_syt_count(SkewShape((2, 2)))
     2
@@ -304,7 +295,7 @@ def skew_syt_count(shape: SkewShape) -> int:
         scale *= math.factorial(top)
         rows.append([math.perm(top, top - e) if e >= 0 else 0
                      for e in (outer[i] - inner[j] - i + j for j in range(r))])
-    return _exact_int(math.factorial(shape.size) * det_rational(rows) / scale,
+    return _exact_div(math.factorial(shape.size) * det_rational(rows), scale,
                       lambda: f"determinant count for {format_shape(shape)}")
 
 
@@ -340,12 +331,14 @@ def hook_count(parts: Sequence[int]) -> int:
     for i, length in enumerate(lam, start=1):
         for j in range(1, length + 1):
             product *= lam[i - 1] + conj[j - 1] - i - j + 1
-    return _exact_int(Fraction(math.factorial(sum(lam)), product),
+    return _exact_div(math.factorial(sum(lam)), product,
                       lambda: f"hook length formula for {lam}")
 
 
 def _check_cells_cap(shape: SkewShape, max_cells: int | None) -> None:
-    limit = DEFAULT_MAX_CELLS if max_cells is None else int(max_cells)
+    limit = DEFAULT_MAX_CELLS if max_cells is None else max_cells
+    if type(limit) is not int:
+        raise ValueError(f"max_cells must be an integer, got {limit!r}")
     if shape.size > limit:
         raise CapExceededError(
             f"shape {format_shape(shape)} has {shape.size} cells, above the "
@@ -420,8 +413,10 @@ def tableau_to_json(t: SkewTableau) -> dict:
 
 def tableau_from_json(data: dict) -> SkewTableau:
     try:
-        shape = parse_shape(data["shape"])
+        text = data["shape"]
         rows = tuple(tuple(row) for row in data["rows"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"tableau JSON needs 'shape' and 'rows': {exc}") from None
-    return SkewTableau(shape, rows)
+    if type(text) is not str:
+        raise ValueError(f"tableau JSON 'shape' must be a string, got {text!r}")
+    return SkewTableau(parse_shape(text), rows)

@@ -148,6 +148,13 @@ class TestBijection:
         assert (code, out) == (2, "")
         assert "cell (1,1) must hold an integer, got True" in err
 
+    def test_non_string_shape_rejected(self, capsys):
+        for shape in (None, 5, [2, 2]):
+            tableau = json.dumps({"shape": shape, "rows": []})
+            code, out, err = run(capsys, "bijection", "--tableau", tableau)
+            assert (code, out) == (2, "")
+            assert f"'shape' must be a string, got {shape!r}" in err
+
 
 class TestRsk:
     def test_shape_reported(self, capsys):

@@ -21,6 +21,8 @@ GOLDEN = Path(__file__).parent / "golden"
 INVOCATIONS = {
     "count_n14_json": ["count", "--n", "14", "--format", "json"],
     "count_n9_closed": ["count", "--n", "9", "--method", "closed"],
+    # one 40x40 big-integer determinant
+    "count_ascents40": ["count", "--n", "140", "--ascents", ",".join(["3,4"] * 20)],
     "enumerate_n8": ["enumerate", "--n", "8"],
     "enumerate_n8_d5": ["enumerate", "--n", "8", "--d", "5"],
     "enumerate_n8_ascents": ["enumerate", "--n", "8", "--ascents", "2,3,3"],

@@ -241,6 +241,20 @@ class TestEnumerateMinimal:
         with pytest.raises(ValueError, match="d must be an integer"):
             enumerate_minimal(4, d=2.0)
 
+    def test_non_integer_n_rejected(self):
+        with pytest.raises(ValueError, match=r"n must be an integer, got 3\.0"):
+            enumerate_minimal(3.0)
+        with pytest.raises(ValueError, match="n must be an integer, got True"):
+            enumerate_minimal(True)
+
+    def test_non_integer_cap_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"brute-force cap must be an integer, got 11\.9"):
+            max_brute_n(11.9)
+        with pytest.raises(ValueError, match="brute-force cap must be an integer, got True"):
+            enumerate_minimal(1, max_n=True)
+        monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "7")  # the variable's text still parses
+        assert max_brute_n() == 7 and max_brute_n(9) == 9
+
     def test_short_runs_yield_nothing(self):
         for runs in ((1, 4), (3, 1, 1), (5, 0), (6, -1), (1,) * 5):
             assert list(enumerate_minimal(5, runs=runs)) == []

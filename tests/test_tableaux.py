@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from minperm import (CapExceededError, SkewShape, SkewTableau, conjugate,
@@ -13,7 +13,7 @@ from minperm import (CapExceededError, SkewShape, SkewTableau, conjugate,
                      skew_standard_tableaux, skew_syt_count,
                      tableau_from_json, tableau_to_json)
 from minperm.counting import compositions_min2
-from minperm.tableaux import _exact_int, det_rational
+from minperm.tableaux import _exact_div, det_rational
 
 
 @st.composite
@@ -44,6 +44,34 @@ def skew_shapes(draw, max_cells=10):
     return shape
 
 
+@st.composite
+def integer_matrices(draw, min_dim=0, max_dim=6):
+    n = draw(st.integers(min_dim, max_dim))
+    rows = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    return draw(st.lists(rows, min_size=n, max_size=n))
+
+
+def det_fraction(matrix):
+    """Plain Gaussian elimination over Fraction: an oracle for the integer
+    Bareiss elimination in det_rational."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= f * m[k][j]
+    return det
+
+
 def reciprocal_factorial_count(shape):
     """The determinant formula over Fraction(1, e!) entries, as written:
     an oracle for the integral rows that skew_syt_count builds."""
@@ -52,7 +80,7 @@ def reciprocal_factorial_count(shape):
     matrix = [[Fraction(1, math.factorial(e)) if e >= 0 else Fraction(0)
                for e in (outer[i] - inner[j] - i + j for j in range(r))]
               for i in range(r)]
-    return math.factorial(shape.size) * det_rational(matrix)
+    return math.factorial(shape.size) * det_fraction(matrix)
 
 
 def conjugate_by_counting(parts):
@@ -261,6 +289,7 @@ class TestCounting:
         assert skew_syt_count(SkewShape(())) == 1
         s = SkewShape((6, 5, 2, 2), (3, 1))
         assert skew_syt_count(s) == count_standard_fillings(s)
+        assert type(skew_syt_count(s)) is int
 
     def test_empty_rows_inside(self):
         # inner equal to outer in some rows still counts correctly
@@ -279,21 +308,43 @@ class TestCounting:
     def test_integral_rows_match_reciprocal_factorials_random(self, shape):
         assert skew_syt_count(shape) == reciprocal_factorial_count(shape)
 
-    def test_exact_int_guard(self):
-        for value in (Fraction(1, 2), Fraction(-3)):
-            with pytest.raises(ArithmeticError, match="the label"):
-                _exact_int(value, lambda: "the label")
+    def test_exact_div_guard(self):
+        for num, den in ((1, 2), (-3, 1)):
+            with pytest.raises(ArithmeticError, match=f"the label evaluated to {num}/{den}"):
+                _exact_div(num, den, lambda: "the label")
 
         def label():
             raise AssertionError("label built for a valid value")
 
-        assert _exact_int(Fraction(12, 4), label) == 3
-        assert _exact_int(Fraction(0), label) == 0
+        assert _exact_div(12, 4, label) == 3
+        assert _exact_div(0, 5, label) == 0
 
     def test_determinant_core(self):
-        m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
-        assert det_rational(m) == Fraction(1, 14) - Fraction(1, 15)
+        m = [[2, 3, 1], [4, 1, 5], [0, 6, 7]]
+        assert det_rational(m) == 2 * (7 - 30) - 3 * (28 - 0) + 1 * (24 - 0)
+        assert m == [[2, 3, 1], [4, 1, 5], [0, 6, 7]]  # the input is not modified
         assert det_rational([]) == 1
+        assert type(det_rational([[5]])) is int
+        with pytest.raises(ValueError, match="square"):
+            det_rational([[1, 2]])
+
+    @given(integer_matrices())
+    @example([[0, 1], [1, 0]])                    # zero leading pivot: row swap
+    @example([[0, 2, 1], [0, 1, 3], [4, 5, 6]])   # swap past a second zero
+    @example([[0, 1], [0, 2]])                    # zero pivot column: early return
+    @example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])   # dependent rows
+    @example([[1, 2], [2, 4]])                    # rank 1, zero last pivot
+    def test_bareiss_matches_fraction_oracle(self, m):
+        assert det_rational(m) == det_fraction(m)
+
+    @given(integer_matrices(min_dim=2), st.data())
+    def test_bareiss_rank_deficient(self, m, data):
+        # replace one row by a combination of the others: the determinant is 0
+        k = data.draw(st.integers(0, len(m) - 1))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
+        m[k] = [sum(c * row[j] for i, (c, row) in enumerate(zip(coeffs, m)) if i != k)
+                for j in range(len(m))]
+        assert det_rational(m) == 0 == det_fraction(m)
 
     @given(skew_shapes())
     def test_transpose_invariance(self, shape):
@@ -349,6 +400,13 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             count_standard_fillings(SkewShape((9, 8)))
         assert count_standard_fillings(SkewShape((9, 8)), max_cells=17) > 0
+
+    def test_non_integer_cap_rejected(self):
+        for cap in (16.9, True, "20"):
+            with pytest.raises(ValueError, match=f"max_cells must be an integer, got {cap!r}"):
+                count_standard_fillings(SkewShape((2, 2)), max_cells=cap)
+            with pytest.raises(ValueError, match="max_cells must be an integer"):
+                skew_standard_tableaux(SkewShape((2, 2)), max_cells=cap)
 
     def test_deep_shape_past_recursion_limit(self):
         column = SkewShape((1,) * 1100)
