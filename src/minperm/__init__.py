@@ -3,9 +3,9 @@
 
 from .bijection import perm_to_tableau, tableau_to_perm
 from .counting import (catalan, compositions_min2, double_descent_count,
-                       mansour_yan, minimal_count, minimal_count_by_runs,
-                       one_ascent_count, three_row_syt_count,
-                       two_ascent_count)
+                       mansour_yan, minimal_count, minimal_count_band,
+                       minimal_count_by_runs, one_ascent_count,
+                       three_row_syt_count, two_ascent_count)
 from .errors import CapExceededError
 from .permutations import (ascent_set, check_permutation, contains_pattern,
                            decreasing_run_lengths, descent_count,
@@ -39,8 +39,9 @@ __all__ = [
     "insertion_tableau", "inverse_bump", "is_minimal",
     "is_minimal_by_deletion", "is_permutation", "is_standard",
     "is_two_regular", "knuth_chain", "legal_knuth_moves", "mansour_yan",
-    "max_brute_n", "minimal_count", "minimal_count_by_runs",
-    "minimal_to_syt", "minimality_violation", "one_ascent_count",
+    "max_brute_n", "minimal_count", "minimal_count_band",
+    "minimal_count_by_runs", "minimal_to_syt", "minimality_violation",
+    "one_ascent_count",
     "parse_permutation", "parse_shape", "perm_to_tableau", "row_insert",
     "rsk", "rsk_inverse", "rsk_trace", "run_suite", "shape_from_runs",
     "shape_is_two_regular", "skew_standard_tableaux", "skew_syt_count",

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections import Counter
 from typing import Sequence
 
 from .bijection import perm_to_tableau, tableau_to_perm
 from .counting import (catalan, mansour_yan, minimal_count,
-                       minimal_count_by_runs, one_ascent_count,
-                       two_ascent_count)
+                       minimal_count_band, minimal_count_by_runs,
+                       one_ascent_count, two_ascent_count)
 from .errors import CapExceededError
 from .permutations import (descent_count, enumerate_minimal,
                            format_permutation, parse_permutation)
@@ -27,9 +26,19 @@ from .tableaux import tableau_from_json, tableau_to_json
 from .verify import run_suite
 
 OK, VERIFY_FAILURE, USAGE_ERROR, CAP_ERROR = 0, 1, 2, 3
-# the det band of length n takes Fibonacci(n - 1) run-profile determinants:
-# 75,025 at n = 26, 121,393 at n = 27 and 63 million at n = 40
-MAX_DET_PROFILES = 100_000
+# count --method det refuses an in-band n above MAX_DET_N, and an --ascents
+# profile with more parts than MAX_ASCENT_PARTS or more cells than
+# MAX_ASCENT_CELLS; a profile's cost grows with its cells as well as its
+# parts.  Measured on a shared 2-core x86-64 machine under Python 3.11,
+# whose speed varied by up to 1.7x between runs: the full band took
+# 22 s at n = 150, 20-29 s at n = 160, 26-45 s at n = 170 and 44-53 s at
+# n = 180 (the column program grows about as n^5).  At 500 parts and 1,500
+# cells the slowest profiles found, a block of big parts followed by 2s
+# such as (12,)*50 + (2,)*450, took 15 s, and the largest took 200 MB; at
+# 600 parts and 1,800 cells they took 30 s and 340 MB.
+MAX_DET_N = 160
+MAX_ASCENT_PARTS = 500
+MAX_ASCENT_CELLS = 1500
 
 
 def _ascents_arg(text: str) -> tuple[int, ...]:
@@ -135,6 +144,10 @@ def _cmd_count(args) -> int:
                              f"{sum(runs)}, not {n}")
         d = n - len(runs)
         if args.method == "det":
+            if len(runs) > MAX_ASCENT_PARTS or n > MAX_ASCENT_CELLS:
+                raise CapExceededError(
+                    f"--ascents has {len(runs)} parts and {n} cells, above the cap of "
+                    f"{MAX_ASCENT_PARTS} parts and {MAX_ASCENT_CELLS} cells")
             value = minimal_count_by_runs(runs)
         elif args.method == "brute":
             value = sum(1 for _ in enumerate_minimal(n, runs=runs,
@@ -150,13 +163,15 @@ def _cmd_count(args) -> int:
                 tally[descent_count(w)] += 1
             rows.extend((n, d, tally[d]) for d in band)
         elif args.method == "det":
-            # minimal_count(n, d) takes one per composition of n into n - d parts >= 2
-            profiles = sum(math.comb(d - 1, n - d - 1) for d in band if d < n <= 2 * d)
-            if profiles > MAX_DET_PROFILES:
-                raise CapExceededError(
-                    f"n={n} needs {profiles} run-profile determinants, above the "
-                    f"cap {MAX_DET_PROFILES}")
-            rows.extend((n, d, minimal_count(n, d)) for d in band)
+            # outside the band the count is 0 at any n, so only the band is capped
+            if n > MAX_DET_N and any(d < n <= 2 * d for d in band):
+                raise CapExceededError(f"n={n} is above the cap {MAX_DET_N} for "
+                                       "--method det")
+            if args.d is None:
+                counts = minimal_count_band(n)
+            else:
+                counts = {args.d: minimal_count(n, args.d)}
+            rows.extend((n, d, counts[d]) for d in band)
         else:
             for d in band:
                 value = _closed_form(n, d)

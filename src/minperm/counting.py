@@ -6,6 +6,12 @@ only.  Formulas involving division (Catalan numbers, the three-row tableau
 counts, the odd-length product formula, the half-integer polynomial) divide
 through the exact-division guard tableaux._exact_div, which raises unless
 the quotient is a nonnegative integer.
+
+minimal_count sums the banded determinant over every run profile of
+(n, d) at once, by an integer dynamic program over the matrix columns
+(_column_counts) whose cost is polynomial in n.  The composition sum it
+replaced, minimal_count_by_runs over compositions_min2, is kept for
+per-profile counts and serves the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -70,10 +76,89 @@ def minimal_count_by_runs(runs: Sequence[int]) -> int:
     return skew_syt_count(shape_from_runs(runs))
 
 
+def _column_counts(n: int, lo: int, hi: int) -> dict[int, int]:
+    """minimal_count(n, d) for every d in lo..hi, with d + 1 <= n <= 2d,
+    by one integer dynamic program over the columns of the banded matrix.
+
+    For a run profile a of k parts let U_0 = 0 and U_i = U_{i-1} + a_i - 1,
+    so that U_k = d.  Row i of the banded matrix carries U_{i-1}, column c
+    carries U_c, and the entry is 1/(U_c - U_{i-1} + 1)!.  Column c is
+    therefore zero from row c + 3 on, and its row c + 2 entry is nonzero
+    (and equal to 1/0!) exactly when U_{c+1} = U_c + 1.  Expanding n! * det
+    over permutations, every term assigns each column a row; its exponents
+    e sum to n, so n!/prod e! is the product over columns of C(S + e, e),
+    with S the exponent sum of the earlier columns.  The term's sign is the
+    product over columns of (-1)^(the position of the row taken among the
+    rows still free, older rows first).
+
+    Columns are assigned in order, summing over the profiles as the U_c are
+    chosen.  After column c, with u = U_c, exactly two of the rows 1..c+2
+    are free, and the state records their values:
+      A (u, x): row c + 2 and one older row, of value x; S = x + c.
+      B (u, x1, x2): two older rows, x1 < x2; column c took row c + 2,
+        which forces U_{c+1} = u + 1; S = x1 + x2 + c - u - 1.
+    A profile of k parts is complete when rows k + 1 and k + 2 are the free
+    ones, that is in an A state with x = u after column k, which counts
+    towards d = u at n = u + k.  u + c grows by at least 2 per column, so a
+    state with u + c = n is final, and u - c never falls, so it stays at
+    most 2 * hi - n.
+    """
+    slack = 2 * hi - n
+    counts: dict[int, int] = {}
+    a: dict[int, dict[int, int]] = {0: {0: 1}}  # A weights: x -> {u: weight}
+    b: dict[tuple[int, int, int], int] = {}      # B weights: (u, x1, x2) -> weight
+    for c in range(n - lo):
+        c1 = c + 1
+        top = min(n - c1, c1 + slack)        # the largest U_{c1}
+        top_b = min(n - c1 - 2, c1 + slack)  # ... that still lets U_{c1+1} = U_{c1} + 1
+        new_a: dict[int, dict[int, int]] = {}
+        new_b: dict[tuple[int, int, int], int] = {}
+        taken_x: dict[int, int] = {}  # U_{c1} -> weight of A(U_{c1}, U_{c1})
+        for x, weights in a.items():
+            row = new_a.setdefault(x, {})
+            below = 0  # the A(u, x) weight summed over u < u1
+            for u1 in range(min(weights) + 1, top + 1):
+                below += weights.get(u1 - 1, 0)
+                # take row x (e = u1 - x + 1, position 0), row c1 + 1
+                # (e = 1, position 1) or row c1 + 2 (e = 0, position 2)
+                taken_x[u1] = taken_x.get(u1, 0) + below * math.comb(c + u1 + 1, u1 - x + 1)
+                row[u1] = row.get(u1, 0) - (x + c + 1) * below
+                if u1 <= top_b:
+                    new_b[u1, x, u1] = new_b.get((u1, x, u1), 0) + below
+        for (u, x1, x2), w in b.items():
+            # take row x1 (position 0), x2 (position 1) or c1 + 2 (position 2)
+            u1 = u + 1
+            row = new_a.setdefault(x2, {})
+            row[u1] = row.get(u1, 0) + w * math.comb(x2 + c + 1, u1 + 1 - x1)
+            row = new_a.setdefault(x1, {})
+            row[u1] = row.get(u1, 0) - w * math.comb(x1 + c + 1, u1 + 1 - x2)
+            if u1 <= top_b:
+                new_b[u1, x1, x2] = new_b.get((u1, x1, x2), 0) + w
+        for u1, w in taken_x.items():
+            if u1 + c1 == n:
+                counts[u1] = w
+            else:
+                row = new_a.setdefault(u1, {})
+                row[u1] = row.get(u1, 0) + w
+        a = {}
+        for x, weights in new_a.items():
+            live = {u: w for u, w in weights.items() if w and u + c1 < n}
+            if live:
+                a[x] = live
+        b = {key: w for key, w in new_b.items() if w}
+    return counts
+
+
+def _check_int(name: str, value) -> None:
+    if type(value) is not int:  # exact type: no bool, no float
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def minimal_count(n: int, d: int) -> int:
     """Number of minimal permutations of length n with d descents: the sum
-    of minimal_count_by_runs over all run-length compositions.  Zero outside
-    the band d + 1 <= n <= 2d.
+    of minimal_count_by_runs over the compositions of n into n - d parts
+    >= 2, evaluated by the column program _column_counts restricted to
+    those n - d columns.  Zero outside the band d + 1 <= n <= 2d.
 
     >>> minimal_count(6, 3)
     5
@@ -82,9 +167,26 @@ def minimal_count(n: int, d: int) -> int:
     >>> minimal_count(9, 2)
     0
     """
+    _check_int("n", n)
+    _check_int("d", d)
     if d < 1 or n < d + 1 or n > 2 * d:
         return 0
-    return sum(minimal_count_by_runs(a) for a in compositions_min2(n, n - d))
+    return _column_counts(n, d, d)[d]
+
+
+def minimal_count_band(n: int) -> dict[int, int]:
+    """minimal_count(n, d) for every d of the band (n + 1) // 2 <= d < n,
+    all from one pass of the column program.
+
+    >>> minimal_count_band(6)
+    {3: 5, 4: 32, 5: 1}
+    """
+    _check_int("n", n)
+    band = range((n + 1) // 2, n)
+    if not band:
+        return {}
+    counts = _column_counts(n, band[0], band[-1])
+    return {d: counts[d] for d in band}
 
 
 def one_ascent_count(n: int) -> int:

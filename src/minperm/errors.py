@@ -1,3 +1,3 @@
 class CapExceededError(RuntimeError):
-    """Raised when a brute-force sweep or a determinant sum would exceed
+    """Raised when a brute-force sweep or a determinant count would exceed
     its size cap."""

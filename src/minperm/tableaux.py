@@ -8,12 +8,14 @@ Drawn column j of a skew shape is row j of shape.conjugated(); every
 column access goes through the conjugate, _transpose for fillings.
 
 Counting is exact and uses integers only.  The determinant route builds
-each matrix row integral and runs fraction-free elimination (det_rational);
-every exact quotient goes through the one guard _exact_div.  The
-independent oracle is a backtracking enumeration of the fillings.
+each matrix row integral and eliminates it by division-free row updates
+that touch only the nonzero staircase of the matrix (det_rational); every
+exact quotient goes through the one guard _exact_div.  The independent
+oracle is a backtracking enumeration of the fillings.
 The paper's banded determinant per decreasing-run profile a is
 skew_syt_count on shape_from_runs(a): it is banded because adjacent
-columns of that shape share exactly two rows.
+columns of that shape share exactly two rows, so its elimination does
+O(r^2) row-entry updates for r parts, not O(r^3).
 Both skew_standard_tableaux and count_standard_fillings run the same
 iterative traversal, _fillings.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
 
@@ -242,32 +244,72 @@ def _exact_div(num: int, den: int, what: Callable[[], str]) -> int:
     return q
 
 
+def _product(values: Iterable[int]) -> int:
+    """The product of many large integers, multiplied as a balanced tree so
+    that each multiplication has operands of similar size."""
+    values = list(values)
+    while len(values) > 1:
+        values = [math.prod(values[i:i + 2]) for i in range(0, len(values), 2)]
+    return math.prod(values)
+
+
 def det_rational(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free Bareiss
-    elimination, in which every division is exact.  The name predates the
-    integer-only rows: perfbench/tracing.py wraps the function by it and
-    reads len(matrix) and the result's numerator and denominator, which an
-    int also has."""
+    """Exact determinant of an integer matrix by staircase elimination.
+
+    Column k is cleared below the pivot p = m[k][k] (rows are swapped when
+    p is zero) only in the rows with a nonzero entry a there, each by
+    row_i <- (p/g)*row_i - (a/g)*row_k with g = gcd(p, a) signed so that
+    p/g > 0; the updated row is then divided by its content.  A zero entry
+    costs nothing, so on an Aitken matrix, whose zeros form a staircase,
+    the work follows the nonzero band: on shape_from_runs shapes at most
+    two rows lie below each pivot.  The determinant has been multiplied by
+    the positive ratio num/den of those scalings, so it is the diagonal's
+    product times den/num, divided exactly through _exact_div.  The ratio
+    is kept small as it grows: each p/g divides its pivot, so a pivot's
+    p/g are cancelled against it before they join num, and a content is
+    cancelled against num before it joins den.  The content gcd starts at
+    the row's right end, where an Aitken row's entries are smallest.
+
+    The name predates the integer rows: perfbench/tracing.py wraps the
+    function by it and reads len(matrix) and the result's numerator and
+    denominator, which an int also has, so it stays until the benchmark
+    renames it in the same change."""
     n = len(matrix)
     m = [list(row) for row in matrix]
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    sign = prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+    sign = num = den = 1
+    diag = []
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
                 return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return sign * m[-1][-1] if n else 1
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        p = pivot_row[k]
+        scaled = 1  # the product of this pivot's p/g
+        for row in m[k + 1:]:
+            a = row[k]
+            if not a:
+                continue
+            g = math.gcd(p, a) if p > 0 else -math.gcd(p, a)
+            s, t = p // g, a // g
+            rest = [s * x - t * y for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+            content = math.gcd(*reversed(rest))
+            if not content:
+                return 0
+            scaled *= s
+            h = math.gcd(num, content)
+            num //= h
+            den *= content // h
+            row[k:] = [0, *(x // content for x in rest)]
+        h = math.gcd(p, scaled)
+        diag.append(abs(p) // h)
+        sign = -sign if p < 0 else sign
+        num *= scaled // h
+    return sign * _exact_div(_product(diag) * den, num, lambda: "the eliminated determinant")
 
 
 def skew_syt_count(shape: SkewShape) -> int:
@@ -288,13 +330,11 @@ def skew_syt_count(shape: SkewShape) -> int:
     """
     outer, inner = shape.outer, shape.inner
     r = len(outer)
-    rows = []
-    scale = 1
-    for i in range(r):
-        top = outer[i] - inner[r - 1] - i + r - 1
-        scale *= math.factorial(top)
-        rows.append([math.perm(top, top - e) if e >= 0 else 0
-                     for e in (outer[i] - inner[j] - i + j for j in range(r))])
+    tops = [outer[i] - inner[r - 1] - i + r - 1 for i in range(r)]
+    rows = [[math.perm(top, top - e) if e >= 0 else 0
+             for e in (outer[i] - inner[j] - i + j for j in range(r))]
+            for i, top in enumerate(tops)]
+    scale = _product(map(math.factorial, tops))
     return _exact_div(math.factorial(shape.size) * det_rational(rows), scale,
                       lambda: f"determinant count for {format_shape(shape)}")
 
@@ -339,6 +379,8 @@ def _check_cells_cap(shape: SkewShape, max_cells: int | None) -> None:
     limit = DEFAULT_MAX_CELLS if max_cells is None else max_cells
     if type(limit) is not int:
         raise ValueError(f"max_cells must be an integer, got {limit!r}")
+    if limit < 0:
+        raise ValueError(f"max_cells must be >= 0, got {limit}")
     if shape.size > limit:
         raise CapExceededError(
             f"shape {format_shape(shape)} has {shape.size} cells, above the "

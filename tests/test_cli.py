@@ -1,6 +1,8 @@
 import json
+import math
 
-from minperm.cli import main
+from minperm import catalan, one_ascent_count, two_ascent_count
+from minperm.cli import MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_DET_N, main
 from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
                             check_odd_length_formula)
 
@@ -76,11 +78,40 @@ class TestCount:
         assert code == 3 and "cap" in err
 
     def test_det_profile_cap(self, capsys):
-        # the band at n = 40 is 63 million determinants, and --d 26 alone is
-        # 5 million: both are refused before any is evaluated
-        for argv in (("--n", "40"), ("--n", "40", "--d", "26")):
+        # the band at n = 40 sums 63 million run profiles, and answers
+        code, out, _ = run(capsys, "count", "--n", "40")
+        assert code == 0
+        rows = dict(line.rsplit(",", 1) for line in out.splitlines()[1:])
+        assert list(rows) == [f"40,{d}" for d in range(20, 40)]
+        assert rows["40,20"] == str(catalan(20)) == "6564120420"
+        assert rows["40,39"] == "1"
+        assert rows["40,38"] == str(one_ascent_count(40))
+        assert rows["40,37"] == str(two_ascent_count(40))
+        _, out, _ = run(capsys, "count", "--n", "40", "--d", "26")
+        assert out == f"n,d,count\n40,26,{rows['40,26']}\n"
+        # above the cap on n an in-band request is refused before any work
+        top = MAX_DET_N + 1
+        for argv in (("--n", str(top)), ("--n", str(top), "--d", str(top - 2))):
             code, out, err = run(capsys, "count", *argv)
-            assert code == 3 and out == "" and "cap 100000" in err
+            assert code == 3 and out == "" and f"cap {MAX_DET_N}" in err
+        # outside the band the count is 0 at any n
+        code, out, _ = run(capsys, "count", "--n", "10000", "--d", "3")
+        assert (code, out) == (0, "n,d,count\n10000,3,0\n")
+
+    def test_ascents_caps(self, capsys):
+        # MAX_ASCENT_PARTS parts of 2 give the straight two-column shape
+        parts = MAX_ASCENT_PARTS
+        code, out, _ = run(capsys, "count", "--n", str(2 * parts),
+                           "--ascents", ",".join(["2"] * parts))
+        assert (code, out) == (0, f"n,d,count\n{2 * parts},{parts},{catalan(parts)}\n")
+        half = MAX_ASCENT_CELLS // 2
+        code, out, _ = run(capsys, "count", "--n", str(2 * half), "--ascents", f"{half},{half}")
+        assert (code, out) == (0, f"n,d,count\n{2 * half},{2 * half - 2},"
+                                  f"{math.comb(2 * half, half) - 2 * half}\n")
+        for runs in ((2,) * (parts + 1), (half, half + 1)):
+            code, out, err = run(capsys, "count", "--n", str(sum(runs)),
+                                 "--ascents", ",".join(map(str, runs)))
+            assert (code, out) == (3, "") and "above the cap" in err
 
     def test_cap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "6")

@@ -6,9 +6,16 @@ import minperm.verify as verify
 from minperm import (SkewShape, catalan, compositions_min2,
                      decreasing_run_lengths, double_descent_count,
                      enumerate_minimal, hook_count, mansour_yan,
-                     minimal_count, minimal_count_by_runs, one_ascent_count,
-                     run_suite, shape_from_runs, skew_syt_count,
-                     three_row_syt_count, two_ascent_count)
+                     minimal_count, minimal_count_band, minimal_count_by_runs,
+                     one_ascent_count, run_suite, shape_from_runs,
+                     skew_syt_count, three_row_syt_count, two_ascent_count)
+
+
+def composition_sum(n, d):
+    """minimal_count as the sum of one determinant per run profile."""
+    if d < 1 or n < d + 1 or n > 2 * d:
+        return 0
+    return sum(minimal_count_by_runs(a) for a in compositions_min2(n, n - d))
 
 
 class TestCatalan:
@@ -115,6 +122,41 @@ class TestMinimalCount:
         for m in range(1, 9):
             assert minimal_count(2 * m, m) == catalan(m)
 
+    def test_column_program_matches_composition_sum(self):
+        # the composition sum the column program replaced is its oracle
+        for n in range(1, 21):
+            band = minimal_count_band(n)
+            assert list(band) == list(range((n + 1) // 2, n))
+            for d in range(n + 2):
+                want = composition_sum(n, d)
+                assert minimal_count(n, d) == want, (n, d)
+                if d in band:
+                    assert band[d] == want, (n, d)
+
+    def test_band_matches_closed_forms_to_60(self):
+        for n in range(1, 61):
+            band = minimal_count_band(n)
+            assert band.get(n - 1, 1) == 1
+            if n % 2 == 0:
+                assert band[n // 2] == catalan(n // 2)
+            elif n >= 3:
+                assert band[(n + 1) // 2] == mansour_yan((n - 1) // 2)
+            if n >= 4:
+                assert band[n - 2] == one_ascent_count(n)
+            if n >= 6:
+                assert band[n - 3] == two_ascent_count(n)
+        assert minimal_count(60, 30) == catalan(30)
+        assert minimal_count(59, 30) == mansour_yan(29)
+
+    def test_exact_integer_arguments(self):
+        for n, d in ((6.0, 3), (6, 3.0), (True, 1), (6, True), ("6", 3)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                minimal_count(n, d)
+        for n in (6.0, True, None):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                minimal_count_band(n)
+        assert minimal_count_band(1) == {} == minimal_count_band(-4)
+
 
 class TestClosedForms:
     def test_one_ascent(self):
@@ -166,6 +208,14 @@ class TestRefinement:
                 expected = sum(three_row_syt_count(m, k)
                                for k in range(1, min(i, m - i + 1) + 1))
                 assert double_descent_count(m, i) == expected
+
+    def test_run_profile_past_the_brute_force_caps(self):
+        # length 2m+1 with m+1 descents has profile 2,..,2,3,2,..,2, and the
+        # 3 in place i puts the double descent at (2i-1, 2i)
+        for m in (50, 100):
+            for i in (1, 2, m // 3, m // 2, m - 1, m):
+                runs = (2,) * (i - 1) + (3,) + (2,) * (m - i)
+                assert minimal_count_by_runs(runs) == double_descent_count(m, i), (m, i)
 
     def test_skew_shape_identity(self):
         for m in range(1, 9):

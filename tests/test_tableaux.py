@@ -12,6 +12,7 @@ from minperm import (CapExceededError, SkewShape, SkewTableau, conjugate,
                      shape_from_runs, shape_is_two_regular,
                      skew_standard_tableaux, skew_syt_count,
                      tableau_from_json, tableau_to_json)
+import minperm.tableaux as tableaux
 from minperm.counting import compositions_min2
 from minperm.tableaux import _exact_div, det_rational
 
@@ -51,9 +52,33 @@ def integer_matrices(draw, min_dim=0, max_dim=6):
     return draw(st.lists(rows, min_size=n, max_size=n))
 
 
+def det_bareiss(matrix):
+    """Fraction-free Bareiss elimination, in which every division is exact:
+    the elimination det_rational used before its staircase form, kept as
+    an oracle for it."""
+    n = len(matrix)
+    m = [list(row) for row in matrix]
+    sign = prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
+
+
 def det_fraction(matrix):
-    """Plain Gaussian elimination over Fraction: an oracle for the integer
-    Bareiss elimination in det_rational."""
+    """Plain Gaussian elimination over Fraction: a second oracle for the
+    integer elimination in det_rational."""
     m = [[Fraction(x) for x in row] for row in matrix]
     n = len(m)
     det = Fraction(1)
@@ -335,7 +360,7 @@ class TestCounting:
     @example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])   # dependent rows
     @example([[1, 2], [2, 4]])                    # rank 1, zero last pivot
     def test_bareiss_matches_fraction_oracle(self, m):
-        assert det_rational(m) == det_fraction(m)
+        assert det_rational(m) == det_bareiss(m) == det_fraction(m)
 
     @given(integer_matrices(min_dim=2), st.data())
     def test_bareiss_rank_deficient(self, m, data):
@@ -344,7 +369,38 @@ class TestCounting:
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
         m[k] = [sum(c * row[j] for i, (c, row) in enumerate(zip(coeffs, m)) if i != k)
                 for j in range(len(m))]
-        assert det_rational(m) == 0 == det_fraction(m)
+        assert det_rational(m) == 0 == det_bareiss(m) == det_fraction(m)
+
+    def test_staircase_matches_oracles_on_seeded_matrices(self):
+        # seeded random integer matrices, with singular ones (a row made a
+        # combination of the others) and zero leading entries that force
+        # row swaps
+        rng = random.Random(8)
+        kinds = {"singular": 0, "swapped": 0, "negative": 0}
+        for _ in range(1500):
+            n = rng.randint(1, 7)
+            m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.25:
+                k = rng.randrange(n)
+                coeffs = [rng.randint(-2, 2) for _ in range(n)]
+                m[k] = [sum(c * row[j] for i, (c, row) in enumerate(zip(coeffs, m)) if i != k)
+                        for j in range(n)]
+            if rng.random() < 0.3:
+                for row in m[:rng.randint(1, n)]:
+                    row[0] = 0
+            want = det_bareiss(m)
+            assert det_rational(m) == want == det_fraction(m), m
+            kinds["singular"] += want == 0
+            kinds["swapped"] += m[0][0] == 0 and want != 0
+            kinds["negative"] += want < 0
+        assert min(kinds.values()) >= 50, kinds
+
+    def test_staircase_matches_bareiss_on_run_shapes(self, monkeypatch):
+        profiles = [(3,) * 12, (2, 5, 2, 2, 4, 3, 2), (4, 3) * 5, (9, 2, 2, 9),
+                    (4,) * 8 + (2,) * 8, (3, 4) * 20]
+        staircase = [skew_syt_count(shape_from_runs(a)) for a in profiles]
+        monkeypatch.setattr(tableaux, "det_rational", det_bareiss)
+        assert [skew_syt_count(shape_from_runs(a)) for a in profiles] == staircase
 
     @given(skew_shapes())
     def test_transpose_invariance(self, shape):
@@ -400,6 +456,15 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             count_standard_fillings(SkewShape((9, 8)))
         assert count_standard_fillings(SkewShape((9, 8)), max_cells=17) > 0
+
+    def test_negative_cap_is_a_bad_argument(self):
+        for shape in (SkewShape((2, 2)), SkewShape(())):
+            for cap in (-3, -1):
+                with pytest.raises(ValueError, match=f"max_cells must be >= 0, got {cap}"):
+                    count_standard_fillings(shape, max_cells=cap)
+                with pytest.raises(ValueError, match="max_cells must be >= 0"):
+                    skew_standard_tableaux(shape, max_cells=cap)
+        assert count_standard_fillings(SkewShape(()), max_cells=0) == 1
 
     def test_non_integer_cap_rejected(self):
         for cap in (16.9, True, "20"):
