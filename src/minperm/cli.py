@@ -18,12 +18,13 @@ from .counting import (catalan, mansour_yan, minimal_count,
                        minimal_count_band, minimal_count_by_runs,
                        one_ascent_count, two_ascent_count)
 from .errors import CapExceededError
-from .permutations import (descent_count, enumerate_minimal,
-                           format_permutation, parse_permutation)
+from .permutations import (DEFAULT_MAX_BRUTE_N, MAX_BRUTE_N_ENV, descent_count,
+                           enumerate_minimal, format_permutation,
+                           parse_permutation)
 from .rsk import (apply_knuth_move, even_odd_split, insertion_tableau,
                   knuth_chain, rsk_trace)
 from .tableaux import tableau_from_json, tableau_to_json
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 OK, VERIFY_FAILURE, USAGE_ERROR, CAP_ERROR = 0, 1, 2, 3
 # count --method det refuses an in-band n above MAX_DET_N, and an --ascents
@@ -63,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument("--method", choices=("det", "closed", "brute"), default="det")
     count.add_argument("--format", choices=("csv", "json"), default="csv")
     count.add_argument("--max-brute-n", type=int, default=None,
-                       help="override the brute-force cap (default 11, or "
-                            "MINPERM_MAX_BRUTE_N)")
+                       help="override the brute-force cap (default "
+                            f"{DEFAULT_MAX_BRUTE_N}, or {MAX_BRUTE_N_ENV})")
     count.set_defaults(handler=_cmd_count)
 
     enum = sub.add_parser("enumerate", help="list minimal permutations")
@@ -93,12 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the cross-verification suites")
     verify.add_argument("--max-n", type=int, default=8,
                         help="cap for the brute-force sweeps (default 8)")
-    verify.add_argument("--suite", choices=("all", "counts", "bijection", "rsk"),
-                        default="all")
-    verify.add_argument("--inject-fault", action="store_true",
-                        help="(testing) hand the counting checks a determinant "
-                             "sum that is off by one, to prove mismatches are "
-                             "detected")
+    verify.add_argument("--suite", choices=("all", *SUITES), default="all")
     verify.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -223,9 +219,7 @@ def _cmd_rsk(args) -> int:
     print(json.dumps({
         "perm": format_permutation(w),
         "shape": [len(row) for row in p],
-        "P": [list(row) for row in p],
-        "Q": [list(row) for row in q],
-        "paths": [[list(cell) for cell in path] for path in paths],
+        "P": p, "Q": q, "paths": paths,  # json writes tuples as arrays
     }))
     return OK
 
@@ -252,7 +246,7 @@ def _cmd_knuth_chain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, max_n=args.max_n, inject_fault=args.inject_fault)
+    report = run_suite(args.suite, max_n=args.max_n)
     print(json.dumps(report, indent=2))
     if not report["passed"]:
         first = next(c for c in report["checks"] if not c["passed"])

@@ -37,7 +37,7 @@ def is_permutation(word: Sequence[int]) -> bool:
     n = len(word)
     seen = [False] * (n + 1)
     for x in word:
-        if isinstance(x, bool) or not isinstance(x, int) or not 1 <= x <= n or seen[x]:
+        if type(x) is not int or not 1 <= x <= n or seen[x]:
             return False
         seen[x] = True
     return True

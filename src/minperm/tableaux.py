@@ -8,10 +8,11 @@ Drawn column j of a skew shape is row j of shape.conjugated(); every
 column access goes through the conjugate, _transpose for fillings.
 
 Counting is exact and uses integers only.  The determinant route builds
-each matrix row integral and eliminates it by division-free row updates
-that touch only the nonzero staircase of the matrix (det_rational); every
-exact quotient goes through the one guard _exact_div.  The independent
-oracle is a backtracking enumeration of the fillings.
+each matrix row integral and eliminates it, with no row swaps since every
+leading minor is positive, by division-free row updates that touch only
+the nonzero staircase of the matrix (det_rational); every exact quotient
+goes through the one guard _exact_div.  The independent oracle is a
+backtracking enumeration of the fillings.
 The paper's banded determinant per decreasing-run profile a is
 skew_syt_count on shape_from_runs(a): it is banded because adjacent
 columns of that shape share exactly two rows, so its elimination does
@@ -254,21 +255,26 @@ def _product(values: Iterable[int]) -> int:
 
 
 def det_rational(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by staircase elimination.
+    """Exact determinant of an integer matrix whose leading minors are all
+    positive, as on skew_syt_count's Aitken matrix: its leading k x k minor
+    is the count of the shape's first k rows over a positive scale.
 
-    Column k is cleared below the pivot p = m[k][k] (rows are swapped when
-    p is zero) only in the rows with a nonzero entry a there, each by
-    row_i <- (p/g)*row_i - (a/g)*row_k with g = gcd(p, a) signed so that
-    p/g > 0; the updated row is then divided by its content.  A zero entry
-    costs nothing, so on an Aitken matrix, whose zeros form a staircase,
-    the work follows the nonzero band: on shape_from_runs shapes at most
-    two rows lie below each pivot.  The determinant has been multiplied by
-    the positive ratio num/den of those scalings, so it is the diagonal's
-    product times den/num, divided exactly through _exact_div.  The ratio
-    is kept small as it grows: each p/g divides its pivot, so a pivot's
-    p/g are cancelled against it before they join num, and a content is
-    cancelled against num before it joins den.  The content gcd starts at
-    the row's right end, where an Aitken row's entries are smallest.
+    Column k is cleared below the pivot p = m[k][k], with no row swaps,
+    only in the rows with a nonzero entry a there, each by
+    row_i <- (p/g)*row_i - (a/g)*row_k with g = gcd(p, a); the updated row
+    is then divided by its content (a row that vanishes stays zero).  These
+    scales are positive, so pivot k has the sign of the ratio of the
+    leading minors of sizes k + 1 and k, and a pivot <= 0 raises
+    ArithmeticError.  A zero entry costs nothing, so on an Aitken matrix,
+    whose zeros form a staircase, the work follows the nonzero band: on
+    shape_from_runs shapes at most two rows lie below each pivot.  The
+    determinant has been multiplied by the positive ratio num/den of those
+    scalings, so it is the diagonal's product times den/num, divided
+    exactly through _exact_div.  The ratio is kept small as it grows: each
+    p/g divides its pivot, so a pivot's p/g are cancelled against it before
+    they join num, and a content is cancelled against num before it joins
+    den.  The content gcd starts at the row's right end, where an Aitken
+    row's entries are smallest.
 
     The name predates the integer rows: perfbench/tracing.py wraps the
     function by it and reads len(matrix) and the result's numerator and
@@ -278,38 +284,31 @@ def det_rational(matrix: Sequence[Sequence[int]]) -> int:
     m = [list(row) for row in matrix]
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    sign = num = den = 1
+    num = den = 1
     diag = []
     for k in range(n):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
         pivot_row = m[k]
         p = pivot_row[k]
+        if p <= 0:
+            raise ArithmeticError(f"leading minor {k + 1} is not positive")
         scaled = 1  # the product of this pivot's p/g
         for row in m[k + 1:]:
             a = row[k]
             if not a:
                 continue
-            g = math.gcd(p, a) if p > 0 else -math.gcd(p, a)
+            g = math.gcd(p, a)
             s, t = p // g, a // g
             rest = [s * x - t * y for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
-            content = math.gcd(*reversed(rest))
-            if not content:
-                return 0
+            content = math.gcd(*reversed(rest)) or 1
             scaled *= s
             h = math.gcd(num, content)
             num //= h
             den *= content // h
             row[k:] = [0, *(x // content for x in rest)]
         h = math.gcd(p, scaled)
-        diag.append(abs(p) // h)
-        sign = -sign if p < 0 else sign
+        diag.append(p // h)
         num *= scaled // h
-    return sign * _exact_div(_product(diag) * den, num, lambda: "the eliminated determinant")
+    return _exact_div(_product(diag) * den, num, lambda: "the eliminated determinant")
 
 
 def skew_syt_count(shape: SkewShape) -> int:

@@ -3,13 +3,13 @@
 Every counting formula is checked against an independent route: brute-force
 search over S_n, backtracking enumeration of tableau fillings, or a second
 formula.  The CLI `verify` subcommand and the acceptance tests both run
-these checks.  All randomized parts use fixed seeds so reports are
+these checks; each takes only the brute-force cap max_n and returns a
+Check.  All randomized parts use the fixed seeds below so reports are
 byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
 from collections import Counter
@@ -29,6 +29,9 @@ from .tableaux import (SkewShape, count_standard_fillings, format_shape,
                        hook_count, is_standard, is_two_regular,
                        shape_from_runs, skew_standard_tableaux,
                        skew_syt_count)
+
+DETERMINANT_SEED = 1729
+INSERTION_SEED, INSERTION_CASES = 97, 1000
 
 WORKED_PERM_13 = (6, 3, 7, 4, 1, 5, 2, 9, 8, 11, 10, 13, 12)
 WORKED_SPLIT_13 = (6, 3, 7, 4, 5, 9, 11, 13, 1, 2, 8, 10, 12)
@@ -62,13 +65,7 @@ def _fail(name: str, detail: str) -> Check:
     return Check(name, False, detail)
 
 
-def _faulty_minimal_count(n: int, d: int) -> int:
-    """A deliberately wrong count, handed to the counting checks by
-    run_suite(inject_fault=True) to prove that they detect a mismatch."""
-    return minimal_count(n, d) + 1
-
-
-def check_three_way_counts(max_n: int, count=minimal_count) -> Check:
+def check_three_way_counts(max_n: int) -> Check:
     """Structural filter, deletion oracle, and determinant sum agree; the
     two oracles are compared on every single permutation."""
     name = "three-way count agreement"
@@ -82,20 +79,20 @@ def check_three_way_counts(max_n: int, count=minimal_count) -> Check:
             if structural:
                 tally[descent_count(w)] += 1
         for d in range(0, n + 1):
-            det = count(n, d)
+            det = minimal_count(n, d)
             if det != tally[d]:
                 return _fail(name, f"n={n} d={d}: brute={tally[d]} determinant={det}")
     return _ok(name, f"all (d, n) with n <= {top}, oracles compared per permutation")
 
 
-def _closed_form_check(name: str, formula, case, det_range, brute_range, count,
+def _closed_form_check(name: str, formula, case, det_range, brute_range,
                        detail: str) -> Check:
-    """Compare formula(k) at each (n, d) = case(k) with the determinant sum
-    count(n, d) for k in det_range, then with a brute-force count for k in
+    """Compare formula(k) at each (n, d) = case(k) with minimal_count(n, d)
+    for k in det_range, then with a brute-force count for k in
     brute_range."""
     for k in det_range:
         n, d = case(k)
-        if formula(k) != count(n, d):
+        if formula(k) != minimal_count(n, d):
             return _fail(name, f"closed form and determinant sum differ at (n={n}, d={d})")
     for k in brute_range:
         n, d = case(k)
@@ -106,32 +103,32 @@ def _closed_form_check(name: str, formula, case, det_range, brute_range, count,
     return _ok(name, detail)
 
 
-def check_catalan_law(max_n: int, count=minimal_count) -> Check:
+def check_catalan_law(max_n: int) -> Check:
     brute = range(1, min(max_n // 2, 4) + 1)
     reach = (f"brute force to n={2 * brute[-1]}" if brute
              else f"no brute force at max_n={max_n}")
     return _closed_form_check("even-length Catalan counts", catalan, lambda m: (2 * m, m),
-                              range(1, 9), brute, count, f"determinants to n=16, {reach}")
+                              range(1, 9), brute, f"determinants to n=16, {reach}")
 
 
-def check_one_ascent_closed_form(max_n: int, count=minimal_count) -> Check:
+def check_one_ascent_closed_form(max_n: int) -> Check:
     return _closed_form_check("one-ascent closed form", one_ascent_count,
                               lambda n: (n, n - 2), range(4, 31), range(4, min(max_n, 9) + 1),
-                              count, "closed form = determinant sum for 4 <= n <= 30")
+                              "closed form = determinant sum for 4 <= n <= 30")
 
 
-def check_two_ascent_closed_form(max_n: int, count=minimal_count) -> Check:
+def check_two_ascent_closed_form(max_n: int) -> Check:
     return _closed_form_check("two-ascent closed form", two_ascent_count,
                               lambda n: (n, n - 3), range(5, 31), range(5, min(max_n, 9) + 1),
-                              count, "closed form = determinant sum for 5 <= n <= 30")
+                              "closed form = determinant sum for 5 <= n <= 30")
 
 
-def check_odd_length_formula(max_n: int, count=minimal_count) -> Check:
+def check_odd_length_formula(max_n: int) -> Check:
     brute = range(1, min((max_n - 1) // 2, 4) + 1)
     reach = (f"brute force to length {2 * brute[-1] + 1}" if brute
              else f"no brute force at max_n={max_n}")
     return _closed_form_check("odd-length product formula", mansour_yan,
-                              lambda m: (2 * m + 1, m + 1), range(1, 13), brute, count,
+                              lambda m: (2 * m + 1, m + 1), range(1, 13), brute,
                               f"formula = determinant sum for m <= 12, {reach}")
 
 
@@ -202,7 +199,7 @@ def _partitions_up_to(max_size: int, max_rows: int) -> list[tuple[int, ...]]:
     return out
 
 
-def check_determinant_vs_enumeration(max_n: int, seed: int = 1729) -> Check:
+def check_determinant_vs_enumeration(max_n: int) -> Check:
     """The per-run-profile count (the skew determinant on shape_from_runs)
     matches backtracking enumeration on every 2-regular shape with at most
     12 cells; the determinant also matches enumeration on 200 random skew
@@ -216,7 +213,7 @@ def check_determinant_vs_enumeration(max_n: int, seed: int = 1729) -> Check:
                 if det != brute:
                     return _fail(name, f"runs {a}: determinant={det} "
                                        f"backtracking={brute}")
-    rng = random.Random(seed)
+    rng = random.Random(DETERMINANT_SEED)
     enumerated = 0
     while enumerated < 200:
         shape = _random_skew_shape(rng, max_cells=12)
@@ -323,12 +320,12 @@ def check_rsk_refinement(max_n: int) -> Check:
     return _ok(name, f"all classes through length {2 * top + 1}, with explicit inverses")
 
 
-def check_insertion_paths(max_n: int, cases: int = 1000, seed: int = 97) -> Check:
+def check_insertion_paths(max_n: int) -> Check:
     """Paths move weakly left going down; inserting j then k > j gives a
     second path strictly to the right, row by row, and never longer."""
     name = "insertion path properties"
-    rng = random.Random(seed)
-    for _ in range(cases):
+    rng = random.Random(INSERTION_SEED)
+    for _ in range(INSERTION_CASES):
         size = rng.randint(0, 10)
         pool = rng.sample(range(1, 40), size + 2)
         values, extra = pool[:size], sorted(pool[size:])
@@ -350,7 +347,7 @@ def check_insertion_paths(max_n: int, cases: int = 1000, seed: int = 97) -> Chec
         for (_, c1), (_, c2) in zip(path_j, path_k):
             if c1 >= c2:
                 return _fail(name, f"paths not strictly separated: {path_j} then {path_k}")
-    return _ok(name, f"{cases} randomized cases")
+    return _ok(name, f"{INSERTION_CASES} randomized cases")
 
 
 def check_worked_chain(max_n: int) -> Check:
@@ -377,10 +374,9 @@ SUITES: dict[str, tuple] = {
 }
 
 
-def run_suite(suite: str, max_n: int = 8, inject_fault: bool = False) -> dict:
+def run_suite(suite: str, max_n: int = 8) -> dict:
     """Run one suite (or "all") and return a JSON-ready report.  max_n caps
-    the brute-force sweeps; formula-only ranges are fixed and cheap.  With
-    inject_fault, the checks that take a count get _faulty_minimal_count."""
+    the brute-force sweeps; formula-only ranges are fixed and cheap."""
     if suite == "all":
         functions = [fn for fns in SUITES.values() for fn in fns]
     elif suite in SUITES:
@@ -392,9 +388,7 @@ def run_suite(suite: str, max_n: int = 8, inject_fault: bool = False) -> dict:
     cap = max_brute_n()
     if max_n > cap:
         raise CapExceededError(f"max_n {max_n} exceeds the brute-force cap {cap}")
-    count = _faulty_minimal_count if inject_fault else minimal_count
-    checks = [fn(max_n, count=count) if "count" in inspect.signature(fn).parameters
-              else fn(max_n) for fn in functions]
+    checks = [fn(max_n) for fn in functions]
     return {
         "suite": suite,
         "max_n": max_n,

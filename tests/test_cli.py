@@ -1,7 +1,8 @@
 import json
 import math
 
-from minperm import catalan, one_ascent_count, two_ascent_count
+import minperm.verify as verify
+from minperm import catalan, minimal_count, one_ascent_count, two_ascent_count
 from minperm.cli import MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_DET_N, main
 from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
                             check_odd_length_formula)
@@ -223,15 +224,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "rsk", "--max-n", "5")
         assert code == 0 and json.loads(out)["passed"]
 
-    def test_injected_fault_detected(self, capsys):
-        code, out, err = run(capsys, "verify", "--suite", "counts", "--max-n", "4",
-                             "--inject-fault")
+    def test_injected_fault_detected(self, capsys, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "minimal_count", lambda n, d: minimal_count(n, d) + 1)
+            code, out, err = run(capsys, "verify", "--suite", "counts", "--max-n", "4")
         assert code == 1
         report = json.loads(out)
         assert not report["passed"]
         failing = [c for c in report["checks"] if not c["passed"]]
         assert failing and failing[0]["detail"]
         assert "FAIL" in err
+        code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-n", "4")
+        assert code == 0 and json.loads(out)["passed"]
+
+    def test_inject_fault_flag_removed(self, capsys):
+        code, _, err = run(capsys, "verify", "--suite", "counts", "--inject-fault")
+        assert code == 2 and "--inject-fault" in err
 
     def test_cap_guard(self, capsys):
         code, _, err = run(capsys, "verify", "--max-n", "12")

@@ -96,10 +96,14 @@ class TestRunCounts:
         with pytest.raises(ValueError):
             minimal_count_by_runs(())
 
-    def test_fault_injection_hook_changes_result(self):
-        assert verify._faulty_minimal_count(6, 3) != minimal_count(6, 3)
-        assert not run_suite("counts", 4, inject_fault=True)["passed"]
-        # the fault travels as an argument, so nothing leaks into a later run
+    def test_fault_injection_hook_changes_result(self, monkeypatch):
+        # an off-by-one count patched into the verify module is detected,
+        # and once it is undone nothing leaks into a later run
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "minimal_count", lambda n, d: minimal_count(n, d) + 1)
+            report = run_suite("counts", 4)
+        assert not report["passed"]
+        assert "determinant" in next(c for c in report["checks"] if not c["passed"])["detail"]
         assert run_suite("counts", 4)["passed"]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from minperm import (CapExceededError, ascent_set, check_permutation,
                      descent_set, duplicate_loss, enumerate_minimal,
                      format_permutation, is_minimal, is_minimal_by_deletion,
                      is_permutation, max_brute_n, minimality_violation,
-                     parse_permutation, standardize)
+                     parse_permutation, perm_to_tableau, standardize)
 
 perms = lambda n: st.permutations(list(range(1, n + 1)))
 
@@ -327,6 +328,17 @@ class TestSerialization:
         assert not is_permutation((2, True))
         with pytest.raises(ValueError, match="not a permutation"):
             check_permutation((True,))
+
+    def test_int_subclass_entries_rejected(self):
+        # an IntEnum member is an int but not an exact one, which the
+        # tableau layer requires: refuse it at the entry point, not later
+        class Label(IntEnum):
+            ONE = 1
+            TWO = 2
+
+        assert not is_permutation((Label.TWO, Label.ONE))
+        with pytest.raises(ValueError, match="not a permutation"):
+            perm_to_tableau((Label.TWO, Label.ONE))
 
     def test_round_trip_random(self):
         rng = random.Random(11)

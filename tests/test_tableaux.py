@@ -97,6 +97,33 @@ def det_fraction(matrix):
     return det
 
 
+def leading_minors_positive(matrix):
+    return all(det_fraction([row[:k] for row in matrix[:k]]) > 0
+               for k in range(1, len(matrix) + 1))
+
+
+def assert_det_or_refused(matrix):
+    """det_rational equals both oracles when every leading minor is
+    positive and raises ArithmeticError otherwise; returns its value, or
+    None when it refused."""
+    if not leading_minors_positive(matrix):
+        with pytest.raises(ArithmeticError, match="is not positive"):
+            det_rational(matrix)
+        return None
+    value = det_rational(matrix)
+    assert value == det_bareiss(matrix) == det_fraction(matrix), matrix
+    return value
+
+
+def aitken_matrix(shape):
+    """The integer matrix that skew_syt_count hands to det_rational."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tableaux, "det_rational", lambda m: seen.append(m) or det_bareiss(m))
+        skew_syt_count(shape)
+    return seen[0]
+
+
 def reciprocal_factorial_count(shape):
     """The determinant formula over Fraction(1, e!) entries, as written:
     an oracle for the integral rows that skew_syt_count builds."""
@@ -345,55 +372,77 @@ class TestCounting:
         assert _exact_div(0, 5, label) == 0
 
     def test_determinant_core(self):
-        m = [[2, 3, 1], [4, 1, 5], [0, 6, 7]]
-        assert det_rational(m) == 2 * (7 - 30) - 3 * (28 - 0) + 1 * (24 - 0)
-        assert m == [[2, 3, 1], [4, 1, 5], [0, 6, 7]]  # the input is not modified
+        m = [[3, 1, 2], [1, 4, 1], [2, 1, 5]]  # leading minors 3, 11, 40
+        assert det_rational(m) == 3 * (20 - 1) - 1 * (5 - 2) + 2 * (1 - 8)
+        assert m == [[3, 1, 2], [1, 4, 1], [2, 1, 5]]  # the input is not modified
         assert det_rational([]) == 1
         assert type(det_rational([[5]])) is int
         with pytest.raises(ValueError, match="square"):
             det_rational([[1, 2]])
+        for bad, k in (([[0, 1], [1, 0]], 1), ([[-1]], 1), ([[1, 2], [2, 4]], 2),
+                       ([[2, 1], [3, 1]], 2)):
+            with pytest.raises(ArithmeticError, match=f"leading minor {k} is not positive"):
+                det_rational(bad)
 
     @given(integer_matrices())
-    @example([[0, 1], [1, 0]])                    # zero leading pivot: row swap
-    @example([[0, 2, 1], [0, 1, 3], [4, 5, 6]])   # swap past a second zero
-    @example([[0, 1], [0, 2]])                    # zero pivot column: early return
+    @example([[0, 1], [1, 0]])                    # zero leading pivot
+    @example([[0, 2, 1], [0, 1, 3], [4, 5, 6]])   # zero pivot column
     @example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])   # dependent rows
     @example([[1, 2], [2, 4]])                    # rank 1, zero last pivot
+    @example([[2, 1, 0], [1, 2, 1], [0, 1, 2]])   # positive definite
     def test_bareiss_matches_fraction_oracle(self, m):
-        assert det_rational(m) == det_bareiss(m) == det_fraction(m)
+        assert_det_or_refused(m)
 
     @given(integer_matrices(min_dim=2), st.data())
     def test_bareiss_rank_deficient(self, m, data):
-        # replace one row by a combination of the others: the determinant is 0
+        # replace one row by a combination of the others: the determinant,
+        # the last leading minor, is 0, so the elimination refuses it
         k = data.draw(st.integers(0, len(m) - 1))
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
         m[k] = [sum(c * row[j] for i, (c, row) in enumerate(zip(coeffs, m)) if i != k)
                 for j in range(len(m))]
-        assert det_rational(m) == 0 == det_bareiss(m) == det_fraction(m)
+        assert det_bareiss(m) == 0 == det_fraction(m)
+        with pytest.raises(ArithmeticError, match="is not positive"):
+            det_rational(m)
 
     def test_staircase_matches_oracles_on_seeded_matrices(self):
-        # seeded random integer matrices, with singular ones (a row made a
-        # combination of the others) and zero leading entries that force
-        # row swaps
+        # seeded products L*U of a unit lower and an upper triangular matrix
+        # with a positive diagonal, whose leading minors are the positive
+        # prefix products of that diagonal, beside plain random matrices,
+        # most of which have a leading minor <= 0 and are refused
         rng = random.Random(8)
-        kinds = {"singular": 0, "swapped": 0, "negative": 0}
+        kinds = {"computed": 0, "refused": 0, "negative entries": 0}
         for _ in range(1500):
             n = rng.randint(1, 7)
-            m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            if n > 1 and rng.random() < 0.25:
-                k = rng.randrange(n)
-                coeffs = [rng.randint(-2, 2) for _ in range(n)]
-                m[k] = [sum(c * row[j] for i, (c, row) in enumerate(zip(coeffs, m)) if i != k)
-                        for j in range(n)]
-            if rng.random() < 0.3:
-                for row in m[:rng.randint(1, n)]:
-                    row[0] = 0
-            want = det_bareiss(m)
-            assert det_rational(m) == want == det_fraction(m), m
-            kinds["singular"] += want == 0
-            kinds["swapped"] += m[0][0] == 0 and want != 0
-            kinds["negative"] += want < 0
-        assert min(kinds.values()) >= 50, kinds
+            if rng.random() < 0.5:
+                lower = [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(n)]
+                         for i in range(n)]
+                upper = [[rng.randint(1, 4) if j == i else rng.randint(-3, 3) * (j > i)
+                          for j in range(n)] for i in range(n)]
+                m = [[sum(lower[i][t] * upper[t][j] for t in range(n)) for j in range(n)]
+                     for i in range(n)]
+            else:
+                m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            kinds["refused" if assert_det_or_refused(m) is None else "computed"] += 1
+            kinds["negative entries"] += any(x < 0 for row in m for x in row)
+        assert min(kinds.values()) >= 500, kinds
+
+    def test_aitken_matrices_match_oracles(self):
+        # every run profile of at most 16 cells, its conjugate, and a few
+        # shapes with empty rows: none is refused
+        shapes = [shape_from_runs(a) for n in range(2, 17)
+                  for k in range(1, n // 2 + 1) for a in compositions_min2(n, k)]
+        shapes += [shape.conjugated() for shape in shapes]
+        shapes += [SkewShape((2, 2), (2, 2)), SkewShape((3, 2), (2, 2)),
+                   SkewShape((4, 3, 3), (3, 3, 1))]
+        for shape in shapes:
+            m = aitken_matrix(shape)
+            assert det_rational(m) == det_bareiss(m) == det_fraction(m) > 0, shape
+
+    @given(skew_shapes())
+    def test_aitken_matrices_match_oracles_random(self, shape):
+        m = aitken_matrix(shape)
+        assert det_rational(m) == det_bareiss(m) == det_fraction(m) > 0
 
     def test_staircase_matches_bareiss_on_run_shapes(self, monkeypatch):
         profiles = [(3,) * 12, (2, 5, 2, 2, 4, 3, 2), (4, 3) * 5, (9, 2, 2, 9),
