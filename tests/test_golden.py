@@ -35,6 +35,8 @@ INVOCATIONS = {
     "knuth_chain_perm13": ["knuth-chain", "--perm", format_permutation(WORKED_PERM_13)],
     "verify_bijection_7": ["verify", "--suite", "bijection", "--max-n", "7"],
     "verify_rsk_5": ["verify", "--suite", "rsk", "--max-n", "5"],
+    # the determinant is checked against counted standard fillings
+    "verify_counts_8": ["verify", "--suite", "counts", "--max-n", "8"],
 }
 
 
