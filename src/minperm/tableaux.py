@@ -11,14 +11,15 @@ Counting is exact and uses integers only.  The determinant route builds
 each matrix row integral and eliminates it, with no row swaps since every
 leading minor is positive, by division-free row updates that touch only
 the nonzero staircase of the matrix (det_rational); every exact quotient
-goes through the one guard _exact_div.  The independent oracle is a
-backtracking enumeration of the fillings.
+goes through the one guard _exact_div.
 The paper's banded determinant per decreasing-run profile a is
 skew_syt_count on shape_from_runs(a): it is banded because adjacent
 columns of that shape share exactly two rows, so its elimination does
 O(r^2) row-entry updates for r parts, not O(r^3).
-Both skew_standard_tableaux and count_standard_fillings run the same
-iterative traversal, _fillings.
+The independent oracle, count_standard_fillings, takes no determinant: it
+counts paths of filled sub-shapes from inner to outer, one cell per step,
+by the addability test of _fillings, the iterative backtracking traversal
+that skew_standard_tableaux runs to list the fillings themselves.
 """
 
 from __future__ import annotations
@@ -320,7 +321,11 @@ def skew_syt_count(shape: SkewShape) -> int:
     where 1/m! = 0 for m < 0.  Row i is built integral, times top! for its
     largest exponent top (at j = r), so the count is the integer
     n! * det over the product of those top!, divided exactly by _exact_div;
-    a remainder or a negative quotient signals a bug and raises.
+    a remainder or a negative quotient signals a bug and raises.  The
+    exponent rises by at least 1 per column, so a row is built from the
+    right: each entry top!/e! is its right neighbour times the short
+    falling factorial e'!/e!, and every entry left of a negative exponent
+    is zero.
 
     >>> skew_syt_count(SkewShape((2, 2)))
     2
@@ -330,9 +335,17 @@ def skew_syt_count(shape: SkewShape) -> int:
     outer, inner = shape.outer, shape.inner
     r = len(outer)
     tops = [outer[i] - inner[r - 1] - i + r - 1 for i in range(r)]
-    rows = [[math.perm(top, top - e) if e >= 0 else 0
-             for e in (outer[i] - inner[j] - i + j for j in range(r))]
-            for i, top in enumerate(tops)]
+    rows = []
+    for i, top in enumerate(tops):
+        row = [0] * r
+        entry, prev = 1, top  # prev is the exponent right of column j
+        for j in range(r - 1, -1, -1):
+            e = outer[i] - inner[j] - i + j
+            if e < 0:
+                break
+            entry *= math.perm(prev, prev - e)
+            row[j], prev = entry, e
+        rows.append(row)
     scale = _product(map(math.factorial, tops))
     return _exact_div(math.factorial(shape.size) * det_rational(rows), scale,
                       lambda: f"determinant count for {format_shape(shape)}")
@@ -440,11 +453,34 @@ def skew_standard_tableaux(shape: SkewShape,
 
 
 def count_standard_fillings(shape: SkewShape, max_cells: int | None = None) -> int:
-    """Backtracking count of the standard fillings: the same traversal as
-    skew_standard_tableaux without materializing tableaux, usable as an
-    independent oracle against the determinant on larger sweeps."""
+    """Count the standard fillings as lattice paths of sub-shapes from
+    shape.inner to shape.outer, one cell per step: the same traversal as
+    _fillings, with the count of completions below each node shared by
+    every node that has filled the same cells.  Level v maps each filled
+    sub-shape, written as the first empty column of every row (the nxt of
+    _fillings, sentinel included), to the number of ways of filling it with
+    1..v; each state passes its count to every state one addable cell
+    further on.  The work follows the number of sub-shapes, not of
+    fillings, and uses no determinant, so it is an independent oracle for
+    skew_syt_count.  Refuses shapes above the cell cap (default 16).
+
+    >>> count_standard_fillings(SkewShape((3, 3)))
+    5
+    """
     _check_cells_cap(shape, max_cells)
-    return sum(1 for _ in _fillings(shape))
+    outer = shape.outer
+    rows = range(len(outer))
+    paths = {(*shape.inner, shape.column_count): 1}
+    for _ in range(shape.size):
+        step: dict[tuple[int, ...], int] = {}
+        for nxt, count in paths.items():
+            for i in rows:
+                c = nxt[i]
+                if c < outer[i] and c < nxt[i - 1]:
+                    key = (*nxt[:i], c + 1, *nxt[i + 1:])
+                    step[key] = step.get(key, 0) + count
+        paths = step
+    return sum(paths.values())
 
 
 def tableau_to_json(t: SkewTableau) -> dict:

@@ -13,7 +13,7 @@ from minperm import (CapExceededError, SkewShape, SkewTableau, conjugate,
                      skew_standard_tableaux, skew_syt_count,
                      tableau_from_json, tableau_to_json)
 import minperm.tableaux as tableaux
-from minperm.counting import compositions_min2
+from minperm.counting import compositions_min2, minimal_count_by_runs
 from minperm.tableaux import _exact_div, det_rational
 
 
@@ -540,3 +540,33 @@ class TestEnumeration:
         for _ in range(40):
             shape = _random_skew_shape(rng, max_cells=9)
             assert count_standard_fillings(shape) == skew_syt_count(shape)
+
+
+def backtracking_count(shape):
+    """The slow path count_standard_fillings replaced: one step per filling."""
+    return sum(1 for _ in tableaux._fillings(shape))
+
+
+class TestPathCount:
+    def test_run_shapes_match_backtracking(self):
+        for total in range(2, 12):
+            for parts in range(1, total // 2 + 1):
+                for a in compositions_min2(total, parts):
+                    shape = shape_from_runs(a)
+                    assert count_standard_fillings(shape) == backtracking_count(shape), a
+
+    def test_random_shapes_match_backtracking(self):
+        from minperm.verify import _random_skew_shape
+        rng = random.Random(5)
+        for _ in range(3000):
+            shape = _random_skew_shape(rng, max_cells=12)
+            assert count_standard_fillings(shape) == backtracking_count(shape), shape
+
+    def test_run_shapes_past_the_cap_match_determinant(self):
+        # 17 and 18 cells lie past the default cap, where backtracking is slow;
+        # the path count takes no determinant, so it still checks one there
+        for total in (17, 18):
+            for parts in range(1, total // 2 + 1):
+                for a in compositions_min2(total, parts):
+                    assert (count_standard_fillings(shape_from_runs(a), max_cells=18)
+                            == minimal_count_by_runs(a)), a
