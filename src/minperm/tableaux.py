@@ -321,11 +321,7 @@ def skew_syt_count(shape: SkewShape) -> int:
     where 1/m! = 0 for m < 0.  Row i is built integral, times top! for its
     largest exponent top (at j = r), so the count is the integer
     n! * det over the product of those top!, divided exactly by _exact_div;
-    a remainder or a negative quotient signals a bug and raises.  The
-    exponent rises by at least 1 per column, so a row is built from the
-    right: each entry top!/e! is its right neighbour times the short
-    falling factorial e'!/e!, and every entry left of a negative exponent
-    is zero.
+    a remainder or a negative quotient signals a bug and raises.
 
     >>> skew_syt_count(SkewShape((2, 2)))
     2
@@ -335,17 +331,9 @@ def skew_syt_count(shape: SkewShape) -> int:
     outer, inner = shape.outer, shape.inner
     r = len(outer)
     tops = [outer[i] - inner[r - 1] - i + r - 1 for i in range(r)]
-    rows = []
-    for i, top in enumerate(tops):
-        row = [0] * r
-        entry, prev = 1, top  # prev is the exponent right of column j
-        for j in range(r - 1, -1, -1):
-            e = outer[i] - inner[j] - i + j
-            if e < 0:
-                break
-            entry *= math.perm(prev, prev - e)
-            row[j], prev = entry, e
-        rows.append(row)
+    rows = [[math.perm(top, top - e) if e >= 0 else 0
+             for e in (outer[i] - inner[j] - i + j for j in range(r))]
+            for i, top in enumerate(tops)]
     scale = _product(map(math.factorial, tops))
     return _exact_div(math.factorial(shape.size) * det_rational(rows), scale,
                       lambda: f"determinant count for {format_shape(shape)}")
