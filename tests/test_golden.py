@@ -37,6 +37,8 @@ INVOCATIONS = {
     "verify_rsk_5": ["verify", "--suite", "rsk", "--max-n", "5"],
     # the determinant is checked against counted standard fillings
     "verify_counts_8": ["verify", "--suite", "counts", "--max-n", "8"],
+    # the benchmark's verify invocation: every check, S_1..S_9 brute force
+    "verify_all_9": ["verify", "--suite", "all", "--max-n", "9"],
 }
 
 
