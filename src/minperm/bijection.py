@@ -40,7 +40,8 @@ def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
     # so read from the bottom cell upward the column spells it left to right
     cols = [(None,) * mu + w[end - a:end][::-1]
             for mu, a, end in zip(by_cols.inner, runs, accumulate(runs))]
-    return SkewTableau(by_cols.conjugated(), _transpose(cols))
+    drawn = by_cols.conjugated()
+    return SkewTableau(drawn, _transpose(cols, drawn.outer))
 
 
 def tableau_to_perm(t: SkewTableau) -> tuple[int, ...]:
@@ -54,4 +55,5 @@ def tableau_to_perm(t: SkewTableau) -> tuple[int, ...]:
         raise ValueError("tableau is not standard")
     if not is_two_regular(t):
         raise ValueError("tableau is not 2-regular")
-    return tuple(x for col in _transpose(t.rows) for x in reversed(col) if x is not None)
+    return tuple(x for col in _transpose(t.rows, t.shape.conjugated().outer)
+                 for x in reversed(col) if x is not None)

@@ -192,10 +192,16 @@ def is_minimal_by_deletion(perm: Sequence[int]) -> bool:
     """Definitional minimality oracle: every one-element deletion must lose
     a descent.
 
-    Descent counts are invariant under standardization, so the deleted word
-    is compared directly.  One-element deletions suffice because a deletion
-    never increases the descent count; that monotonicity is itself asserted
-    as a test rather than assumed.
+    Descent counts are invariant under standardization, so each deletion is
+    judged on the word itself, by the only pairs it changes.  Deleting
+    w[0] or w[n-1] loses exactly the descent at that end, so both ends must
+    be descents (and n >= 2).  Deleting an interior w[k] changes the count
+    by [w[k-1] > w[k+1]] - [w[k-1] > w[k]] - [w[k] > w[k+1]], which must be
+    negative.  This compares entries only, so it answers as the literal
+    recount of every deleted word does on any sequence, ties included; that
+    recount is kept in the tests as this function's oracle.  One-element
+    deletions suffice because a deletion never increases the descent count;
+    that monotonicity is itself asserted as a test rather than assumed.
 
     >>> is_minimal_by_deletion((2, 1, 4, 3))
     True
@@ -204,13 +210,11 @@ def is_minimal_by_deletion(perm: Sequence[int]) -> bool:
     """
     w = tuple(perm)
     n = len(w)
-    if n < 2:
+    if n < 2 or not (w[0] > w[1] and w[n - 2] > w[n - 1]):
         return False
-    d = descent_count(w)
-    if d == 0:
-        return False
-    for k in range(n):
-        if descent_count(w[:k] + w[k + 1:]) >= d:
+    for k in range(1, n - 1):
+        p, x, s = w[k - 1], w[k], w[k + 1]
+        if (p > x) + (x > s) <= (p > s):
             return False
     return True
 

@@ -5,7 +5,10 @@ English convention throughout: row 1 is the top row, cells are addressed
 A partition is a weakly decreasing tuple of positive integers.
 
 Drawn column j of a skew shape is row j of shape.conjugated(); every
-column access goes through the conjugate, _transpose for fillings.
+column access goes through the conjugate, _transpose for fillings, which
+takes its column heights from the conjugated shape.  A shape validates its
+parts once, on construction; conjugated() reuses them, since the conjugate
+of a valid skew shape is valid, and runs no validation again.
 
 Counting is exact and uses integers only.  The determinant route builds
 each matrix row integral and eliminates it, with no row swaps since every
@@ -59,7 +62,12 @@ def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
     >>> conjugate((2, 2))
     (2, 2)
     """
-    p = check_partition(parts)
+    return _conjugate(check_partition(parts))
+
+
+def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
+    """conjugate of a partition already validated; trailing zeros add no
+    column."""
     conj: list[int] = []
     # from the bottom row up, row i ends the columns that reach no lower row
     for i in range(len(p), 0, -1):
@@ -100,7 +108,14 @@ class SkewShape:
         return self.outer[0] if self.outer else 0
 
     def conjugated(self) -> "SkewShape":
-        return SkewShape(conjugate(self.outer), conjugate(self.inner))
+        """The transposed shape.  self's parts are already validated and
+        the conjugate of a valid skew shape is valid, so it is built
+        without running __post_init__ again."""
+        outer, inner = _conjugate(self.outer), _conjugate(self.inner)
+        shape = object.__new__(SkewShape)
+        object.__setattr__(shape, "outer", outer)
+        object.__setattr__(shape, "inner", inner + (0,) * (len(outer) - len(inner)))
+        return shape
 
 
 def format_shape(shape: SkewShape) -> str:
@@ -165,11 +180,12 @@ class SkewTableau:
         return self.rows[row - 1][col - 1]
 
 
-def _transpose(rows: Sequence[Sequence[int | None]]) -> tuple[tuple[int | None, ...], ...]:
+def _transpose(rows: Sequence[Sequence[int | None]],
+               heights: Sequence[int]) -> tuple[tuple[int | None, ...], ...]:
     """The columns of a skew filling given row by row, None in inner cells.
-    Row lengths weakly decrease, so column c is the first
-    conjugate(row lengths)[c] entries of the padded transpose."""
-    heights = conjugate([len(row) for row in rows])
+    Row lengths weakly decrease, so column c is the first heights[c]
+    entries of the padded transpose, where heights is the conjugate of the
+    row lengths: the outer partition of the conjugated shape."""
     return tuple(col[:h] for col, h in zip(zip_longest(*rows), heights))
 
 

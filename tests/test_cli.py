@@ -5,7 +5,8 @@ import minperm.verify as verify
 from minperm import catalan, minimal_count, one_ascent_count, two_ascent_count
 from minperm.cli import MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_DET_N, main
 from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
-                            check_odd_length_formula)
+                            check_double_descent_refinement,
+                            check_odd_length_formula, check_rsk_refinement)
 
 
 def run(capsys, *argv):
@@ -258,6 +259,15 @@ class TestVerify:
         assert check_odd_length_formula(8).detail.endswith("brute force to length 7")
         assert check_odd_length_formula(2).detail.endswith("no brute force at max_n=2")
         assert check_catalan_law(1).detail.endswith("no brute force at max_n=1")
+        # below length 3 no double-descent class is enumerated
+        assert check_double_descent_refinement(2).detail == \
+            "sum identity, symmetry, hooks, and skew determinants; no enumeration at max_n=2"
+        assert check_double_descent_refinement(3).detail == \
+            "enumeration, sum identity, symmetry, hooks, and skew determinants"
+        assert check_rsk_refinement(2).detail == "no class at max_n=2"
+        assert check_rsk_refinement(1).detail == "no class at max_n=1"
+        assert check_rsk_refinement(3).detail == \
+            "all classes through length 3, with explicit inverses"
 
     def test_byte_identical_reports(self, capsys):
         first = run(capsys, "verify", "--suite", "rsk", "--max-n", "5")

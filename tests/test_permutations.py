@@ -12,7 +12,9 @@ from minperm import (CapExceededError, ascent_set, check_permutation,
                      descent_set, duplicate_loss, enumerate_minimal,
                      format_permutation, is_minimal, is_minimal_by_deletion,
                      is_permutation, max_brute_n, minimality_violation,
-                     parse_permutation, perm_to_tableau, standardize)
+                     parse_permutation, perm_to_tableau, shape_from_runs,
+                     standardize, tableau_to_perm)
+from test_bijection import random_filling
 
 perms = lambda n: st.permutations(list(range(1, n + 1)))
 
@@ -127,6 +129,22 @@ class TestIsMinimal:
             assert (minimality_violation(w) is None) == is_minimal(w)
 
 
+def deletion_by_recount(perm):
+    """The definition itself: recount the descents of every one-element
+    deletion.  The oracle for is_minimal_by_deletion's local formula."""
+    w = tuple(perm)
+    n = len(w)
+    if n < 2:
+        return False
+    d = descent_count(w)
+    if d == 0:
+        return False
+    for k in range(n):
+        if descent_count(w[:k] + w[k + 1:]) >= d:
+            return False
+    return True
+
+
 class TestDeletionOracle:
     def test_examples(self):
         assert is_minimal_by_deletion((3, 2, 1))
@@ -137,6 +155,34 @@ class TestDeletionOracle:
         for n in range(2, 8):
             for w in all_perms(n):
                 assert is_minimal_by_deletion(w) == is_minimal(w), w
+
+    def test_local_formula_matches_recount(self):
+        for n in range(0, 9):
+            for w in all_perms(n):
+                assert is_minimal_by_deletion(w) == deletion_by_recount(w), w
+
+    def test_local_formula_matches_recount_with_ties(self):
+        # any sequence, not only permutations: ties and entries outside 1..n
+        assert is_minimal_by_deletion((5, -1)) and deletion_by_recount((5, -1))
+        rng = random.Random(31)
+        for _ in range(20000):
+            w = tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 9)))
+            assert is_minimal_by_deletion(w) == deletion_by_recount(w), w
+
+    def test_local_formula_matches_recount_past_the_cap(self):
+        # minimal words of length 40-400 read off seeded fillings, and
+        # copies with one adjacent transposition, minimal or not
+        rng = random.Random(409)
+        for k in (20, 50, 100):
+            runs = tuple(rng.randint(2, 4) for _ in range(k))
+            w = tableau_to_perm(random_filling(shape_from_runs(runs).conjugated(), rng))
+            assert 40 <= len(w) <= 400 and is_minimal(w)
+            for _ in range(12):
+                i = rng.randrange(len(w) - 1)
+                swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                for word in (w, swapped):
+                    assert is_minimal_by_deletion(word) == deletion_by_recount(word) \
+                        == is_minimal(word), word
 
     def test_descent_count_monotone_under_deletion(self):
         # this monotonicity is what justifies checking one-element
