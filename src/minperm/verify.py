@@ -134,8 +134,8 @@ def check_odd_length_formula(max_n: int) -> Check:
 
 def check_double_descent_refinement(max_n: int) -> Check:
     name = "double-descent refinement"
-    brute = range(1, min((max_n - 1) // 2, 4) + 1)
-    for m in brute:
+    enumerated = range(1, min((max_n - 1) // 2, 4) + 1)
+    for m in enumerated:
         for i in range(1, m + 1):
             brute = sum(1 for _ in enumerate_minimal(
                 2 * m + 1, d=m + 1, double_descent_at=2 * i - 1))
@@ -164,7 +164,7 @@ def check_double_descent_refinement(max_n: int) -> Check:
             shape = SkewShape((m, m, i), (i - 1,))
             if skew_syt_count(shape) != double_descent_count(m, i):
                 return _fail(name, f"skew determinant differs at (m={m}, i={i})")
-    if not brute:
+    if not enumerated:
         return _ok(name, "sum identity, symmetry, hooks, and skew determinants; "
                          f"no enumeration at max_n={max_n}")
     return _ok(name, "enumeration, sum identity, symmetry, hooks, and skew determinants")

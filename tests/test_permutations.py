@@ -152,17 +152,15 @@ class TestDeletionOracle:
         assert not is_minimal_by_deletion((1, 2, 3, 4))
 
     def test_agrees_with_structural_test(self):
-        for n in range(2, 8):
-            for w in all_perms(n):
-                assert is_minimal_by_deletion(w) == is_minimal(w), w
-
-    def test_local_formula_matches_recount(self):
+        # the local formula against the recount and the structural test
         for n in range(0, 9):
             for w in all_perms(n):
-                assert is_minimal_by_deletion(w) == deletion_by_recount(w), w
+                assert is_minimal_by_deletion(w) == deletion_by_recount(w) \
+                    == is_minimal(w), w
 
     def test_local_formula_matches_recount_with_ties(self):
-        # any sequence, not only permutations: ties and entries outside 1..n
+        # any sequence, not only permutations: ties, and entries outside
+        # 1..n, which 0 and n + 1 end sentinels would misjudge
         assert is_minimal_by_deletion((5, -1)) and deletion_by_recount((5, -1))
         rng = random.Random(31)
         for _ in range(20000):
@@ -171,7 +169,7 @@ class TestDeletionOracle:
 
     def test_local_formula_matches_recount_past_the_cap(self):
         # minimal words of length 40-400 read off seeded fillings, and
-        # copies with one adjacent transposition, minimal or not
+        # copies of them with one adjacent transposition applied
         rng = random.Random(409)
         for k in (20, 50, 100):
             runs = tuple(rng.randint(2, 4) for _ in range(k))
