@@ -9,13 +9,12 @@ precisely what makes the rows of the image increase.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Sequence
 
 from .permutations import (check_permutation, decreasing_run_lengths,
                            minimality_violation)
-from .tableaux import (SkewTableau, _transpose, is_standard, is_two_regular,
-                       shape_from_runs)
+from .tableaux import SkewTableau, is_standard, is_two_regular, shape_from_runs
 
 
 def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
@@ -37,11 +36,14 @@ def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
     runs = decreasing_run_lengths(w)
     by_cols = shape_from_runs(runs)  # row j of this shape = drawn column j
     # drawn column j is inner[j] empty cells above run j; the run decreases,
-    # so read from the bottom cell upward the column spells it left to right
+    # so read from the bottom cell upward the column spells it left to right.
+    # Column lengths weakly decrease, so drawn row r is cut from the padded
+    # transpose at drawn.outer[r]
     cols = [(None,) * mu + w[end - a:end][::-1]
             for mu, a, end in zip(by_cols.inner, runs, accumulate(runs))]
     drawn = by_cols.conjugated()
-    return SkewTableau(drawn, _transpose(cols, drawn.outer))
+    return SkewTableau(drawn, tuple(row[:lam] for row, lam
+                                    in zip(zip_longest(*cols), drawn.outer)))
 
 
 def tableau_to_perm(t: SkewTableau) -> tuple[int, ...]:
@@ -55,5 +57,6 @@ def tableau_to_perm(t: SkewTableau) -> tuple[int, ...]:
         raise ValueError("tableau is not standard")
     if not is_two_regular(t):
         raise ValueError("tableau is not 2-regular")
-    return tuple(x for col in _transpose(t.rows, t.shape.conjugated().outer)
+    # rows shorten downward, so the padding ends each column; drop it too
+    return tuple(x for col in zip_longest(*t.rows)
                  for x in reversed(col) if x is not None)

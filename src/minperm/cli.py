@@ -18,7 +18,7 @@ from .counting import (catalan, mansour_yan, minimal_count,
                        minimal_count_band, minimal_count_by_runs,
                        one_ascent_count, two_ascent_count)
 from .errors import CapExceededError
-from .permutations import (DEFAULT_MAX_BRUTE_N, MAX_BRUTE_N_ENV, descent_count,
+from .permutations import (DEFAULT_MAX_BRUTE_N, descent_count,
                            enumerate_minimal, format_permutation,
                            parse_permutation)
 from .rsk import (apply_knuth_move, even_odd_split, insertion_tableau,
@@ -64,8 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument("--method", choices=("det", "closed", "brute"), default="det")
     count.add_argument("--format", choices=("csv", "json"), default="csv")
     count.add_argument("--max-brute-n", type=int, default=None,
-                       help="override the brute-force cap (default "
-                            f"{DEFAULT_MAX_BRUTE_N}, or {MAX_BRUTE_N_ENV})")
+                       help=f"override the brute-force cap (default {DEFAULT_MAX_BRUTE_N})")
     count.set_defaults(handler=_cmd_count)
 
     enum = sub.add_parser("enumerate", help="list minimal permutations")

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import os
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
 
 DEFAULT_MAX_BRUTE_N = 11
-MAX_BRUTE_N_ENV = "MINPERM_MAX_BRUTE_N"
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -253,14 +251,9 @@ def duplicate_loss(perm: Sequence[int], start: int, stop: int,
 
 
 def max_brute_n(override: int | None = None) -> int:
-    """Resolve the brute-force size cap: an explicit override wins, then the
-    MINPERM_MAX_BRUTE_N environment variable, then the default of 11.  An
-    override must be an int; the variable's text is parsed with int()."""
-    if override is not None:
-        value = override
-    else:
-        env = os.environ.get(MAX_BRUTE_N_ENV)
-        value = int(env) if env else DEFAULT_MAX_BRUTE_N
+    """Resolve the brute-force size cap: an explicit override wins, else the
+    default of 11.  An override must be an int of at least 1."""
+    value = DEFAULT_MAX_BRUTE_N if override is None else override
     if type(value) is not int:  # exact type: no bool, no float
         raise ValueError(f"brute-force cap must be an integer, got {value!r}")
     if value < 1:
@@ -301,7 +294,7 @@ def enumerate_minimal(n: int, d: int | None = None,
     if n > cap:
         raise CapExceededError(
             f"enumeration over S_{n} exceeds the brute-force cap {cap}; raise it "
-            f"via {MAX_BRUTE_N_ENV} or the max_n argument")
+            "via the max_n argument")
     wanted = None if runs is None else tuple(runs)
     if wanted is not None and not {int}.issuperset(map(type, wanted)):
         raise ValueError(f"run lengths must be integers: {wanted}")

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bijection import tableau_to_perm
-from .permutations import descent_set, minimality_violation, standardize
+from .permutations import (check_permutation, decreasing_run_lengths,
+                           minimality_violation, standardize)
 from .tableaux import SkewShape, SkewTableau
 
 Rows = tuple[tuple[int, ...], ...]
@@ -205,27 +206,23 @@ def legal_knuth_moves(word: Sequence[int]) -> list[KnuthMove]:
 
 
 def double_descent_class(perm: Sequence[int]) -> tuple[int, int]:
-    """Validate that perm is minimal of odd length 2n+1 with n+1 descents
-    and a single adjacent descent pair at positions (2i-1, 2i); return
-    (n, i)."""
-    w = tuple(perm)
+    """Validate that perm is minimal of odd length 2n+1 with n+1 descents;
+    return (n, i) for its one adjacent descent pair (2i-1, 2i).
+
+    Minimality makes every decreasing run at least 2 long, so the n runs
+    that n+1 descents leave in 2n+1 letters are one 3 and n-1 2s.  The 3
+    is run i: it starts at position 2i-1 and holds the descents 2i-1, 2i."""
+    w = check_permutation(perm)
     reason = minimality_violation(w)
     if reason is not None:
         raise ValueError(f"{w} is not minimal: {reason}")
     if len(w) % 2 == 0:
         raise ValueError(f"length must be odd, got {len(w)}")
     n = (len(w) - 1) // 2
-    descents = descent_set(w)
-    if len(descents) != n + 1:
-        raise ValueError(f"{w} has {len(descents)} descents, expected {n + 1}")
-    pairs = sorted(j for j in descents if j + 1 in descents)
-    if len(pairs) != 1:
-        raise ValueError(f"{w} has adjacent descent pairs starting at {pairs}, "
-                         "expected exactly one")
-    start = pairs[0]
-    if start % 2 == 0:
-        raise ValueError(f"adjacent descent pair starts at even position {start}")
-    return n, (start + 1) // 2
+    runs = decreasing_run_lengths(w)
+    if len(runs) != n:
+        raise ValueError(f"{w} has {len(w) - len(runs)} descents, expected {n + 1}")
+    return n, runs.index(3) + 1
 
 
 def even_odd_split(perm: Sequence[int]) -> tuple[int, ...]:

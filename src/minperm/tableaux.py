@@ -4,11 +4,9 @@ English convention throughout: row 1 is the top row, cells are addressed
 (row, column) 1-indexed, and entries increase along rows and down columns.
 A partition is a weakly decreasing tuple of positive integers.
 
-Drawn column j of a skew shape is row j of shape.conjugated(); every
-column access goes through the conjugate, _transpose for fillings, which
-takes its column heights from the conjugated shape.  A shape validates its
-parts once, on construction; conjugated() reuses them, since the conjugate
-of a valid skew shape is valid, and runs no validation again.
+Drawn column j of a skew shape is row j of shape.conjugated().  A shape
+validates its parts once, on construction; conjugated() reuses them, since
+the conjugate of a valid skew shape is valid, and runs no validation again.
 
 Counting is exact and uses integers only.  The determinant route builds
 each matrix row integral and eliminates it, with no row swaps since every
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
@@ -178,15 +175,6 @@ class SkewTableau:
                 and self.shape.inner[row - 1] < col <= self.shape.outer[row - 1]):
             raise ValueError(f"cell ({row},{col}) is outside the shape")
         return self.rows[row - 1][col - 1]
-
-
-def _transpose(rows: Sequence[Sequence[int | None]],
-               heights: Sequence[int]) -> tuple[tuple[int | None, ...], ...]:
-    """The columns of a skew filling given row by row, None in inner cells.
-    Row lengths weakly decrease, so column c is the first heights[c]
-    entries of the padded transpose, where heights is the conjugate of the
-    row lengths: the outer partition of the conjugated shape."""
-    return tuple(col[:h] for col, h in zip(zip_longest(*rows), heights))
 
 
 def is_standard(t: SkewTableau) -> bool:

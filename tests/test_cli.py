@@ -116,8 +116,11 @@ class TestCount:
             assert (code, out) == (3, "") and "above the cap" in err
 
     def test_cap_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "6")
-        assert run(capsys, "count", "--n", "7", "--method", "brute")[0] == 3
+        # only --max-brute-n sets the cap; a stray variable changes nothing
+        monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "5")
+        assert run(capsys, "count", "--n", "7", "--method", "brute")[0] == 0
+        assert run(capsys, "count", "--n", "8", "--method", "brute",
+                   "--max-brute-n", "7")[0] == 3
         assert run(capsys, "count", "--n", "7", "--method", "brute",
                    "--max-brute-n", "7")[0] == 0
 

@@ -254,11 +254,15 @@ class TestEnumerateMinimal:
             list(enumerate_minimal(12))
 
     def test_cap_env_override(self, monkeypatch):
+        # only the max_n argument sets the cap; a stray variable changes nothing
         monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "5")
-        assert max_brute_n() == 5
+        assert max_brute_n() == 11
+        assert list(enumerate_minimal(6))
         with pytest.raises(CapExceededError):
-            enumerate_minimal(6)
-        assert list(enumerate_minimal(6, max_n=6))  # explicit override wins
+            enumerate_minimal(12)
+        with pytest.raises(CapExceededError):  # explicit overrides move it both ways
+            enumerate_minimal(6, max_n=5)
+        assert list(enumerate_minimal(6, max_n=6))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -292,13 +296,12 @@ class TestEnumerateMinimal:
         with pytest.raises(ValueError, match="n must be an integer, got True"):
             enumerate_minimal(True)
 
-    def test_non_integer_cap_rejected(self, monkeypatch):
+    def test_non_integer_cap_rejected(self):
         with pytest.raises(ValueError, match=r"brute-force cap must be an integer, got 11\.9"):
             max_brute_n(11.9)
         with pytest.raises(ValueError, match="brute-force cap must be an integer, got True"):
             enumerate_minimal(1, max_n=True)
-        monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "7")  # the variable's text still parses
-        assert max_brute_n() == 7 and max_brute_n(9) == 9
+        assert max_brute_n() == 11 and max_brute_n(9) == 9
 
     def test_short_runs_yield_nothing(self):
         for runs in ((1, 4), (3, 1, 1), (5, 0), (6, -1), (1,) * 5):

@@ -1,13 +1,16 @@
 import bisect
+import itertools
 import random
 
 import pytest
+from test_bijection import random_filling
 
-from minperm import (KnuthMove, apply_knuth_move, double_descent_class,
-                     enumerate_minimal, even_odd_split, insertion_tableau,
-                     inverse_bump, knuth_chain, legal_knuth_moves,
-                     minimal_to_syt, row_insert, rsk, rsk_inverse, rsk_trace,
-                     syt_to_minimal)
+from minperm import (KnuthMove, SkewShape, apply_knuth_move, descent_set,
+                     double_descent_class, enumerate_minimal, even_odd_split,
+                     insertion_tableau, inverse_bump, knuth_chain,
+                     legal_knuth_moves, minimal_to_syt, minimality_violation,
+                     row_insert, rsk, rsk_inverse, rsk_trace, syt_to_minimal,
+                     tableau_to_perm)
 from minperm.verify import WORKED_PERM_13, WORKED_SPLIT_13
 
 
@@ -18,6 +21,38 @@ def random_syt(rng, values):
     for x in order:
         p, _ = row_insert(p, x)
     return p
+
+
+def double_descent_class_by_pairs(perm):
+    """Oracle for double_descent_class that reads the descent set instead of
+    the run profile: it requires exactly one adjacent descent pair, starting
+    at an odd position."""
+    w = tuple(perm)
+    reason = minimality_violation(w)
+    if reason is not None:
+        raise ValueError(f"{w} is not minimal: {reason}")
+    if len(w) % 2 == 0:
+        raise ValueError(f"length must be odd, got {len(w)}")
+    n = (len(w) - 1) // 2
+    descents = descent_set(w)
+    if len(descents) != n + 1:
+        raise ValueError(f"{w} has {len(descents)} descents, expected {n + 1}")
+    pairs = sorted(j for j in descents if j + 1 in descents)
+    if len(pairs) != 1:
+        raise ValueError(f"{w} has adjacent descent pairs starting at {pairs}, "
+                         "expected exactly one")
+    start = pairs[0]
+    if start % 2 == 0:
+        raise ValueError(f"adjacent descent pair starts at even position {start}")
+    return n, (start + 1) // 2
+
+
+def class_outcome(fn, w):
+    """fn(w), or the message of the ValueError it raises."""
+    try:
+        return fn(w)
+    except ValueError as exc:
+        return str(exc)
 
 
 def longest_increasing(word):
@@ -182,6 +217,30 @@ class TestDoubleDescentClass:
         # minimal and of odd length, but with n+2 descents instead of n+1
         with pytest.raises(ValueError, match="descents"):
             double_descent_class((5, 4, 3, 2, 1))
+        # not a permutation, though its runs (2, 3) would read as class (2, 2)
+        for fn in (double_descent_class, even_odd_split, knuth_chain, minimal_to_syt):
+            with pytest.raises(ValueError, match="not a permutation"):
+                fn((5, 4, 4, 2, 1))
+
+    def test_matches_pairs_oracle_small(self):
+        # every permutation of odd length up to 7, minimal or not
+        for length in (1, 3, 5, 7):
+            for w in itertools.permutations(range(1, length + 1)):
+                assert (class_outcome(double_descent_class, w)
+                        == class_outcome(double_descent_class_by_pairs, w))
+        for w in enumerate_minimal(9, d=5):
+            assert double_descent_class(w) == double_descent_class_by_pairs(w)
+
+    def test_matches_pairs_oracle_long(self):
+        # (m, m, i)/(i-1) is the drawn shape of the class (m, i): its i-th
+        # column has three cells, every other column two
+        rng = random.Random(13)
+        for m in (50, 150):
+            for i in sorted({1, 2, m // 2, m - 1, m, *rng.sample(range(1, m + 1), 5)}):
+                t = random_filling(SkewShape((m, m, i), (i - 1,)), rng)
+                w = tableau_to_perm(t)
+                assert len(w) == 2 * m + 1
+                assert double_descent_class(w) == double_descent_class_by_pairs(w) == (m, i)
 
 
 class TestEvenOddSplit:

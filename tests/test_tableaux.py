@@ -162,22 +162,12 @@ def two_regular_by_scan(shape):
                for left, right in zip(spans, spans[1:]))
 
 
-def transpose_by_heights(rows):
-    """Column c of a filling holds the c-th entry of its first
-    conjugate(row lengths)[c] rows."""
-    heights = conjugate([len(row) for row in rows])
-    return tuple(tuple(row[c] for row in rows[:h]) for c, h in enumerate(heights))
-
-
 def assert_conjugated_consistent(shape):
     """conjugated() skips validation, so compare it with the validating
-    constructor, and check _transpose on the heights it supplies."""
+    constructor."""
     conj = shape.conjugated()
     assert conj == SkewShape(conjugate(shape.outer), conjugate(shape.inner))
     assert conj.conjugated() == shape
-    cells = [[None] * mu + [(i, c) for c in range(mu, lam)]
-             for i, (lam, mu) in enumerate(zip(shape.outer, shape.inner))]
-    assert tableaux._transpose(cells, conj.outer) == transpose_by_heights(cells)
 
 
 def assert_columns_match_scan(shape):
