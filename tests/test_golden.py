@@ -17,6 +17,12 @@ from minperm.permutations import format_permutation
 from minperm.verify import WORKED_PERM_13, WORKED_PERM_16
 
 GOLDEN = Path(__file__).parent / "golden"
+# a class member of length 61 with its double descent at (13, 14), i = 7: the
+# column reading of test_bijection.random_filling(SkewShape((30, 30, 7), (6,)),
+# random.Random(61)); its Knuth chain has 276 moves
+CLASS_MEMBER_61 = ("3,1,8,5,20,6,21,7,23,10,30,11,34,12,2,14,4,15,9,16,13,18,17,25,19,"
+                   "27,22,31,24,32,26,33,28,35,29,37,36,40,38,41,39,47,42,48,43,50,44,"
+                   "52,45,54,46,57,49,58,51,59,53,60,55,61,56")
 
 INVOCATIONS = {
     "count_n14_json": ["count", "--n", "14", "--format", "json"],
@@ -33,6 +39,7 @@ INVOCATIONS = {
                             (GOLDEN / "tableau40.json").read_text().strip()],
     "rsk_perm16": ["rsk", "--perm", format_permutation(WORKED_PERM_16)],
     "knuth_chain_perm13": ["knuth-chain", "--perm", format_permutation(WORKED_PERM_13)],
+    "knuth_chain_perm61": ["knuth-chain", "--perm", CLASS_MEMBER_61],
     "verify_bijection_7": ["verify", "--suite", "bijection", "--max-n", "7"],
     "verify_rsk_5": ["verify", "--suite", "rsk", "--max-n", "5"],
     # the determinant is checked against counted standard fillings
