@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 brute-force or determinant cap exceeded.  Counts print as CSV (header
-n,d,count) or JSON lines with big integers rendered as decimal strings.
+3 brute-force, determinant or knuth-chain output cap exceeded.  Counts
+print as CSV (header n,d,count) or JSON lines with big integers rendered
+as decimal strings.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from .counting import (catalan, mansour_yan, minimal_count,
                        minimal_count_band, minimal_count_by_runs,
                        one_ascent_count, two_ascent_count)
 from .errors import CapExceededError
-from .permutations import (DEFAULT_MAX_BRUTE_N, descent_count,
+from .permutations import (DEFAULT_MAX_BRUTE_N, _separator, descent_count,
                            enumerate_minimal, format_permutation,
-                           parse_permutation)
-from .rsk import (apply_knuth_move, even_odd_split, insertion_tableau,
-                  knuth_chain, rsk_trace)
+                           max_brute_n, parse_permutation)
+from .rsk import (_knuth_swap, double_descent_class, even_odd_split,
+                  insertion_tableau, knuth_chain, rsk_trace)
 from .tableaux import tableau_from_json, tableau_to_json
 from .verify import SUITES, run_suite
 
@@ -37,9 +38,15 @@ OK, VERIFY_FAILURE, USAGE_ERROR, CAP_ERROR = 0, 1, 2, 3
 # cells the slowest profiles found, a block of big parts followed by 2s
 # such as (12,)*50 + (2,)*450, took 15 s, and the largest took 200 MB; at
 # 600 parts and 1,800 cells they took 30 s and 340 MB.
+# knuth-chain prints one word per move, Theta(n^3) characters in all, and
+# holds them in memory about three times over, so it refuses a chain whose
+# words would take more than MAX_CHAIN_CHARS characters.  Just under the
+# cap, length 801 with i = 1 (79,800 words of 3,095 characters) took 3.5-4.0 s
+# and 760 MB, and length 1001 with i = 143 took 3.9 s and 762 MB.
 MAX_DET_N = 160
 MAX_ASCENT_PARTS = 500
 MAX_ASCENT_CELLS = 1500
+MAX_CHAIN_CHARS = 250_000_000
 
 
 def _ascents_arg(text: str) -> tuple[int, ...]:
@@ -113,6 +120,16 @@ def _closed_form(n: int, d: int) -> int | None:
     return None
 
 
+def _brute_force(n: int, max_n: int | None, **constraints):
+    """enumerate_minimal(n, max_n=max_n, ...), whose cap error names the
+    --max-brute-n flag instead of the library's max_n argument."""
+    try:
+        yield from enumerate_minimal(n, max_n=max_n, **constraints)
+    except CapExceededError:
+        raise CapExceededError(f"enumeration over S_{n} exceeds the brute-force cap "
+                               f"{max_brute_n(max_n)}; raise it via --max-brute-n") from None
+
+
 def _emit_rows(rows: Sequence[tuple[int, int, int]], fmt: str) -> None:
     if fmt == "csv":
         print("n,d,count")
@@ -145,8 +162,7 @@ def _cmd_count(args) -> int:
                     f"{MAX_ASCENT_PARTS} parts and {MAX_ASCENT_CELLS} cells")
             value = minimal_count_by_runs(runs)
         elif args.method == "brute":
-            value = sum(1 for _ in enumerate_minimal(n, runs=runs,
-                                                     max_n=args.max_brute_n))
+            value = sum(1 for _ in _brute_force(n, args.max_brute_n, runs=runs))
         else:
             raise ValueError("no closed form is available for a fixed ascent sequence")
         rows.append((n, d, value))
@@ -154,7 +170,7 @@ def _cmd_count(args) -> int:
         band = [args.d] if args.d is not None else list(range((n + 1) // 2, n))
         if args.method == "brute":
             tally: Counter = Counter()
-            for w in enumerate_minimal(n, max_n=args.max_brute_n):
+            for w in _brute_force(n, args.max_brute_n):
                 tally[descent_count(w)] += 1
             rows.extend((n, d, tally[d]) for d in band)
         elif args.method == "det":
@@ -184,9 +200,8 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.ascents is not None and args.d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
-    stream = enumerate_minimal(args.n, d=args.d, runs=args.ascents,
-                               double_descent_at=args.double_descent_at,
-                               max_n=args.max_brute_n)
+    stream = _brute_force(args.n, args.max_brute_n, d=args.d, runs=args.ascents,
+                          double_descent_at=args.double_descent_at)
     for w in stream:
         print(format_permutation(w))
     return OK
@@ -225,16 +240,30 @@ def _cmd_rsk(args) -> int:
 
 def _cmd_knuth_chain(args) -> int:
     w = parse_permutation(args.perm)
+    n, i = double_descent_class(w)
+    # knuth_chain's sweeps make (n-i)(n-i+1)/2 moves, and every word the
+    # chain passes through is as long as the first
+    text = format_permutation(w)
+    words_needed = (n - i) * (n - i + 1) // 2
+    if words_needed * len(text) > MAX_CHAIN_CHARS:
+        raise CapExceededError(
+            f"knuth-chain on length {len(w)} with i={i} would print {words_needed} words "
+            f"of {len(text)} characters, above the cap of {MAX_CHAIN_CHARS} characters")
     moves = knuth_chain(w)
-    word = w
+    # replay the chain on one list, swapping the printed tokens alongside
+    word = list(w)
+    tokens = list(map(str, w))
+    sep = _separator(len(w))
     words = []
     for move in moves:
-        word = apply_knuth_move(word, move)
-        words.append(format_permutation(word))
+        j = _knuth_swap(word, move)
+        tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
+        words.append(sep.join(tokens))
+    word = tuple(word)
     target = even_odd_split(w)
     unchanged = insertion_tableau(w) == insertion_tableau(word)
     print(json.dumps({
-        "perm": format_permutation(w),
+        "perm": text,
         "moves": [{"position": m.position, "kind": m.kind} for m in moves],
         "words": words,
         "final": format_permutation(word),

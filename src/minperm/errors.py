@@ -1,3 +1,3 @@
 class CapExceededError(RuntimeError):
-    """Raised when a brute-force sweep or a determinant count would exceed
-    its size cap."""
+    """Raised when a brute-force sweep, a determinant count or a printed
+    Knuth chain would exceed its size cap."""

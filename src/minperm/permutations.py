@@ -401,8 +401,12 @@ def format_permutation(perm: Sequence[int]) -> str:
     >>> format_permutation((2, 1, 4, 3))
     '2 1 4 3'
     """
-    sep = " " if len(perm) <= 9 else ","
-    return sep.join(map(str, perm))
+    return _separator(len(perm)).join(map(str, perm))
+
+
+def _separator(n: int) -> str:
+    """The separator format_permutation puts between the n letters."""
+    return " " if n <= 9 else ","
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:

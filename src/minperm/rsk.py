@@ -11,6 +11,8 @@ adjacent descent pair, at positions (2i-1, 2i) for some 1 <= i <= n.  Such
 a word is Knuth-equivalent to the word that keeps its first 2i letters and
 then lists the remaining even-position letters followed by the odd-position
 ones; the chain of elementary moves realizing this is produced explicitly.
+Moves are applied in place on one list, and each move's legality is checked
+in O(1) by comparing the three letters of its triple.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ _PATTERNS = {"bac": (2, 1, 3), "bca": (2, 3, 1), "acb": (1, 3, 2), "cab": (3, 1,
 _SWAP_FIRST = {"acb", "cab"}
 _INVERSE = {"bac": "bca", "bca": "bac", "acb": "cab", "cab": "acb"}
 _KINDS = {pattern: kind for kind, pattern in _PATTERNS.items()}
+# offsets into the triple from its smallest letter to its largest, so that
+# word[s + lo] < word[s + mid] < word[s + hi] tests a move: (1, 0, 2) for "bac"
+_ORDER = {kind: tuple(sorted(range(3), key=pattern.__getitem__))
+          for kind, pattern in _PATTERNS.items()}
 
 
 def _bump(rows: list[list[int]], x: int) -> list[Cell]:
@@ -174,24 +180,37 @@ class KnuthMove:
         return KnuthMove(self.position, _INVERSE[self.kind])
 
 
+def _knuth_swap(word: list[int], move: KnuthMove) -> int:
+    """Apply one elementary Knuth move to word in place, in O(1), and return
+    the 0-indexed position j of the swapped pair word[j], word[j+1].
+
+    Raises ValueError naming the pattern actually found when the triple
+    does not match the move's kind; the word is then left unchanged.
+    """
+    t = move.position
+    if not 1 <= t <= len(word) - 2:
+        raise ValueError(f"no triple starts at position {t} in a word of length {len(word)}")
+    lo, mid, hi = _ORDER[move.kind]
+    s = t - 1
+    if not word[s + lo] < word[s + mid] < word[s + hi]:
+        triple = tuple(word[s:s + 3])
+        found = standardize(triple)
+        raise ValueError(f"triple {triple} at position {t} has pattern "
+                         f"{_KINDS.get(found, found)}, not {move.kind}")
+    j = s if move.kind in _SWAP_FIRST else t
+    word[j], word[j + 1] = word[j + 1], word[j]
+    return j
+
+
 def apply_knuth_move(word: Sequence[int], move: KnuthMove) -> tuple[int, ...]:
     """Apply one elementary Knuth move; the insertion tableau is unchanged.
 
     Raises ValueError naming the pattern actually found when the triple
     does not match the move's kind.
     """
-    w = tuple(word)
-    t = move.position
-    if not 1 <= t <= len(w) - 2:
-        raise ValueError(f"no triple starts at position {t} in a word of length {len(w)}")
-    triple = w[t - 1:t + 2]
-    found = standardize(triple)
-    if found != _PATTERNS[move.kind]:
-        raise ValueError(f"triple {triple} at position {t} has pattern "
-                         f"{_KINDS.get(found, found)}, not {move.kind}")
-    if move.kind in _SWAP_FIRST:
-        return w[:t - 1] + (w[t], w[t - 1]) + w[t + 1:]
-    return w[:t] + (w[t + 1], w[t]) + w[t + 2:]
+    w = list(word)
+    _knuth_swap(w, move)
+    return tuple(w)
 
 
 def legal_knuth_moves(word: Sequence[int]) -> list[KnuthMove]:
@@ -244,8 +263,9 @@ def knuth_chain(perm: Sequence[int]) -> list[KnuthMove]:
 
     Sweep s first pulls one even-position letter forward with a "bac" move
     at position 2i+s-1, then pushes the odd-position letters one slot back
-    with "acb" moves marching right two positions at a time.  Legality of
-    every move is enforced while the chain is built.
+    with "acb" moves marching right two positions at a time, (n-i)(n-i+1)/2
+    moves in all.  The moves are applied in place on one list, and the
+    legality of each is checked in O(1).
 
     >>> knuth_chain((3, 2, 1))
     []
@@ -255,15 +275,14 @@ def knuth_chain(perm: Sequence[int]) -> list[KnuthMove]:
     w = tuple(perm)
     n, i = double_descent_class(w)
     moves: list[KnuthMove] = []
-    word = w
+    word = list(w)
     for s in range(1, n - i + 1):
-        sweep = [KnuthMove(2 * i + s - 1, "bac")]
-        sweep.extend(KnuthMove(q, "acb") for q in range(2 * i + s + 2, 2 * n - s + 1, 2))
-        for move in sweep:
-            word = apply_knuth_move(word, move)
-            moves.append(move)
-    if word != even_odd_split(w):
-        raise AssertionError(f"sweep schedule for {w} ended at {word}")
+        moves.append(KnuthMove(2 * i + s - 1, "bac"))
+        moves.extend(KnuthMove(q, "acb") for q in range(2 * i + s + 2, 2 * n - s + 1, 2))
+    for move in moves:
+        _knuth_swap(word, move)
+    if tuple(word) != even_odd_split(w):
+        raise AssertionError(f"sweep schedule for {w} ended at {tuple(word)}")
     return moves
 
 

@@ -3,6 +3,7 @@ import math
 
 import minperm.verify as verify
 from minperm import catalan, minimal_count, one_ascent_count, two_ascent_count
+import minperm.cli as cli
 from minperm.cli import MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_DET_N, main
 from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
                             check_double_descent_refinement,
@@ -115,6 +116,16 @@ class TestCount:
                                  "--ascents", ",".join(map(str, runs)))
             assert (code, out) == (3, "") and "above the cap" in err
 
+    def test_brute_cap_names_flag(self, capsys):
+        # the CLI user raises the cap with --max-brute-n, not the library's max_n
+        for argv in (("enumerate", "--n", "12"), ("count", "--n", "12", "--method", "brute")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert err == ("error: enumeration over S_12 exceeds the brute-force cap 11; "
+                           "raise it via --max-brute-n\n")
+        code, out, err = run(capsys, "enumerate", "--n", "8", "--max-brute-n", "7")
+        assert (code, out) == (3, "") and "cap 7; raise it via --max-brute-n" in err
+
     def test_cap_env_override(self, capsys, monkeypatch):
         # only --max-brute-n sets the cap; a stray variable changes nothing
         monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "5")
@@ -215,6 +226,30 @@ class TestKnuthChain:
     def test_out_of_class_rejected(self, capsys):
         code, _, err = run(capsys, "knuth-chain", "--perm", "2 1 4 3")
         assert code == 2 and "odd" in err
+
+    def test_staircase_member(self, capsys):
+        # 3,2,1,5,4,...,301,300 is the class (150, 1): 149 * 150 / 2 moves
+        perm = [3, 2, 1] + [x for k in range(2, 151) for x in (2 * k + 1, 2 * k)]
+        code, out, _ = run(capsys, "knuth-chain", "--perm", ",".join(map(str, perm)))
+        payload = json.loads(out)
+        assert code == 0 and len(payload["moves"]) == len(payload["words"]) == 11175
+        assert payload["insertion_tableau_unchanged"] is True
+        assert payload["final"] == payload["target"] == payload["words"][-1]
+
+    def test_output_cap(self, capsys, monkeypatch):
+        # the class (1000, 1) at length 2001 is refused before any move is made
+        perm = [3, 2, 1] + [x for k in range(2, 1001) for x in (2 * k + 1, 2 * k)]
+        code, out, err = run(capsys, "knuth-chain", "--perm", ",".join(map(str, perm)))
+        assert (code, out) == (3, "")
+        assert "length 2001 with i=1 would print 499500 words of 8897 characters" in err
+        # 3 2 1 5 4 7 6 passes through 3 words of 13 characters each
+        monkeypatch.setattr(cli, "MAX_CHAIN_CHARS", 39)
+        assert run(capsys, "knuth-chain", "--perm", "3 2 1 5 4 7 6")[0] == 0
+        monkeypatch.setattr(cli, "MAX_CHAIN_CHARS", 38)
+        code, out, err = run(capsys, "knuth-chain", "--perm", "3 2 1 5 4 7 6")
+        assert (code, out) == (3, "")
+        assert err == ("error: knuth-chain on length 7 with i=1 would print 3 words of "
+                       "13 characters, above the cap of 38 characters\n")
 
 
 class TestVerify:

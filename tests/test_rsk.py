@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import json
 import random
 
 import pytest
@@ -7,10 +8,12 @@ from test_bijection import random_filling
 
 from minperm import (KnuthMove, SkewShape, apply_knuth_move, descent_set,
                      double_descent_class, enumerate_minimal, even_odd_split,
-                     insertion_tableau, inverse_bump, knuth_chain,
-                     legal_knuth_moves, minimal_to_syt, minimality_violation,
-                     row_insert, rsk, rsk_inverse, rsk_trace, syt_to_minimal,
-                     tableau_to_perm)
+                     format_permutation, insertion_tableau, inverse_bump,
+                     knuth_chain, legal_knuth_moves, minimal_to_syt,
+                     minimality_violation, row_insert, rsk, rsk_inverse,
+                     rsk_trace, standardize, syt_to_minimal, tableau_to_perm)
+from minperm.cli import main
+from minperm.rsk import _knuth_swap
 from minperm.verify import WORKED_PERM_13, WORKED_SPLIT_13
 
 
@@ -63,6 +66,56 @@ def longest_increasing(word):
         k = bisect.bisect_left(tops, x)
         tops[k:k + 1] = [x]
     return len(tops)
+
+
+KNUTH_PATTERNS = {"bac": (2, 1, 3), "bca": (2, 3, 1), "acb": (1, 3, 2), "cab": (3, 1, 2)}
+
+
+def apply_knuth_move_by_copies(word, move):
+    """Oracle for apply_knuth_move, the slow path: standardize the triple,
+    compare it with the move's pattern, and build a new tuple."""
+    w = tuple(word)
+    t = move.position
+    if not 1 <= t <= len(w) - 2:
+        raise ValueError(f"no triple starts at position {t} in a word of length {len(w)}")
+    triple = w[t - 1:t + 2]
+    found = standardize(triple)
+    if found != KNUTH_PATTERNS[move.kind]:
+        kinds = {pattern: kind for kind, pattern in KNUTH_PATTERNS.items()}
+        raise ValueError(f"triple {triple} at position {t} has pattern "
+                         f"{kinds.get(found, found)}, not {move.kind}")
+    if move.kind in ("acb", "cab"):
+        return w[:t - 1] + (w[t], w[t - 1]) + w[t + 1:]
+    return w[:t] + (w[t + 1], w[t]) + w[t + 2:]
+
+
+def knuth_chain_by_copies(perm):
+    """Oracle for knuth_chain: the same sweep schedule, every move replayed
+    through apply_knuth_move_by_copies.  Returns the moves and each word
+    the chain passes through."""
+    n, i = double_descent_class(perm)
+    word, moves, words = tuple(perm), [], []
+    for s in range(1, n - i + 1):
+        sweep = [KnuthMove(2 * i + s - 1, "bac")]
+        sweep += [KnuthMove(q, "acb") for q in range(2 * i + s + 2, 2 * n - s + 1, 2)]
+        for move in sweep:
+            word = apply_knuth_move_by_copies(word, move)
+            moves.append(move)
+            words.append(word)
+    return moves, words
+
+
+def swap_outcome(word, move):
+    """The word _knuth_swap leaves, or its ValueError message (the word
+    must then be unchanged)."""
+    w = list(word)
+    try:
+        j = _knuth_swap(w, move)
+    except ValueError as exc:
+        assert w == list(word)
+        return str(exc)
+    assert [k for k in range(len(w)) if w[k] != word[k]] == [j, j + 1]
+    return tuple(w)
 
 
 class TestRowInsert:
@@ -189,6 +242,17 @@ class TestKnuthMoves:
         with pytest.raises(ValueError):
             KnuthMove(1, "abc")
 
+    def test_in_place_swap_matches_copying_oracle(self):
+        # every ordering of a triple at every position of a length-5 word,
+        # positions outside the word, short words, and repeated letters
+        words = [*itertools.permutations(range(1, 6)), (), (1,), (2, 1), (1, 1, 2, 3, 4)]
+        for word in words:
+            for t, kind in itertools.product(range(-1, 7), KNUTH_PATTERNS):
+                move = KnuthMove(t, kind)
+                expected = class_outcome(lambda w: apply_knuth_move_by_copies(w, move), word)
+                assert swap_outcome(word, move) == expected, (word, move)
+                assert class_outcome(lambda w: apply_knuth_move(w, move), word) == expected
+
     def test_insertion_tableau_invariant(self):
         rng = random.Random(17)
         cases = 0
@@ -273,6 +337,22 @@ class TestKnuthChain:
                     word = apply_knuth_move(word, move)
                 assert word == even_odd_split(w)
                 assert insertion_tableau(word) == insertion_tableau(w)
+
+
+    def test_chain_matches_copying_oracle_long(self, capsys):
+        # class members filled from (m, m, i)/(i-1); length 9 prints its
+        # words space-separated, the longer ones comma-separated
+        rng = random.Random(101)
+        for m in (4, 50, 150):
+            for i in sorted({1, 2, 3, 4, m}):
+                w = tableau_to_perm(random_filling(SkewShape((m, m, i), (i - 1,)), rng))
+                moves, words = knuth_chain_by_copies(w)
+                assert knuth_chain(w) == moves
+                assert len(moves) == (m - i) * (m - i + 1) // 2
+                assert (words[-1] if words else w) == even_odd_split(w)
+                assert main(["knuth-chain", "--perm", format_permutation(w)]) == 0
+                payload = json.loads(capsys.readouterr().out)
+                assert payload["words"] == [format_permutation(x) for x in words]
 
 
 class TestClassMaps:
