@@ -7,6 +7,7 @@ Regenerate the files (only when an output is meant to change) with
 
 import contextlib
 import io
+import random
 import sys
 from pathlib import Path
 
@@ -23,6 +24,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CLASS_MEMBER_61 = ("3,1,8,5,20,6,21,7,23,10,30,11,34,12,2,14,4,15,9,16,13,18,17,25,19,"
                    "27,22,31,24,32,26,33,28,35,29,37,36,40,38,41,39,47,42,48,43,50,44,"
                    "52,45,54,46,57,49,58,51,59,53,60,55,61,56")
+# a seeded random word of length 300 for rsk: long insertion paths and rows
+WORD_300 = random.Random(300).sample(range(1, 301), 300)
 
 INVOCATIONS = {
     "count_n14_json": ["count", "--n", "14", "--format", "json"],
@@ -38,6 +41,7 @@ INVOCATIONS = {
     "bijection_tableau40": ["bijection", "--tableau",
                             (GOLDEN / "tableau40.json").read_text().strip()],
     "rsk_perm16": ["rsk", "--perm", format_permutation(WORKED_PERM_16)],
+    "rsk_word300": ["rsk", "--perm", format_permutation(WORD_300)],
     "knuth_chain_perm13": ["knuth-chain", "--perm", format_permutation(WORKED_PERM_13)],
     "knuth_chain_perm61": ["knuth-chain", "--perm", CLASS_MEMBER_61],
     "verify_bijection_7": ["verify", "--suite", "bijection", "--max-n", "7"],
