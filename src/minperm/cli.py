@@ -1,18 +1,22 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 brute-force, determinant or knuth-chain output cap exceeded.  Counts
-print as CSV (header n,d,count) or JSON lines with big integers rendered
-as decimal strings.
+3 brute-force, determinant or knuth-chain output cap exceeded, 141 the
+reader closed stdout before the output ended (128 + SIGPIPE, as a shell
+reports a process that signal ended; nothing is printed to stderr).
+Counts print as CSV (header n,d,count) or JSON lines with big integers
+rendered as decimal strings.  The long JSON outputs of rsk and knuth-chain
+are written in pieces, in order, byte for byte as json.dumps prints them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bijection import perm_to_tableau, tableau_to_perm
 from .counting import (catalan, mansour_yan, minimal_count,
@@ -22,12 +26,14 @@ from .errors import CapExceededError
 from .permutations import (DEFAULT_MAX_BRUTE_N, _separator, descent_count,
                            enumerate_minimal, format_permutation,
                            max_brute_n, parse_permutation)
-from .rsk import (_knuth_swap, double_descent_class, even_odd_split,
-                  insertion_tableau, knuth_chain, rsk_trace)
+from .rsk import (KnuthMove, _knuth_swap, _rsk_steps, double_descent_class,
+                  even_odd_split, insertion_tableau, knuth_chain)
 from .tableaux import tableau_from_json, tableau_to_json
 from .verify import SUITES, run_suite
 
 OK, VERIFY_FAILURE, USAGE_ERROR, CAP_ERROR = 0, 1, 2, 3
+# 128 + SIGPIPE (13): what a shell reports for a process that SIGPIPE ended
+BROKEN_PIPE = 141
 # count --method det refuses an in-band n above MAX_DET_N, and an --ascents
 # profile with more parts than MAX_ASCENT_PARTS or more cells than
 # MAX_ASCENT_CELLS; a profile's cost grows with its cells as well as its
@@ -38,11 +44,12 @@ OK, VERIFY_FAILURE, USAGE_ERROR, CAP_ERROR = 0, 1, 2, 3
 # cells the slowest profiles found, a block of big parts followed by 2s
 # such as (12,)*50 + (2,)*450, took 15 s, and the largest took 200 MB; at
 # 600 parts and 1,800 cells they took 30 s and 340 MB.
-# knuth-chain prints one word per move, Theta(n^3) characters in all, and
-# holds them in memory about three times over, so it refuses a chain whose
-# words would take more than MAX_CHAIN_CHARS characters.  Just under the
-# cap, length 801 with i = 1 (79,800 words of 3,095 characters) took 3.5-4.0 s
-# and 760 MB, and length 1001 with i = 143 took 3.9 s and 762 MB.
+# knuth-chain prints one word per move, Theta(n^3) characters in all.  It
+# writes them one at a time, so its memory follows one word, but its time
+# and output follow all of them: it refuses a chain whose words would take
+# more than MAX_CHAIN_CHARS characters.  Just under the cap, writing to a
+# file, length 801 with i = 1 (79,800 words of 3,095 characters) took 1.6 s
+# and 26 MB, and length 1001 with i = 143 took 1.5 s and 25 MB.
 MAX_DET_N = 160
 MAX_ASCENT_PARTS = 500
 MAX_ASCENT_CELLS = 1500
@@ -227,15 +234,42 @@ def _cmd_bijection(args) -> int:
     return OK if ok else VERIFY_FAILURE
 
 
+def _write_array(out, texts: Iterable[str]) -> None:
+    """Write the JSON array of the given element texts, one at a time,
+    separated as json.dumps separates them."""
+    out.write("[")
+    for k, text in enumerate(texts):
+        if k:
+            out.write(", ")
+        out.write(text)
+    out.write("]")
+
+
 def _cmd_rsk(args) -> int:
     w = parse_permutation(args.perm)
-    p, q, paths = rsk_trace(w)
-    print(json.dumps({
-        "perm": format_permutation(w),
-        "shape": [len(row) for row in p],
-        "P": p, "Q": q, "paths": paths,  # json writes tuples as arrays
-    }))
+    p: list[list[int]] = []
+    q: list[list[int]] = []
+    # each path is kept only as its JSON text, a few characters per cell
+    paths = [json.dumps(path) for path in _rsk_steps(w, p, q)]
+    out = sys.stdout
+    out.write(f'{{"perm": {json.dumps(format_permutation(w))}, '
+              f'"shape": {json.dumps([len(row) for row in p])}, '
+              f'"P": {json.dumps(p)}, "Q": {json.dumps(q)}, "paths": ')
+    _write_array(out, paths)
+    out.write("}\n")
     return OK
+
+
+def _replay(word: list[int], moves: Iterable[KnuthMove]) -> Iterator[str]:
+    """Apply the moves to word in place, checking each, and yield every word
+    the chain passes through as a JSON string.  The text format holds only
+    digits and one separator, which JSON never escapes."""
+    tokens = list(map(str, word))
+    sep = _separator(len(word))
+    for move in moves:
+        j = _knuth_swap(word, move)
+        tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
+        yield f'"{sep.join(tokens)}"'
 
 
 def _cmd_knuth_chain(args) -> int:
@@ -250,26 +284,21 @@ def _cmd_knuth_chain(args) -> int:
             f"knuth-chain on length {len(w)} with i={i} would print {words_needed} words "
             f"of {len(text)} characters, above the cap of {MAX_CHAIN_CHARS} characters")
     moves = knuth_chain(w)
-    # replay the chain on one list, swapping the printed tokens alongside
+    # every refusal is raised above; from here on the object is written in
+    # order, each word as the replay makes it
+    out = sys.stdout
+    out.write(f'{{"perm": {json.dumps(text)}, "moves": ')
+    _write_array(out, (f'{{"position": {m.position}, "kind": {json.dumps(m.kind)}}}'
+                       for m in moves))
+    out.write(', "words": ')
     word = list(w)
-    tokens = list(map(str, w))
-    sep = _separator(len(w))
-    words = []
-    for move in moves:
-        j = _knuth_swap(word, move)
-        tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
-        words.append(sep.join(tokens))
+    _write_array(out, _replay(word, moves))
     word = tuple(word)
     target = even_odd_split(w)
     unchanged = insertion_tableau(w) == insertion_tableau(word)
-    print(json.dumps({
-        "perm": text,
-        "moves": [{"position": m.position, "kind": m.kind} for m in moves],
-        "words": words,
-        "final": format_permutation(word),
-        "target": format_permutation(target),
-        "insertion_tableau_unchanged": unchanged,
-    }))
+    out.write(f', "final": {json.dumps(format_permutation(word))}, '
+              f'"target": {json.dumps(format_permutation(target))}, '
+              f'"insertion_tableau_unchanged": {json.dumps(unchanged)}}}\n')
     return OK if word == target and unchanged else VERIFY_FAILURE
 
 
@@ -290,7 +319,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else OK
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`minperm ... | head`): point stdout
+        # at os.devnull, so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR

@@ -4,7 +4,8 @@ normal form for minimal permutations of odd length with one double descent.
 Straight-shape tableaux here are plain tuples of row tuples on distinct
 integers.  Cells are addressed (row, column), 1-indexed, row 1 on top.
 Bumping (_bump) and reverse bumping (_unbump) work in place on lists of
-rows; row_insert and inverse_bump wrap them on copies.
+rows; row_insert and inverse_bump wrap them on copies, and _rsk_steps runs
+the bumping over a word one letter at a time.
 
 A minimal permutation of length 2n+1 with n+1 descents has exactly one
 adjacent descent pair, at positions (2i-1, 2i) for some 1 <= i <= n.  Such
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bijection import tableau_to_perm
 from .permutations import (check_permutation, decreasing_run_lengths,
@@ -86,23 +87,35 @@ def row_insert(rows: Sequence[Sequence[int]], value: int) -> tuple[Rows, tuple[C
     return tuple(tuple(row) for row in tableau), tuple(path)
 
 
-def rsk_trace(word: Sequence[int]) -> tuple[Rows, Rows, tuple[tuple[Cell, ...], ...]]:
-    """Full RSK run on a word of distinct integers: the insertion tableau,
-    the recording tableau, and every insertion path."""
+def _frozen(rows: list[list[int]]) -> Rows:
+    return tuple(tuple(row) for row in rows)
+
+
+def _rsk_steps(word: Sequence[int], p: list[list[int]],
+               q: list[list[int]]) -> Iterator[list[Cell]]:
+    """Insert the letters of a word of distinct integers into p in place,
+    record each one's step in q, and yield each letter's insertion path.
+
+    Raises ValueError, when iteration starts, if the letters repeat."""
     w = tuple(word)
     if len(set(w)) != len(w):
         raise ValueError(f"entries are not distinct: {w}")
-    p: list[list[int]] = []
-    q: list[list[int]] = []
-    paths = []
     for step, x in enumerate(w, start=1):
         path = _bump(p, x)
-        paths.append(tuple(path))
         r, _ = path[-1]
         if r > len(q):
             q.append([])
         q[r - 1].append(step)
-    return tuple(tuple(row) for row in p), tuple(tuple(row) for row in q), tuple(paths)
+        yield path
+
+
+def rsk_trace(word: Sequence[int]) -> tuple[Rows, Rows, tuple[tuple[Cell, ...], ...]]:
+    """Full RSK run on a word of distinct integers: the insertion tableau,
+    the recording tableau, and every insertion path."""
+    p: list[list[int]] = []
+    q: list[list[int]] = []
+    paths = tuple(tuple(path) for path in _rsk_steps(word, p, q))
+    return _frozen(p), _frozen(q), paths
 
 
 def rsk(word: Sequence[int]) -> tuple[Rows, Rows]:
@@ -114,12 +127,15 @@ def rsk(word: Sequence[int]) -> tuple[Rows, Rows]:
     >>> rsk((3, 2, 1, 5, 4))[0]
     ((1, 4), (2, 5), (3,))
     """
-    p, q, _ = rsk_trace(word)
-    return p, q
+    p: list[list[int]] = []
+    q: list[list[int]] = []
+    for _ in _rsk_steps(word, p, q):
+        pass
+    return _frozen(p), _frozen(q)
 
 
 def insertion_tableau(word: Sequence[int]) -> Rows:
-    return rsk_trace(word)[0]
+    return rsk(word)[0]
 
 
 def rsk_inverse(p: Rows, q: Rows) -> tuple[int, ...]:

@@ -1,19 +1,98 @@
+import contextlib
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from test_bijection import random_filling
 
 import minperm.verify as verify
-from minperm import catalan, minimal_count, one_ascent_count, two_ascent_count
+from minperm import (SkewShape, catalan, even_odd_split,
+                     format_permutation, insertion_tableau, knuth_chain,
+                     minimal_count, one_ascent_count, rsk_trace, tableau_to_perm,
+                     two_ascent_count)
 import minperm.cli as cli
 from minperm.cli import MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_DET_N, main
+from minperm.permutations import _separator
+from minperm.rsk import _knuth_swap
 from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
                             check_double_descent_refinement,
                             check_odd_length_formula, check_rsk_refinement)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def staircase(m):
+    """3,2,1,5,4,...,2m+1,2m: the class member (m, 1)."""
+    return [3, 2, 1] + [x for k in range(2, m + 1) for x in (2 * k + 1, 2 * k)]
+
+
+def rsk_stdout_by_dumps(w):
+    """Oracle for `rsk`: the whole object built first and printed through
+    one json.dumps."""
+    p, q, paths = rsk_trace(w)
+    return json.dumps({
+        "perm": format_permutation(w),
+        "shape": [len(row) for row in p],
+        "P": p, "Q": q, "paths": paths,
+    }) + "\n"
+
+
+def knuth_chain_stdout_by_dumps(w):
+    """Oracle for `knuth-chain`: every word joined and held first, and the
+    whole object printed through one json.dumps."""
+    moves = knuth_chain(w)
+    word, tokens, words = list(w), list(map(str, w)), []
+    sep = _separator(len(w))
+    for move in moves:
+        j = _knuth_swap(word, move)
+        tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
+        words.append(sep.join(tokens))
+    word = tuple(word)
+    target = even_odd_split(w)
+    return json.dumps({
+        "perm": format_permutation(w),
+        "moves": [{"position": m.position, "kind": m.kind} for m in moves],
+        "words": words,
+        "final": format_permutation(word),
+        "target": format_permutation(target),
+        "insertion_tableau_unchanged": insertion_tableau(w) == insertion_tableau(word),
+    }) + "\n"
+
+
+def traced_peak(argv):
+    """Exit code and peak traced memory in bytes of main(argv), with its
+    stdout discarded."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, peak
+
+
+# refusals print one error line and nothing to stdout
+REFUSED_PERMS = {
+    "not a permutation": ("1 2 x", 2),
+    "a repeated letter": ("1 1 2", 2),
+    "not minimal": ("3 1 2", 2),
+    "even length": ("2 1 4 3", 2),
+    "wrong descent count": ("5 4 3 2 1", 2),
+    "output cap": (",".join(map(str, staircase(1000))), 3),
+}
 
 
 class TestCount:
@@ -212,6 +291,29 @@ class TestRsk:
         assert payload["P"] == [[1, 4], [2, 5], [3]]
         assert payload["paths"][0] == [[1, 1]]
 
+    def test_stdout_matches_dumps(self, capsys):
+        rng = random.Random(8000)
+        words = [(1,), tuple(range(1, 41)), tuple(range(40, 0, -1))]
+        words += [tuple(rng.sample(range(1, n + 1), n)) for n in (10, 11, 97, 300, 2000)]
+        for w in words:
+            code, out, _ = run(capsys, "rsk", "--perm", format_permutation(w))
+            assert code == 0
+            assert out == rsk_stdout_by_dumps(w), w
+
+    def test_traced_memory(self):
+        # the paths of a length-8000 word took 29 MB when held as tuples and
+        # printed through one json.dumps; kept as text, the run peaks near 5 MB
+        w = random.Random(1).sample(range(1, 8001), 8000)
+        code, peak = traced_peak(["rsk", "--perm", ",".join(map(str, w))])
+        assert code == 0 and peak < 8 * 2**20, peak
+
+    @pytest.mark.parametrize("case", ["not a permutation", "a repeated letter"])
+    def test_refusal_prints_nothing(self, capsys, case):
+        perm, want = REFUSED_PERMS[case]
+        code, out, err = run(capsys, "rsk", "--perm", perm)
+        assert (code, out) == (want, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestKnuthChain:
     def test_worked_example(self, capsys):
@@ -229,8 +331,7 @@ class TestKnuthChain:
 
     def test_staircase_member(self, capsys):
         # 3,2,1,5,4,...,301,300 is the class (150, 1): 149 * 150 / 2 moves
-        perm = [3, 2, 1] + [x for k in range(2, 151) for x in (2 * k + 1, 2 * k)]
-        code, out, _ = run(capsys, "knuth-chain", "--perm", ",".join(map(str, perm)))
+        code, out, _ = run(capsys, "knuth-chain", "--perm", ",".join(map(str, staircase(150))))
         payload = json.loads(out)
         assert code == 0 and len(payload["moves"]) == len(payload["words"]) == 11175
         assert payload["insertion_tableau_unchanged"] is True
@@ -238,8 +339,7 @@ class TestKnuthChain:
 
     def test_output_cap(self, capsys, monkeypatch):
         # the class (1000, 1) at length 2001 is refused before any move is made
-        perm = [3, 2, 1] + [x for k in range(2, 1001) for x in (2 * k + 1, 2 * k)]
-        code, out, err = run(capsys, "knuth-chain", "--perm", ",".join(map(str, perm)))
+        code, out, err = run(capsys, "knuth-chain", "--perm", ",".join(map(str, staircase(1000))))
         assert (code, out) == (3, "")
         assert "length 2001 with i=1 would print 499500 words of 8897 characters" in err
         # 3 2 1 5 4 7 6 passes through 3 words of 13 characters each
@@ -250,6 +350,33 @@ class TestKnuthChain:
         assert (code, out) == (3, "")
         assert err == ("error: knuth-chain on length 7 with i=1 would print 3 words of "
                        "13 characters, above the cap of 38 characters\n")
+
+    def test_stdout_matches_dumps(self, capsys):
+        # class members filled from (m, m, i)/(i-1), as in test_rsk
+        rng = random.Random(301)
+        perms = [(3, 2, 1), (3, 2, 1, 5, 4)]
+        for m in (4, 50, 150):
+            for i in sorted({1, 2, 3, 4, m}):
+                perms.append(tableau_to_perm(random_filling(SkewShape((m, m, i), (i - 1,)),
+                                                            rng)))
+        for w in perms:
+            code, out, _ = run(capsys, "knuth-chain", "--perm", format_permutation(w))
+            assert code == 0
+            assert out == knuth_chain_stdout_by_dumps(w), w
+        assert '"moves": [], "words": []' in knuth_chain_stdout_by_dumps((3, 2, 1))
+
+    def test_traced_memory(self):
+        # the staircase's 11,175 words took 40 MB when held and printed
+        # through one json.dumps; written one at a time, they take one word
+        code, peak = traced_peak(["knuth-chain", "--perm", ",".join(map(str, staircase(150)))])
+        assert code == 0 and peak < 8 * 2**20, peak
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_PERMS))
+    def test_refusal_prints_nothing(self, capsys, case):
+        perm, want = REFUSED_PERMS[case]
+        code, out, err = run(capsys, "knuth-chain", "--perm", perm)
+        assert (code, out) == (want, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerify:
@@ -311,3 +438,21 @@ class TestVerify:
         first = run(capsys, "verify", "--suite", "rsk", "--max-n", "5")
         second = run(capsys, "verify", "--suite", "rsk", "--max-n", "5")
         assert first == second
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--n", "10"),
+        ("knuth-chain", "--perm", ",".join(map(str, staircase(150)))),
+    ], ids=["enumerate", "knuth-chain"])
+    def test_closed_pipe_is_quiet(self, argv):
+        # the reader takes 10 bytes of a much longer output and closes the pipe
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        with subprocess.Popen([sys.executable, "-m", "minperm", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (cli.BROKEN_PIPE, b"")
+        assert cli.BROKEN_PIPE == 141

@@ -105,6 +105,33 @@ def knuth_chain_by_copies(perm):
     return moves, words
 
 
+def rsk_trace_by_loop(word):
+    """Oracle for rsk_trace: one loop that bumps each letter, keeps its path
+    and records its step, as rsk_trace did before it ran on _rsk_steps."""
+    w = tuple(word)
+    if len(set(w)) != len(w):
+        raise ValueError(f"entries are not distinct: {w}")
+    p, q, paths = [], [], []
+    for step, x in enumerate(w, start=1):
+        path = []
+        for r, row in enumerate(p, start=1):
+            pos = bisect.bisect_left(row, x)
+            path.append((r, pos + 1))
+            if pos == len(row):
+                row.append(x)
+                break
+            x, row[pos] = row[pos], x
+        else:
+            p.append([x])
+            path.append((len(p), 1))
+        paths.append(tuple(path))
+        r, _ = path[-1]
+        if r > len(q):
+            q.append([])
+        q[r - 1].append(step)
+    return tuple(map(tuple, p)), tuple(map(tuple, q)), tuple(paths)
+
+
 def swap_outcome(word, move):
     """The word _knuth_swap leaves, or its ValueError message (the word
     must then be unchanged)."""
@@ -182,9 +209,19 @@ class TestRSK:
         assert paths[0] == ((1, 1),)
         assert paths[-1] == ((1, 2), (2, 2))
 
+    def test_trace_matches_loop_oracle(self):
+        rng = random.Random(7)
+        words = [(), (1,), tuple(range(1, 30)), tuple(range(30, 0, -1))]
+        words += [tuple(rng.sample(range(1, 3 * n), n)) for n in range(2, 400, 37)]
+        for w in words:
+            p, q, paths = rsk_trace(w)
+            assert (p, q, paths) == rsk_trace_by_loop(w)
+            assert rsk(w) == (p, q) and insertion_tableau(w) == p
+
     def test_duplicate_entries_rejected(self):
-        with pytest.raises(ValueError):
-            rsk_trace((1, 1, 2))
+        for fn in (rsk_trace, rsk, insertion_tableau):
+            with pytest.raises(ValueError, match="not distinct"):
+                fn((1, 1, 2))
 
 
 class TestInverseBump:
