@@ -106,8 +106,8 @@ def knuth_chain_by_copies(perm):
 
 
 def rsk_trace_by_loop(word):
-    """Oracle for rsk_trace: one loop that bumps each letter, keeps its path
-    and records its step, as rsk_trace did before it ran on _rsk_steps."""
+    """Oracle for rsk_trace: one self-contained loop that bumps each letter
+    inline, keeps its path and records its step."""
     w = tuple(word)
     if len(set(w)) != len(w):
         raise ValueError(f"entries are not distinct: {w}")
