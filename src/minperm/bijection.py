@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .permutations import (check_permutation, decreasing_run_lengths,
                            minimality_violation)
-from .tableaux import SkewTableau, is_standard, is_two_regular, shape_from_runs
+from .tableaux import SkewTableau, _built, is_standard, is_two_regular, shape_from_runs
 
 
 def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
@@ -42,8 +42,8 @@ def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
     cols = [(None,) * mu + w[end - a:end][::-1]
             for mu, a, end in zip(by_cols.inner, runs, accumulate(runs))]
     drawn = by_cols.conjugated()
-    return SkewTableau(drawn, tuple(row[:lam] for row, lam
-                                    in zip(zip_longest(*cols), drawn.outer)))
+    return _built(SkewTableau, shape=drawn, rows=tuple(
+        row[:lam] for row, lam in zip(zip_longest(*cols), drawn.outer)))
 
 
 def tableau_to_perm(t: SkewTableau) -> tuple[int, ...]:

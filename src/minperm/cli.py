@@ -138,13 +138,14 @@ def _brute_force(n: int, max_n: int | None, **constraints):
 
 
 def _emit_rows(rows: Sequence[tuple[int, int, int]], fmt: str) -> None:
+    """Print the rows, every one formatted before the first write, so that
+    a count too long to convert to text (sys.set_int_max_str_digits)
+    leaves stdout empty."""
     if fmt == "csv":
-        print("n,d,count")
-        for n, d, value in rows:
-            print(f"{n},{d},{value}")
+        lines = ["n,d,count", *(f"{n},{d},{value}" for n, d, value in rows)]
     else:
-        for n, d, value in rows:
-            print(json.dumps({"n": n, "d": d, "count": str(value)}))
+        lines = [json.dumps({"n": n, "d": d, "count": str(value)}) for n, d, value in rows]
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _cmd_count(args) -> int:
@@ -174,17 +175,17 @@ def _cmd_count(args) -> int:
             raise ValueError("no closed form is available for a fixed ascent sequence")
         rows.append((n, d, value))
     else:
+        # both caps come before the band is listed: an n far above them is too
+        # large to list.  Outside the band the count is 0 at any n, so det caps
+        # only an n in the band, which a full band always is
+        if args.method == "det" and n > MAX_DET_N and (args.d is None or args.d < n <= 2 * args.d):
+            raise CapExceededError(f"n={n} is above the cap {MAX_DET_N} for --method det")
+        if args.method == "brute":
+            tally = Counter(map(descent_count, _brute_force(n, args.max_brute_n)))
         band = [args.d] if args.d is not None else list(range((n + 1) // 2, n))
         if args.method == "brute":
-            tally: Counter = Counter()
-            for w in _brute_force(n, args.max_brute_n):
-                tally[descent_count(w)] += 1
             rows.extend((n, d, tally[d]) for d in band)
         elif args.method == "det":
-            # outside the band the count is 0 at any n, so only the band is capped
-            if n > MAX_DET_N and any(d < n <= 2 * d for d in band):
-                raise CapExceededError(f"n={n} is above the cap {MAX_DET_N} for "
-                                       "--method det")
             if args.d is None:
                 counts = minimal_count_band(n)
             else:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
+from .errors import _check_int
 from .tableaux import _exact_div, shape_from_runs, skew_syt_count
 
 
@@ -147,11 +148,6 @@ def _column_counts(n: int, lo: int, hi: int) -> dict[int, int]:
                 a[x] = live
         b = {key: w for key, w in new_b.items() if w}
     return counts
-
-
-def _check_int(name: str, value) -> None:
-    if type(value) is not int:  # exact type: no bool, no float
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def minimal_count(n: int, d: int) -> int:

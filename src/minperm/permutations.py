@@ -19,7 +19,7 @@ import bisect
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError
+from .errors import CapExceededError, _check_int
 
 DEFAULT_MAX_BRUTE_N = 11
 
@@ -254,8 +254,7 @@ def max_brute_n(override: int | None = None) -> int:
     """Resolve the brute-force size cap: an explicit override wins, else the
     default of 11.  An override must be an int of at least 1."""
     value = DEFAULT_MAX_BRUTE_N if override is None else override
-    if type(value) is not int:  # exact type: no bool, no float
-        raise ValueError(f"brute-force cap must be an integer, got {value!r}")
+    _check_int("brute-force cap", value)
     if value < 1:
         raise ValueError(f"brute-force cap must be >= 1, got {value}")
     return value
@@ -282,14 +281,13 @@ def enumerate_minimal(n: int, d: int | None = None,
     >>> list(enumerate_minimal(4, d=2))
     [(2, 1, 4, 3), (3, 1, 4, 2)]
     """
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
+    _check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if d is not None and type(d) is not int:
-        raise ValueError(f"d must be an integer, got {d!r}")
-    if d is not None and d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
+    if d is not None:
+        _check_int("d", d)
+        if d < 0:
+            raise ValueError(f"d must be >= 0, got {d}")
     cap = max_brute_n(max_n)
     if n > cap:
         raise CapExceededError(
@@ -301,10 +299,10 @@ def enumerate_minimal(n: int, d: int | None = None,
     if wanted is not None and sum(wanted) != n:
         raise ValueError(f"run lengths {wanted} do not sum to {n}")
     j = double_descent_at
-    if j is not None and type(j) is not int:
-        raise ValueError(f"double-descent position must be an integer, got {j!r}")
-    if j is not None and not 1 <= j <= n - 2:
-        raise ValueError(f"double-descent position must be in 1..{n - 2}, got {j}")
+    if j is not None:
+        _check_int("double-descent position", j)
+        if not 1 <= j <= n - 2:
+            raise ValueError(f"double-descent position must be in 1..{n - 2}, got {j}")
     # step s (1 <= s <= n-1) goes from position s to s+1; minimality makes
     # the first and last steps descend
     ascend = [1 < s < n - 1 for s in range(n)]

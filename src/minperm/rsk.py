@@ -4,8 +4,8 @@ normal form for minimal permutations of odd length with one double descent.
 Straight-shape tableaux here are plain tuples of row tuples on distinct
 integers.  Cells are addressed (row, column), 1-indexed, row 1 on top.
 Bumping (_bump) and reverse bumping (_unbump) work in place on lists of
-rows; row_insert and inverse_bump wrap them on copies, and _rsk_steps runs
-the bumping over a word one letter at a time.
+rows; row_insert and inverse_bump wrap them on copies that _straight has
+checked, and _rsk_steps runs the bumping over a word one letter at a time.
 
 A minimal permutation of length 2n+1 with n+1 descents has exactly one
 adjacent descent pair, at positions (2i-1, 2i) for some 1 <= i <= n.  Such
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .bijection import tableau_to_perm
+from .errors import _check_int
 from .permutations import (check_permutation, decreasing_run_lengths,
                            minimality_violation, standardize)
 from .tableaux import SkewShape, SkewTableau
@@ -70,6 +71,26 @@ def _unbump(rows: list[list[int]], r: int) -> int:
     return x
 
 
+def _straight(rows: Sequence[Sequence[int]], what: str) -> list[list[int]]:
+    """rows copied as lists, after checking that they form a straight
+    tableau: distinct integers, every row nonempty and increasing, and each
+    row no longer than the one above and strictly below it, column by column."""
+    tableau = [list(row) for row in rows]
+    cells = [x for row in tableau for x in row]
+    if any(type(x) is not int for x in cells):  # exact type: no bool, no float
+        raise ValueError(f"{what} entries must be integers: {_frozen(tableau)}")
+    if len(set(cells)) != len(cells):
+        raise ValueError(f"{what} entries are not distinct: {_frozen(tableau)}")
+    for r, row in enumerate(tableau, start=1):
+        if not row or any(a >= b for a, b in zip(row, row[1:])):
+            raise ValueError(f"{what} row {r} is empty or not increasing: {tuple(row)}")
+    for r, (above, row) in enumerate(zip(tableau, tableau[1:]), start=2):
+        if len(row) > len(above) or any(a >= b for a, b in zip(above, row)):
+            raise ValueError(f"{what} row {r} does not lie strictly below row {r - 1}: "
+                             f"{_frozen(tableau)}")
+    return tableau
+
+
 def row_insert(rows: Sequence[Sequence[int]], value: int) -> tuple[Rows, tuple[Cell, ...]]:
     """Classic bumping insertion.  Returns the new tableau and the insertion
     path, one cell per row touched, ending at the newly created cell.
@@ -79,7 +100,8 @@ def row_insert(rows: Sequence[Sequence[int]], value: int) -> tuple[Rows, tuple[C
     >>> row_insert(((1, 4), (2,)), 3)
     (((1, 3), (2, 4)), ((1, 2), (2, 2)))
     """
-    tableau = [list(r) for r in rows]
+    tableau = _straight(rows, "tableau")
+    _check_int("value", value)
     for row in tableau:
         if value in row:
             raise ValueError(f"value {value} is already present")
@@ -139,22 +161,19 @@ def insertion_tableau(word: Sequence[int]) -> Rows:
 
 
 def rsk_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
-    """Recover the inserted word from an (insertion, recording) pair."""
-    positions = {}
-    for i, row in enumerate(q):
-        for j, v in enumerate(row):
-            positions[v] = (i, j)
-    if sorted(positions) != list(range(1, sum(map(len, q)) + 1)):
+    """Recover the inserted word from an (insertion, recording) pair.
+
+    Both are checked to be straight tableaux of one shape, and q to hold
+    1..n; the largest step left in q is then always a corner of what is
+    left of p, where its letter was placed."""
+    rows = _straight(p, "insertion tableau")
+    recording = _straight(q, "recording tableau")
+    row_of = {v: i for i, row in enumerate(recording) for v in row}
+    if sorted(row_of) != list(range(1, len(row_of) + 1)):
         raise ValueError("recording tableau is not standard on 1..n")
-    if tuple(map(len, p)) != tuple(map(len, q)):
+    if list(map(len, rows)) != list(map(len, recording)):
         raise ValueError("recording tableau does not match the insertion shape")
-    rows = [list(r) for r in p]
-    word = []
-    for step in range(len(positions), 0, -1):
-        i, j = positions[step]
-        if j != len(rows[i]) - 1:
-            raise ValueError("recording tableau does not match the insertion shape")
-        word.append(_unbump(rows, i))
+    word = [_unbump(rows, row_of[step]) for step in range(len(row_of), 0, -1)]
     return tuple(reversed(word))
 
 
@@ -166,7 +185,7 @@ def inverse_bump(rows: Sequence[Sequence[int]], corner: Cell) -> tuple[Rows, int
     >>> inverse_bump(((1, 3), (2, 4)), (2, 2))
     (((1, 4), (2,)), 3)
     """
-    tableau = [list(r) for r in rows]
+    tableau = _straight(rows, "tableau")
     r, c = corner
     if not (1 <= r <= len(tableau) and c == len(tableau[r - 1])):
         raise ValueError(f"cell {corner} is not the last cell of its row")

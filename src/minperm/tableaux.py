@@ -4,9 +4,10 @@ English convention throughout: row 1 is the top row, cells are addressed
 (row, column) 1-indexed, and entries increase along rows and down columns.
 A partition is a weakly decreasing tuple of positive integers.
 
-Drawn column j of a skew shape is row j of shape.conjugated().  A shape
-validates its parts once, on construction; conjugated() reuses them, since
-the conjugate of a valid skew shape is valid, and runs no validation again.
+Drawn column j of a skew shape is row j of shape.conjugated().  Public
+constructors and entry points validate their input; a value derived from
+validated ones (a conjugate, a run shape, a filling, a bijection image) is
+built through _built, which runs no check again.
 
 Counting is exact and uses integers only.  The determinant route builds
 each matrix row integral and eliminates it, with no row swaps since every
@@ -29,9 +30,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CapExceededError
+from .errors import CapExceededError, _check_int
 
 DEFAULT_MAX_CELLS = 16
+
+
+def _built(cls, **fields):
+    """The frozen dataclass cls holding fields, made without __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -105,14 +114,10 @@ class SkewShape:
         return self.outer[0] if self.outer else 0
 
     def conjugated(self) -> "SkewShape":
-        """The transposed shape.  self's parts are already validated and
-        the conjugate of a valid skew shape is valid, so it is built
-        without running __post_init__ again."""
+        """The transposed shape."""
         outer, inner = _conjugate(self.outer), _conjugate(self.inner)
-        shape = object.__new__(SkewShape)
-        object.__setattr__(shape, "outer", outer)
-        object.__setattr__(shape, "inner", inner + (0,) * (len(outer) - len(inner)))
-        return shape
+        return _built(SkewShape, outer=outer,
+                      inner=inner + (0,) * (len(outer) - len(inner)))
 
 
 def format_shape(shape: SkewShape) -> str:
@@ -237,7 +242,7 @@ def shape_from_runs(runs: Sequence[int]) -> SkewShape:
         suffix += a[i]
         lam[i] = suffix - 2 * (k - 1 - i)
     mu = [lam[i] - a[i] for i in range(k)]
-    return SkewShape(tuple(lam), tuple(mu))
+    return _built(SkewShape, outer=tuple(lam), inner=tuple(mu))
 
 
 def _exact_div(num: int, den: int, what: Callable[[], str]) -> int:
@@ -357,7 +362,7 @@ def hook_length(parts: Sequence[int], row: int, col: int) -> int:
         raise ValueError(f"cell coordinates must be integers: ({row!r}, {col!r})")
     if not (1 <= row <= len(lam) and 1 <= col <= lam[row - 1]):
         raise ValueError(f"cell ({row},{col}) is outside the partition {lam}")
-    return lam[row - 1] + conjugate(lam)[col - 1] - row - col + 1
+    return lam[row - 1] + _conjugate(lam)[col - 1] - row - col + 1
 
 
 def hook_count(parts: Sequence[int]) -> int:
@@ -370,7 +375,7 @@ def hook_count(parts: Sequence[int]) -> int:
     1
     """
     lam = check_partition(parts)
-    conj = conjugate(lam)
+    conj = _conjugate(lam)
     product = 1
     for i, length in enumerate(lam, start=1):
         for j in range(1, length + 1):
@@ -381,8 +386,7 @@ def hook_count(parts: Sequence[int]) -> int:
 
 def _check_cells_cap(shape: SkewShape, max_cells: int | None) -> None:
     limit = DEFAULT_MAX_CELLS if max_cells is None else max_cells
-    if type(limit) is not int:
-        raise ValueError(f"max_cells must be an integer, got {limit!r}")
+    _check_int("max_cells", limit)
     if limit < 0:
         raise ValueError(f"max_cells must be >= 0, got {limit}")
     if shape.size > limit:
@@ -441,7 +445,7 @@ def skew_standard_tableaux(shape: SkewShape,
     [((1, 2), (3, 4)), ((1, 3), (2, 4))]
     """
     _check_cells_cap(shape, max_cells)
-    return (SkewTableau(shape, tuple(map(tuple, grid))) for grid in _fillings(shape))
+    return (_built(SkewTableau, shape=shape, rows=tuple(map(tuple, g))) for g in _fillings(shape))
 
 
 def count_standard_fillings(shape: SkewShape, max_cells: int | None = None) -> int:

@@ -8,8 +8,9 @@ from minperm import (SkewShape, SkewTableau, compositions_min2,
                      decreasing_run_lengths, enumerate_minimal, is_minimal,
                      is_standard, is_two_regular, perm_to_tableau,
                      shape_from_runs, skew_standard_tableaux, tableau_to_perm)
+import minperm.bijection as bijection
 from minperm.verify import (WORKED_PERM_16, WORKED_TABLEAU_16_ROWS,
-                            WORKED_TABLEAU_16_SHAPE)
+                            WORKED_TABLEAU_16_SHAPE, check_bijection_round_trip)
 from minperm.tableaux import format_shape
 
 
@@ -116,6 +117,43 @@ def test_cardinality_per_run_profile():
                 assert len(tableaux) == by_runs[a]
                 for t in tableaux:
                     assert perm_to_tableau(tableau_to_perm(t)) == t
+
+
+def test_images_pass_full_validation():
+    # perm_to_tableau builds its image without __post_init__; the validating
+    # constructors must accept it and give it back
+    def revalidated(t):
+        return SkewTableau(SkewShape(t.shape.outer, t.shape.inner), t.rows)
+
+    for n in range(2, 10):
+        for w in enumerate_minimal(n):
+            t = perm_to_tableau(w)
+            assert t == revalidated(t)
+    rng = random.Random(1856)
+    for k in (60, 200, 450):
+        runs = tuple(rng.randint(2, 6) for _ in range(k))
+        w = tableau_to_perm(random_filling(shape_from_runs(runs).conjugated(), rng))
+        t = perm_to_tableau(w)
+        assert t == revalidated(t)
+
+
+def test_round_trip_check_validates_each_value_once(monkeypatch):
+    # no tableau or shape is rebuilt through its validating constructor, and
+    # is_standard runs once per image and once per filling, in tableau_to_perm
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for cls in (SkewShape, SkewTableau):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(bijection, "is_standard", counted("is_standard", is_standard))
+    assert check_bijection_round_trip(7).passed
+    words = sum(1 for n in range(2, 8) for _ in enumerate_minimal(n))
+    assert calls == {"is_standard": 2 * words + 1}  # + 1: the 16-cell example
 
 
 def test_grid_reference_agrees():

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -12,10 +13,10 @@ import pytest
 from test_bijection import random_filling
 
 import minperm.verify as verify
-from minperm import (SkewShape, catalan, even_odd_split,
-                     format_permutation, insertion_tableau, knuth_chain,
-                     minimal_count, one_ascent_count, rsk_trace, tableau_to_perm,
-                     two_ascent_count)
+from minperm import (SkewShape, SkewTableau, catalan, decreasing_run_lengths,
+                     even_odd_split, format_permutation, insertion_tableau, knuth_chain,
+                     minimal_count, one_ascent_count, perm_to_tableau, rsk_trace,
+                     shape_from_runs, tableau_to_perm, two_ascent_count)
 import minperm.cli as cli
 from minperm.cli import MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_DET_N, main
 from minperm.permutations import _separator
@@ -179,6 +180,34 @@ class TestCount:
         # outside the band the count is 0 at any n
         code, out, _ = run(capsys, "count", "--n", "10000", "--d", "3")
         assert (code, out) == (0, "n,d,count\n10000,3,0\n")
+
+    def test_caps_come_before_the_band(self, capsys):
+        # listing the band of this n first died with a MemoryError traceback
+        n = "99999999999"
+        det = f"error: n={n} is above the cap {MAX_DET_N} for --method det\n"
+        brute = (f"error: enumeration over S_{n} exceeds the brute-force cap 11; "
+                 "raise it via --max-brute-n\n")
+        for argv, err in [((), det), (("--method", "det"), det), (("--method", "brute"), brute),
+                          (("--method", "brute", "--format", "json"), brute)]:
+            assert run(capsys, "count", "--n", n, *argv) == (3, "", err), argv
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python converts an int of any length to text")
+    def test_unprintable_count_prints_nothing(self, capsys):
+        # at a limit of 640 digits the band at n = 1400 prints its first rows,
+        # Catalan(700) of 420 digits among them, but not 3^1400 at d = 1397;
+        # every row is formatted before the first write
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for argv in (("--n", "1400"), ("--n", "1400", "--format", "json"),
+                         ("--n", "1400", "--d", "1397")):
+                code, out, err = run(capsys, "count", *argv, "--method", "closed")
+                assert (code, out) == (2, ""), argv
+                assert err.startswith("error: Exceeds the limit (640 digits)")
+                assert err.count("\n") == 1
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_ascents_caps(self, capsys):
         # MAX_ASCENT_PARTS parts of 2 give the straight two-column shape
@@ -402,6 +431,42 @@ class TestVerify:
         assert "FAIL" in err
         code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-n", "4")
         assert code == 0 and json.loads(out)["passed"]
+
+    def test_non_standard_image_fails_the_check(self, capsys, monkeypatch):
+        # an image relabelled x -> n + 1 - x has decreasing rows; tableau_to_perm
+        # refuses it with a ValueError, which the check reports (exit 1, not 2)
+        def relabelled(w):
+            t = perm_to_tableau(w)
+            return SkewTableau(t.shape, tuple(tuple(x if x is None else len(w) + 1 - x
+                                                    for x in row) for row in t.rows))
+
+        monkeypatch.setattr(verify, "perm_to_tableau", relabelled)
+        code, out, err = run(capsys, "verify", "--suite", "bijection", "--max-n", "5")
+        assert code == 1 and err.startswith("FAIL: bijection round trips")
+        [check] = json.loads(out)["checks"]
+        assert check["detail"] == "image of (2, 1) is not a standard 2-regular tableau"
+
+    def test_image_of_wrong_shape_fails_the_check(self, capsys, monkeypatch):
+        # a consistent pair of maps: the 5 words of runs (2, 3) fill the drawn
+        # shape of the run (5,), one column, read back bottom-up unchecked.
+        # Every forward round trip holds, but that shape now has 6 images
+        column = shape_from_runs((5,)).conjugated()
+
+        def to_tableau(w):
+            if decreasing_run_lengths(w) != (2, 3):
+                return perm_to_tableau(w)
+            return SkewTableau(column, tuple((x,) for x in reversed(w)))
+
+        def to_perm(t):
+            return tuple(x for col in itertools.zip_longest(*t.rows)
+                         for x in reversed(col) if x is not None)
+
+        monkeypatch.setattr(verify, "perm_to_tableau", to_tableau)
+        monkeypatch.setattr(verify, "tableau_to_perm", to_perm)
+        code, out, _ = run(capsys, "verify", "--suite", "bijection", "--max-n", "5")
+        assert code == 1
+        [check] = json.loads(out)["checks"]
+        assert check["detail"] == "cardinality mismatch for runs (5,): 1 tableaux vs 6 permutations"
 
     def test_inject_fault_flag_removed(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "counts", "--inject-fault")

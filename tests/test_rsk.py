@@ -159,6 +159,20 @@ class TestRowInsert:
         with pytest.raises(ValueError, match="already present"):
             row_insert(((1, 3), (2,)), 3)
 
+    def test_malformed_tableau_rejected(self):
+        # (((3, 1, 2),), ((1, 3),)) came back once: 2 appended to a decreasing row
+        with pytest.raises(ValueError, match="tableau row 1 is empty or not increasing"):
+            row_insert(((3, 1),), 2)
+        for rows, message in [(((1, 2.0),), "must be integers"),
+                              (((1, 3), (3,)), "not distinct"),
+                              (((1,), ()), "row 2 is empty"),
+                              (((2, 3), (1,)), "row 2 does not lie strictly below row 1"),
+                              (((1,), (2, 3)), "row 2 does not lie strictly below row 1")]:
+            with pytest.raises(ValueError, match=message):
+                row_insert(rows, 9)
+        with pytest.raises(ValueError, match="value must be an integer, got 'a'"):
+            row_insert(((1,),), "a")
+
 
 class TestRSK:
     def test_examples(self):
@@ -198,6 +212,21 @@ class TestRSK:
                        for c in range(len(lower)))
             assert len(p[0]) == longest_increasing(w)
 
+    def test_inverse_rejects_malformed_tableaux(self):
+        # each P once came back as a word, although rsk of that word is not (P, Q):
+        # rsk((2, 1)) is (((1,), (2,)), ((1,), (2,)))
+        for p, message in [(((2, 1),), "insertion tableau row 1 is empty or not increasing"),
+                           (((1, 1),), "insertion tableau entries are not distinct"),
+                           (((1, "a"),), "insertion tableau entries must be integers")]:
+            with pytest.raises(ValueError, match=message):
+                rsk_inverse(p, ((1, 2),))
+        with pytest.raises(ValueError, match="insertion tableau row 2 does not lie"):
+            rsk_inverse(((2,), (1,)), ((1,), (2,)))
+        with pytest.raises(ValueError, match="recording tableau row 1 is empty or not"):
+            rsk_inverse(((1, 2),), ((2, 1),))
+        with pytest.raises(ValueError, match="recording tableau is not standard on 1..n"):
+            rsk_inverse(((1, 2),), ((1, 3),))
+
     def test_inverse_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shape"):
             rsk_inverse(((1, 2),), ((1,), (2,)))
@@ -234,6 +263,13 @@ class TestInverseBump:
             inverse_bump(((1, 3), (2, 4)), (1, 2))
         with pytest.raises(ValueError):
             inverse_bump(((1, 3), (2, 4)), (2, 1))
+
+    def test_malformed_tableau_rejected(self):
+        # (((3, 2),), 1) came back once: P's first row decreases
+        with pytest.raises(ValueError, match="tableau row 1 is empty or not increasing"):
+            inverse_bump(((3, 1), (2,)), (2, 1))
+        with pytest.raises(ValueError, match="row 2 does not lie strictly below row 1"):
+            inverse_bump(((2, 3), (1,)), (2, 1))
 
     def test_round_trip_random(self):
         rng = random.Random(7)
@@ -416,3 +452,6 @@ class TestClassMaps:
             syt_to_minimal(((1, 4), (2, 5), (3,)), 3)  # k=1 needs i <= n
         with pytest.raises(ValueError):
             syt_to_minimal(((1, 2), (3, 4)), 1)
+        # rows it takes as given reach _unbump's column check
+        with pytest.raises(ValueError, match="not column-strict above the corner"):
+            syt_to_minimal(((5, 6), (1, 2), (3,)), 1)

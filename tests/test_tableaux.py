@@ -266,6 +266,19 @@ class TestShapeFromRuns:
             assert lengths == tuple(runs)
             assert shape_is_two_regular(s.conjugated())
 
+    def test_unchecked_shapes_pass_full_validation(self):
+        # shape_from_runs and conjugated() build without __post_init__; the
+        # validating constructor must accept each shape and give it back
+        rng = random.Random(23)
+        profiles = [a for n in range(2, 17) for parts in range(1, n // 2 + 1)
+                    for a in compositions_min2(n, parts)]
+        profiles += [tuple(rng.randint(2, 9) for _ in range(rng.randint(300, 500)))
+                     for _ in range(4)]
+        for a in profiles:
+            s = shape_from_runs(a)
+            for shape in (s, s.conjugated()):
+                assert shape == SkewShape(shape.outer, shape.inner)
+
     def test_small_parts_rejected(self):
         with pytest.raises(ValueError):
             shape_from_runs((2, 1, 3))
@@ -464,6 +477,13 @@ class TestCounting:
     @given(skew_shapes())
     def test_transpose_invariance(self, shape):
         assert skew_syt_count(shape) == skew_syt_count(shape.conjugated())
+
+    @given(skew_shapes(max_cells=8))
+    def test_fillings_pass_full_validation(self, shape):
+        # the fillings are built without __post_init__; the validating
+        # constructor must accept each one and give it back
+        for t in skew_standard_tableaux(shape):
+            assert t == SkewTableau(SkewShape(t.shape.outer, t.shape.inner), t.rows)
 
     @given(skew_shapes(max_cells=8))
     def test_stream_matches_determinant(self, shape):
