@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 brute-force, determinant or knuth-chain output cap exceeded, 141 the
-reader closed stdout before the output ended (128 + SIGPIPE, as a shell
-reports a process that signal ended; nothing is printed to stderr).
+3 brute-force, determinant, closed-form or knuth-chain output cap
+exceeded, 141 the reader closed stdout before the output ended (128 +
+SIGPIPE, as a shell reports a process that signal ended; nothing is
+printed to stderr).
 Counts print as CSV (header n,d,count) or JSON lines with big integers
 rendered as decimal strings.  The long JSON outputs of rsk and knuth-chain
 are written in pieces, in order, byte for byte as json.dumps prints them.
@@ -50,10 +51,17 @@ BROKEN_PIPE = 141
 # more than MAX_CHAIN_CHARS characters.  Just under the cap, writing to a
 # file, length 801 with i = 1 (79,800 words of 3,095 characters) took 1.6 s
 # and 26 MB, and length 1001 with i = 143 took 1.5 s and 25 MB.
+# count --method closed refuses an in-band n above MAX_CLOSED_N.  Its
+# slowest form is catalan(n // 2), whose binomial grows about as n^2: the
+# full band took 1.0 s at n = 200,000 (216 kB printed with the int-to-text
+# limit off; exit 2 after 0.7 s under the default limit of 4,300 digits),
+# and catalan alone took 2.2 s at n = 400,000; the band took 11.6 s at
+# n = 1,000,000.
 MAX_DET_N = 160
 MAX_ASCENT_PARTS = 500
 MAX_ASCENT_CELLS = 1500
 MAX_CHAIN_CHARS = 250_000_000
+MAX_CLOSED_N = 200_000
 
 
 def _ascents_arg(text: str) -> tuple[int, ...]:
@@ -175,14 +183,21 @@ def _cmd_count(args) -> int:
             raise ValueError("no closed form is available for a fixed ascent sequence")
         rows.append((n, d, value))
     else:
-        # both caps come before the band is listed: an n far above them is too
-        # large to list.  Outside the band the count is 0 at any n, so det caps
-        # only an n in the band, which a full band always is
-        if args.method == "det" and n > MAX_DET_N and (args.d is None or args.d < n <= 2 * args.d):
-            raise CapExceededError(f"n={n} is above the cap {MAX_DET_N} for --method det")
+        # every cap comes before the band is listed: an n far above them is too
+        # large to list.  Outside the band the count is 0 at any n, so det and
+        # closed cap only an n in the band, which a full band always is
+        cap = {"det": MAX_DET_N, "closed": MAX_CLOSED_N}.get(args.method)
+        if cap is not None and n > cap and (args.d is None or args.d < n <= 2 * args.d):
+            raise CapExceededError(f"n={n} is above the cap {cap} for --method {args.method}")
         if args.method == "brute":
             tally = Counter(map(descent_count, _brute_force(n, args.max_brute_n)))
-        band = [args.d] if args.d is not None else list(range((n + 1) // 2, n))
+        if args.d is not None:
+            band = [args.d]
+        elif args.method == "closed":
+            # the only d of the band that _closed_form can cover
+            band = sorted({d for d in ((n + 1) // 2, n - 3, n - 2, n - 1) if (n + 1) // 2 <= d < n})
+        else:
+            band = list(range((n + 1) // 2, n))
         if args.method == "brute":
             rows.extend((n, d, tally[d]) for d in band)
         elif args.method == "det":

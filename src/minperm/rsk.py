@@ -187,6 +187,8 @@ def inverse_bump(rows: Sequence[Sequence[int]], corner: Cell) -> tuple[Rows, int
     """
     tableau = _straight(rows, "tableau")
     r, c = corner
+    if type(r) is not int or type(c) is not int:  # exact type: no bool, no float
+        raise ValueError(f"cell coordinates must be integers: ({r!r}, {c!r})")
     if not (1 <= r <= len(tableau) and c == len(tableau[r - 1])):
         raise ValueError(f"cell {corner} is not the last cell of its row")
     if r < len(tableau) and len(tableau[r]) >= c:

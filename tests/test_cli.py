@@ -18,7 +18,8 @@ from minperm import (SkewShape, SkewTableau, catalan, decreasing_run_lengths,
                      minimal_count, one_ascent_count, perm_to_tableau, rsk_trace,
                      shape_from_runs, tableau_to_perm, two_ascent_count)
 import minperm.cli as cli
-from minperm.cli import MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_DET_N, main
+from minperm.cli import (MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_CLOSED_N, MAX_DET_N,
+                         _closed_form, main)
 from minperm.permutations import _separator
 from minperm.rsk import _knuth_swap
 from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
@@ -187,9 +188,29 @@ class TestCount:
         det = f"error: n={n} is above the cap {MAX_DET_N} for --method det\n"
         brute = (f"error: enumeration over S_{n} exceeds the brute-force cap 11; "
                  "raise it via --max-brute-n\n")
+        closed = f"error: n={n} is above the cap {MAX_CLOSED_N} for --method closed\n"
         for argv, err in [((), det), (("--method", "det"), det), (("--method", "brute"), brute),
-                          (("--method", "brute", "--format", "json"), brute)]:
+                          (("--method", "brute", "--format", "json"), brute),
+                          (("--method", "closed"), closed),
+                          (("--method", "closed", "--d", "99999999997"), closed)]:
             assert run(capsys, "count", "--n", n, *argv) == (3, "", err), argv
+        # closed has a cap of its own; outside the band no closed form applies
+        top = str(MAX_CLOSED_N + 1)
+        code, out, err = run(capsys, "count", "--n", top, "--method", "closed")
+        assert (code, out) == (3, "") and f"cap {MAX_CLOSED_N} for --method closed" in err
+        code, out, err = run(capsys, "count", "--n", n, "--d", "3", "--method", "closed")
+        assert (code, out) == (2, "") and "no closed form covers" in err
+
+    def test_closed_band_rows(self, capsys):
+        # the rows are those of every d in the band that a closed form covers
+        for n in range(1, 60):
+            rows = [(d, _closed_form(n, d)) for d in range((n + 1) // 2, n)]
+            want = "".join(f"{n},{d},{value}\n" for d, value in rows if value is not None)
+            code, out, err = run(capsys, "count", "--n", str(n), "--method", "closed")
+            if want:
+                assert (code, out) == (0, "n,d,count\n" + want), n
+            else:
+                assert (code, out) == (2, "") and "no closed form" in err, n
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="this Python converts an int of any length to text")
@@ -420,6 +441,19 @@ class TestVerify:
         assert code == 0 and json.loads(out)["passed"]
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
+        self.check_injected_fault(capsys, monkeypatch)
+
+    def test_injected_fault_detected_in_two_shares(self, capsys, monkeypatch):
+        # the forked child sees the patched module too: the off-by-one
+        # count fails checks 0-4 of the counts suite, in both shares
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        report = self.check_injected_fault(capsys, monkeypatch)
+        assert [c["passed"] for c in report["checks"]] == [False] * 5 + [True] * 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def check_injected_fault(capsys, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(verify, "minimal_count", lambda n, d: minimal_count(n, d) + 1)
             code, out, err = run(capsys, "verify", "--suite", "counts", "--max-n", "4")
@@ -431,6 +465,7 @@ class TestVerify:
         assert "FAIL" in err
         code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-n", "4")
         assert code == 0 and json.loads(out)["passed"]
+        return report
 
     def test_non_standard_image_fails_the_check(self, capsys, monkeypatch):
         # an image relabelled x -> n + 1 - x has decreasing rows; tableau_to_perm

@@ -264,6 +264,12 @@ class TestInverseBump:
         with pytest.raises(ValueError):
             inverse_bump(((1, 3), (2, 4)), (2, 1))
 
+    @pytest.mark.parametrize("corner", [(1, 1.0), (1.0, 1), (True, 1), (1, True), ("1", 1)])
+    def test_non_int_corner_rejected(self, corner):
+        # (1, 1.0) once removed the cell and (1.0, 1) raised TypeError
+        with pytest.raises(ValueError, match=r"^cell coordinates must be integers: \("):
+            inverse_bump(((1,),), corner)
+
     def test_malformed_tableau_rejected(self):
         # (((3, 2),), 1) came back once: P's first row decreases
         with pytest.raises(ValueError, match="tableau row 1 is empty or not increasing"):
