@@ -1,5 +1,7 @@
 """Golden CLI outputs: each invocation replays through cli.main and its
 stdout must match the committed file under tests/golden/ byte for byte.
+The count matrix holds the exit code, stdout and stderr of several hundred
+`count` invocations, refusals included, and each must replay the same.
 
 Regenerate the files (only when an output is meant to change) with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -7,14 +9,16 @@ Regenerate the files (only when an output is meant to change) with
 
 import contextlib
 import io
+import json
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from minperm.cli import main
-from minperm.permutations import format_permutation
+from minperm.cli import (MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_CLOSED_N, MAX_DET_N,
+                         main)
+from minperm.permutations import DEFAULT_MAX_BRUTE_N, format_permutation
 from minperm.verify import WORKED_PERM_13, WORKED_PERM_16
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,11 +57,79 @@ INVOCATIONS = {
 }
 
 
+COUNT_MATRIX = GOLDEN / "count_matrix.json"
+HUGE_N = 99_999_999_999
+
+
+def count_matrix_argvs():
+    """The `count` argvs of the matrix.  Every one parses: argparse's own
+    messages differ between Python versions.  Accepted inputs at the slow
+    caps are left out (the det band near MAX_DET_N, brute force at n = 10
+    and 11, closed near MAX_CLOSED_N, profiles near the ascent caps), and so
+    is every count too long for the int-to-text limit."""
+    argvs = []
+
+    def add(n, *rest):
+        for fmt in ("csv", "json"):
+            argvs.append(["count", "--n", str(n), *rest, "--format", fmt])
+
+    for n in range(-1, 15):
+        low = (n + 1) // 2
+        ds = sorted({-1, 0, low - 1, low, n - 1, n, n + 1})
+        for method in ("det", "closed", "brute"):
+            if method == "brute" and DEFAULT_MAX_BRUTE_N - 2 < n <= DEFAULT_MAX_BRUTE_N:
+                continue
+            add(n, "--method", method)
+            for d in ds:
+                add(n, "--d", str(d), "--method", method)
+    # each cap and its neighbours, on the side that answers quickly
+    for n in (MAX_DET_N, MAX_DET_N + 1):
+        for d in (None, n // 2, n + 1, n - 1):
+            for method in ("det", "closed"):
+                if d is None and n == MAX_DET_N and method == "det":
+                    continue
+                add(n, *(() if d is None else ("--d", str(d))), "--method", method)
+    for n in (MAX_CLOSED_N - 1, MAX_CLOSED_N, MAX_CLOSED_N + 1, HUGE_N):
+        for d in (None, n - 1, n // 2 - 1, n + 2, 3):
+            if d is None and n <= MAX_CLOSED_N:
+                continue
+            for method in ("det", "closed", "brute"):
+                add(n, *(() if d is None else ("--d", str(d))), "--method", method)
+    for cap in (-1, 0, 1, 5):
+        for n in (cap - 1, cap, cap + 1):
+            add(n, "--method", "brute", "--max-brute-n", str(cap))
+            add(n, "--d", str(n - 1), "--method", "brute", "--max-brute-n", str(cap))
+    add(DEFAULT_MAX_BRUTE_N + 1, "--method", "det", "--max-brute-n", "5")
+    # --ascents profiles: good ones, parts below 2, wrong sums, --d beside them
+    two = ",".join(["2"] * (MAX_ASCENT_PARTS + 1))
+    big = f"{MAX_ASCENT_CELLS // 2},{MAX_ASCENT_CELLS // 2 + 1}"
+    profiles = [(2, "2"), (5, "5"), (6, "2,2,2"), (7, "3,4"), (7, "2,2,3"), (9, "4,2,3"),
+                (4, "1,3"), (4, "0,4"), (3, "1,1,1"), (1, "1"), (0, "0"), (-1, "-1"),
+                (6, "2,3"), (5, "2,2,2"), (2 * MAX_ASCENT_PARTS + 2, two),
+                (MAX_ASCENT_CELLS + 1, big), (MAX_ASCENT_CELLS + 1, str(MAX_ASCENT_CELLS + 1)),
+                (HUGE_N, "2,2")]
+    for n, runs in profiles:
+        for method in ("det", "closed", "brute"):
+            add(n, "--ascents", runs, "--method", method)
+    for n, runs, d in ((6, "2,2,2", 3), (6, "2,2,2", 4), (7, "3,4", -1), (4, "1,3", 2)):
+        for method in ("det", "closed", "brute"):
+            add(n, "--d", str(d), "--ascents", runs, "--method", method)
+    add(6, "--ascents", "2,2,2", "--method", "brute", "--max-brute-n", "5")
+    return argvs
+
+
 def replay(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return code, out.getvalue()
+
+
+def replay_with_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
@@ -67,9 +139,20 @@ def test_stdout_matches_golden(name):
     assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
+def test_count_matrix_replays():
+    cases = json.loads(COUNT_MATRIX.read_text())
+    assert [case["argv"] for case in cases] == count_matrix_argvs()
+    changed = [(case, got) for case in cases
+               if (got := replay_with_stderr(case["argv"])) != case]
+    assert not changed, changed[:3]
+
+
 if __name__ == "__main__":
     for name, argv in INVOCATIONS.items():
         code, out = replay(argv)
         if code != 0:
             sys.exit(f"{name} exited {code}")
         (GOLDEN / f"{name}.txt").write_bytes(out.encode())
+    cases = [replay_with_stderr(argv) for argv in count_matrix_argvs()]
+    # one case a line, so that a change shows as a one-line diff
+    COUNT_MATRIX.write_text("[\n" + ",\n".join(map(json.dumps, cases)) + "\n]\n")
