@@ -157,66 +157,47 @@ def _emit_rows(rows: Sequence[tuple[int, int, int]], fmt: str) -> None:
 
 
 def _cmd_count(args) -> int:
-    n = args.n
+    n, d = args.n, args.d
     if n < 1:
         raise ValueError(f"--n must be >= 1, got {n}")
-    if args.d is not None and args.d < 0:
-        raise ValueError(f"--d must be >= 0, got {args.d}")
-    if args.ascents is not None and args.d is not None:
+    if d is not None and d < 0:
+        raise ValueError(f"--d must be >= 0, got {d}")
+    if args.ascents is not None and d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
-    rows: list[tuple[int, int, int]] = []
     if args.ascents is not None:
         runs = args.ascents
         if sum(runs) != n:
             raise ValueError(f"--ascents {','.join(map(str, runs))} sums to "
                              f"{sum(runs)}, not {n}")
-        d = n - len(runs)
-        if args.method == "det":
+        if args.method == "closed":
+            raise ValueError("no closed form is available for a fixed ascent sequence")
+        if args.method == "brute":
+            value = sum(1 for _ in _brute_force(n, args.max_brute_n, runs=runs))
+        else:
             if len(runs) > MAX_ASCENT_PARTS or n > MAX_ASCENT_CELLS:
                 raise CapExceededError(
                     f"--ascents has {len(runs)} parts and {n} cells, above the cap of "
                     f"{MAX_ASCENT_PARTS} parts and {MAX_ASCENT_CELLS} cells")
             value = minimal_count_by_runs(runs)
-        elif args.method == "brute":
-            value = sum(1 for _ in _brute_force(n, args.max_brute_n, runs=runs))
-        else:
-            raise ValueError("no closed form is available for a fixed ascent sequence")
-        rows.append((n, d, value))
+        _emit_rows([(n, n - len(runs), value)], args.format)
+        return OK
+    # outside the band the count is 0 at any n, so det and closed cap only an
+    # n in the band, which a full band always is
+    cap = {"det": MAX_DET_N, "closed": MAX_CLOSED_N}.get(args.method)
+    if cap is not None and n > cap and (d is None or d < n <= 2 * d):
+        raise CapExceededError(f"n={n} is above the cap {cap} for --method {args.method}")
+    band = range((n + 1) // 2, n) if d is None else (d,)
+    if args.method == "brute":
+        counts = Counter(map(descent_count, _brute_force(n, args.max_brute_n)))
+    elif args.method == "det":
+        counts = minimal_count_band(n) if d is None else {d: minimal_count(n, d)}
     else:
-        # every cap comes before the band is listed: an n far above them is too
-        # large to list.  Outside the band the count is 0 at any n, so det and
-        # closed cap only an n in the band, which a full band always is
-        cap = {"det": MAX_DET_N, "closed": MAX_CLOSED_N}.get(args.method)
-        if cap is not None and n > cap and (args.d is None or args.d < n <= 2 * args.d):
-            raise CapExceededError(f"n={n} is above the cap {cap} for --method {args.method}")
-        if args.method == "brute":
-            tally = Counter(map(descent_count, _brute_force(n, args.max_brute_n)))
-        if args.d is not None:
-            band = [args.d]
-        elif args.method == "closed":
-            # the only d of the band that _closed_form can cover
-            band = sorted({d for d in ((n + 1) // 2, n - 3, n - 2, n - 1) if (n + 1) // 2 <= d < n})
-        else:
-            band = list(range((n + 1) // 2, n))
-        if args.method == "brute":
-            rows.extend((n, d, tally[d]) for d in band)
-        elif args.method == "det":
-            if args.d is None:
-                counts = minimal_count_band(n)
-            else:
-                counts = {args.d: minimal_count(n, args.d)}
-            rows.extend((n, d, counts[d]) for d in band)
-        else:
-            for d in band:
-                value = _closed_form(n, d)
-                if value is None:
-                    if args.d is not None:
-                        raise ValueError(f"no closed form covers n={n}, d={d}")
-                    continue
-                rows.append((n, d, value))
-            if not rows:
-                raise ValueError(f"no closed form covers any descent count for n={n}")
-    _emit_rows(rows, args.format)
+        counts = {k: v for k in band if (v := _closed_form(n, k)) is not None}
+        if not counts:
+            raise ValueError("no closed form covers " + (
+                f"any descent count for n={n}" if d is None else f"n={n}, d={d}"))
+        band = counts
+    _emit_rows([(n, k, counts[k]) for k in band], args.format)
     return OK
 
 
@@ -241,7 +222,11 @@ def _cmd_bijection(args) -> int:
                           "tableau": tableau_to_json(t),
                           "round_trip": "ok" if ok else "FAILED"}))
     else:
-        t = tableau_from_json(json.loads(args.tableau))
+        try:
+            data = json.loads(args.tableau)
+        except RecursionError:
+            raise ValueError("--tableau is nested too deeply to read") from None
+        t = tableau_from_json(data)
         w = tableau_to_perm(t)
         ok = perm_to_tableau(w) == t
         print(json.dumps({"tableau": tableau_to_json(t),

@@ -16,6 +16,7 @@ per-profile counts and serves the tests as its oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -43,19 +44,16 @@ def compositions_min2(n: int, k: int) -> Iterator[tuple[int, ...]]:
     >>> list(compositions_min2(5, 3))
     []
     """
+    _check_int("n", n)
+    _check_int("k", k)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-
-    def rec(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(2, total - 2 * (parts - 1) + 1):
-            for rest in rec(total - first, parts - 1):
-                yield (first,) + rest
-
-    return rec(n, k)
+    if k == 0 or n < 2 * k:
+        return iter([()] if n == k == 0 else [])
+    # k - 1 cut points split n - k into k positive parts, in the order of the
+    # cut points; adding 1 to each part gives the parts >= 2
+    return (tuple(b - a + 1 for a, b in zip((0, *cuts), (*cuts, n - k)))
+            for cuts in itertools.combinations(range(1, n - k), k - 1))
 
 
 def minimal_count_by_runs(runs: Sequence[int]) -> int:

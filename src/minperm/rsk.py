@@ -106,10 +106,10 @@ def row_insert(rows: Sequence[Sequence[int]], value: int) -> tuple[Rows, tuple[C
         if value in row:
             raise ValueError(f"value {value} is already present")
     path = _bump(tableau, value)
-    return tuple(tuple(row) for row in tableau), tuple(path)
+    return _frozen(tableau), tuple(path)
 
 
-def _frozen(rows: list[list[int]]) -> Rows:
+def _frozen(rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(tuple(row) for row in rows)
 
 
@@ -196,7 +196,7 @@ def inverse_bump(rows: Sequence[Sequence[int]], corner: Cell) -> tuple[Rows, int
     x = _unbump(tableau, r - 1)
     if not tableau[-1]:
         tableau.pop()
-    return tuple(tuple(row) for row in tableau), x
+    return _frozen(tableau), x
 
 
 @dataclass(frozen=True)
@@ -350,7 +350,7 @@ def syt_to_minimal(rows: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
     The forward map is re-applied to confirm the round trip.  The same
     tableau can be inverted for several i, so i is an explicit argument.
     """
-    p = tuple(tuple(r) for r in rows)
+    p = _frozen(rows)
     if len(p) != 3:
         raise ValueError(f"expected a three-row tableau, got {len(p)} rows")
     n, k = len(p[0]), len(p[2])

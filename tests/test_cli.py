@@ -331,6 +331,15 @@ class TestBijection:
             assert (code, out) == (2, "")
             assert f"'shape' must be a string, got {shape!r}" in err
 
+    def test_deep_nesting_rejected(self, capsys):
+        # json.loads raised RecursionError, a traceback and exit 1
+        deep = "[" * 3000 + "]" * 3000
+        for tableau in (deep, f'{{"shape": {deep}, "rows": []}}',
+                        f'{{"shape": "2,2", "rows": {deep}}}'):
+            code, out, err = run(capsys, "bijection", "--tableau", tableau)
+            assert (code, out) == (2, "")
+            assert err == "error: --tableau is nested too deeply to read\n"
+
 
 class TestRsk:
     def test_shape_reported(self, capsys):

@@ -18,6 +18,17 @@ def composition_sum(n, d):
     return sum(minimal_count_by_runs(a) for a in compositions_min2(n, n - d))
 
 
+def compositions_by_recursion(n, k):
+    """Oracle for compositions_min2: choose the first part, then recurse."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(2, n - 2 * (k - 1) + 1):
+        for rest in compositions_by_recursion(n - first, k - 1):
+            yield (first,) + rest
+
+
 class TestCatalan:
     def test_examples(self):
         assert catalan(0) == 1
@@ -45,6 +56,23 @@ class TestCompositions:
         out = list(compositions_min2(12, 4))
         assert out == sorted(out)
         assert all(sum(a) == 12 and len(a) == 4 and min(a) >= 2 for a in out)
+
+    def test_matches_recursion(self):
+        for n in range(-2, 26):
+            for k in range(14):
+                assert list(compositions_min2(n, k)) == list(compositions_by_recursion(n, k)), (n, k)
+
+    def test_many_parts(self):
+        # the recursive form went one frame deeper per part
+        first = next(compositions_min2(5000, 2000))
+        assert first == (2,) * 1999 + (1002,)
+
+    def test_non_int_rejected(self):
+        for n, k in ((5.5, 2), (6, True), (6, 2.0), ("6", 2)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                compositions_min2(n, k)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            compositions_min2(6, -1)
 
 
 class TestRunCounts:

@@ -119,13 +119,6 @@ def count_matrix_argvs():
 
 
 def replay(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue()
-
-
-def replay_with_stderr(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -134,25 +127,25 @@ def replay_with_stderr(argv):
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_stdout_matches_golden(name):
-    code, out = replay(INVOCATIONS[name])
-    assert code == 0
-    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+    case = replay(INVOCATIONS[name])
+    assert case["exit"] == 0
+    assert case["stdout"].encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 def test_count_matrix_replays():
     cases = json.loads(COUNT_MATRIX.read_text())
     assert [case["argv"] for case in cases] == count_matrix_argvs()
     changed = [(case, got) for case in cases
-               if (got := replay_with_stderr(case["argv"])) != case]
+               if (got := replay(case["argv"])) != case]
     assert not changed, changed[:3]
 
 
 if __name__ == "__main__":
     for name, argv in INVOCATIONS.items():
-        code, out = replay(argv)
-        if code != 0:
-            sys.exit(f"{name} exited {code}")
-        (GOLDEN / f"{name}.txt").write_bytes(out.encode())
-    cases = [replay_with_stderr(argv) for argv in count_matrix_argvs()]
+        case = replay(argv)
+        if case["exit"] != 0:
+            sys.exit(f"{name} exited {case['exit']}")
+        (GOLDEN / f"{name}.txt").write_bytes(case["stdout"].encode())
+    cases = [replay(argv) for argv in count_matrix_argvs()]
     # one case a line, so that a change shows as a one-line diff
     COUNT_MATRIX.write_text("[\n" + ",\n".join(map(json.dumps, cases)) + "\n]\n")
