@@ -188,16 +188,16 @@ def _cmd_count(args) -> int:
         raise CapExceededError(f"n={n} is above the cap {cap} for --method {args.method}")
     band = range((n + 1) // 2, n) if d is None else (d,)
     if args.method == "brute":
-        counts = Counter(map(descent_count, _brute_force(n, args.max_brute_n)))
+        tally = Counter(map(descent_count, _brute_force(n, args.max_brute_n)))
+        counts = {k: tally[k] for k in band}
     elif args.method == "det":
         counts = minimal_count_band(n) if d is None else {d: minimal_count(n, d)}
     else:
         counts = {k: v for k in band if (v := _closed_form(n, k)) is not None}
         if not counts:
-            raise ValueError("no closed form covers " + (
-                f"any descent count for n={n}" if d is None else f"n={n}, d={d}"))
-        band = counts
-    _emit_rows([(n, k, counts[k]) for k in band], args.format)
+            raise ValueError(f"no closed form covers any descent count for n={n}"
+                             if d is None else f"no closed form covers n={n}, d={d}")
+    _emit_rows([(n, k, v) for k, v in counts.items()], args.format)
     return OK
 
 

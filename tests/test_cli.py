@@ -332,8 +332,9 @@ class TestBijection:
             assert f"'shape' must be a string, got {shape!r}" in err
 
     def test_deep_nesting_rejected(self, capsys):
-        # json.loads raised RecursionError, a traceback and exit 1
-        deep = "[" * 3000 + "]" * 3000
+        # json.loads raised RecursionError, a traceback and exit 1; 50,000
+        # levels are above the nesting json.loads reads on Python 3.10-3.13
+        deep = "[" * 50_000 + "]" * 50_000
         for tableau in (deep, f'{{"shape": {deep}, "rows": []}}',
                         f'{{"shape": "2,2", "rows": {deep}}}'):
             code, out, err = run(capsys, "bijection", "--tableau", tableau)
