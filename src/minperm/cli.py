@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 brute-force, determinant, closed-form or knuth-chain output cap
-exceeded, 141 the reader closed stdout before the output ended (128 +
+3 brute-force, determinant, closed-form, enumerate or knuth-chain output
+cap exceeded, 141 the reader closed stdout before the output ended (128 +
 SIGPIPE, as a shell reports a process that signal ended; nothing is
 printed to stderr).
 Counts print as CSV (header n,d,count) or JSON lines with big integers
@@ -13,6 +13,7 @@ are written in pieces, in order, byte for byte as json.dumps prints them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .bijection import perm_to_tableau, tableau_to_perm
 from .counting import (catalan, mansour_yan, minimal_count,
                        minimal_count_band, minimal_count_by_runs,
                        one_ascent_count, two_ascent_count)
-from .errors import CapExceededError
+from .errors import CapExceededError, _parse_int
 from .permutations import (DEFAULT_MAX_BRUTE_N, _separator, descent_count,
                            enumerate_minimal, format_permutation,
                            max_brute_n, parse_permutation)
@@ -57,16 +58,29 @@ BROKEN_PIPE = 141
 # limit off; exit 2 after 0.7 s under the default limit of 4,300 digits),
 # and catalan alone took 2.2 s at n = 400,000; the band took 11.6 s at
 # n = 1,000,000.
+# enumerate refuses an input whose predicted line count is above
+# MAX_ENUMERATE_LINES: minimal_count for --d, minimal_count_by_runs for
+# --ascents, the band's total for neither, and with --double-descent-at
+# that count as an upper bound.  Each line costs about 10 us, a little more
+# for longer words: on the machine above, writing to a file, n = 13, d = 8
+# (4,576,000 lines) took 47 s, n = 22, d = 20 (4,193,840 lines) 46 s,
+# n = 14, d = 11 (3,385,265 lines) 32 s and the whole of n = 12 (1,722,174
+# lines) 15 s.  The lines are written ENUMERATE_BATCH at a time: to a
+# file on an unbuffered stdout (PYTHONUNBUFFERED), the 31,914 lines of
+# n = 10 took 0.06 s printed one at a time and 0.002 s in batches of 64,
+# and batches of 256 raised the peak RSS by about 36 kB more.
 MAX_DET_N = 160
 MAX_ASCENT_PARTS = 500
 MAX_ASCENT_CELLS = 1500
 MAX_CHAIN_CHARS = 250_000_000
 MAX_CLOSED_N = 200_000
+MAX_ENUMERATE_LINES = 5_000_000
+ENUMERATE_BATCH = 64
 
 
 def _ascents_arg(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(_parse_int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse ascent sequence {text!r}") from None
 
@@ -135,11 +149,12 @@ def _closed_form(n: int, d: int) -> int | None:
     return None
 
 
-def _brute_force(n: int, max_n: int | None, **constraints):
+def _brute_force(n: int, max_n: int | None, **constraints) -> Iterator[tuple[int, ...]]:
     """enumerate_minimal(n, max_n=max_n, ...), whose cap error names the
-    --max-brute-n flag instead of the library's max_n argument."""
+    --max-brute-n flag instead of the library's max_n argument.  Like
+    enumerate_minimal, it checks its arguments on the call."""
     try:
-        yield from enumerate_minimal(n, max_n=max_n, **constraints)
+        return enumerate_minimal(n, max_n=max_n, **constraints)
     except CapExceededError:
         raise CapExceededError(f"enumeration over S_{n} exceeds the brute-force cap "
                                f"{max_brute_n(max_n)}; raise it via --max-brute-n") from None
@@ -202,12 +217,28 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.ascents is not None and args.d is not None:
+    n, d, runs, j = args.n, args.d, args.ascents, args.double_descent_at
+    if runs is not None and d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
-    stream = _brute_force(args.n, args.max_brute_n, d=args.d, runs=args.ascents,
-                          double_descent_at=args.double_descent_at)
-    for w in stream:
-        print(format_permutation(w))
+    stream = _brute_force(n, args.max_brute_n, d=d, runs=runs, double_descent_at=j)
+    # the count of the lines asked for, an upper bound with
+    # --double-descent-at; a closed form answers at once where the column
+    # program is slowest, d near n
+    if runs is not None:
+        lines = minimal_count_by_runs(runs) if min(runs) >= 2 else 0
+    elif d is not None:
+        lines = _closed_form(n, d)
+        if lines is None:
+            lines = minimal_count(n, d)
+    else:
+        lines = sum(minimal_count_band(n).values())
+    if lines > MAX_ENUMERATE_LINES:
+        raise CapExceededError(
+            f"enumerate would print {'up to ' if j is not None else ''}{lines} lines, "
+            f"above the cap of {MAX_ENUMERATE_LINES}")
+    texts = map(format_permutation, stream)
+    while batch := list(itertools.islice(texts, ENUMERATE_BATCH)):
+        sys.stdout.write("\n".join(batch) + "\n")
     return OK
 
 

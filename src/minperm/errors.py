@@ -6,3 +6,14 @@ class CapExceededError(RuntimeError):
 def _check_int(name: str, value) -> None:
     if type(value) is not int:  # exact type: no bool, no float
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _parse_int(token: str) -> int:
+    """The integer an optional sign and ASCII digits spell, with ASCII
+    blanks around them allowed; ValueError for anything else, including
+    the other digits and the underscores that int() also reads."""
+    text = token.strip(" \t\n\r\v\f")
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(text)

@@ -19,7 +19,7 @@ import bisect
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, _check_int
+from .errors import CapExceededError, _check_int, _parse_int
 
 DEFAULT_MAX_BRUTE_N = 11
 
@@ -268,12 +268,19 @@ def enumerate_minimal(n: int, d: int | None = None,
     optionally restricted to descent count d, to decreasing-run lengths
     runs, or to descents at both positions j and j+1 (double_descent_at=j).
 
-    The search is a depth-first walk of the prefix tree.  The constraints
-    are pruned during the walk, not filtered at its leaves: runs and j fix
-    some steps to ascend or descend, and d bounds the ascent count of every
-    prefix, so each completed word meets them and the work grows with the
-    output.  Every completed word is still validated with is_minimal, so
-    correctness never rests on the pruning.  Refuses n above the
+    Each search is a depth-first walk of the prefix tree that knows, for
+    every step, whether it must descend, must ascend or is free.  A run
+    profile fixes every step: its ascents fall at the prefix sums of all
+    runs but the last, and every other step descends.  Descent count d is
+    the union of its profiles, the compositions of n into n - d parts of
+    at least 2: their searches yield disjoint streams, each in
+    lexicographic order, which heapq.merge interleaves in that order.
+    With neither, the first and last steps descend and the others are
+    free.  j makes steps j and j+1 descend, and drops every profile that
+    ascends there.  The constraints are pruned during the walk, so each
+    completed word meets them; every one is still validated with
+    is_minimal, so correctness never rests on the pruning.  Arguments are
+    checked on the call, not on the first next().  Refuses n above the
     brute-force cap.
 
     >>> list(enumerate_minimal(3))
@@ -303,93 +310,102 @@ def enumerate_minimal(n: int, d: int | None = None,
         _check_int("double-descent position", j)
         if not 1 <= j <= n - 2:
             raise ValueError(f"double-descent position must be in 1..{n - 2}, got {j}")
-    # step s (1 <= s <= n-1) goes from position s to s+1; minimality makes
-    # the first and last steps descend
-    ascend = [1 < s < n - 1 for s in range(n)]
-    fewest, most = 0, n
+    if wanted is None and d is None:
+        steps = ["D"] * n + [None, None]
+        steps[2:n - 1] = ["F"] * (n - 3)
+        if j is not None:
+            steps[j] = steps[j + 1] = "D"
+        return _search_minimal(n, steps)
+    # heapq and counting are imported here, not with this module, which
+    # every command imports at start-up: there they raised the peak RSS
+    import heapq
+    from .counting import compositions_min2
     if wanted is not None:
-        if min(wanted) < 2:
-            return iter(())
-        # the ascents fall at the prefix sums of all runs but the last; as
-        # they are isolated and their count is fixed, each must be taken
-        tops = set(itertools.accumulate(wanted[:-1]))
-        ascend = [s in tops for s in range(n)]
-        fewest = most = len(wanted) - 1
-    if d is not None:
-        if not fewest <= n - 1 - d <= most:
-            return iter(())
-        fewest = most = n - 1 - d
-        if most == 0:
-            ascend = [False] * n
-    if j is not None:
-        ascend[j] = ascend[j + 1] = False
-    return _search_minimal(n, ascend, fewest, most)
+        profiles = [wanted] if min(wanted) >= 2 and d in (None, n - len(wanted)) else []
+    else:
+        profiles = compositions_min2(n, n - d) if d < n else []
+    searches = []
+    for profile in profiles:
+        tops = set(itertools.accumulate(profile[:-1]))
+        steps = ["A" if s in tops else "D" for s in range(n)] + [None, None]
+        if j is None or steps[j] == steps[j + 1] == "D":
+            searches.append(_search_minimal(n, steps))
+    return heapq.merge(*searches)
 
 
-def _search_minimal(n: int, ascend: list[bool], fewest: int,
-                    most: int) -> Iterator[tuple[int, ...]]:
-    """Minimal permutations of length n in lexicographic order whose step s
-    ascends only if ascend[s], and whose ascent count lies in fewest..most.
+def _search_minimal(n: int, steps: Sequence[str | None]) -> Iterator[tuple[int, ...]]:
+    """Minimal permutations of length n in lexicographic order whose step
+    s, from 0-indexed position s-1 to s, descends if steps[s] is "D",
+    ascends if it is "A", and may do either if it is "F".  steps holds
+    n + 2 entries: steps[0], steps[1] and steps[n-1] are "D", every "A"
+    lies between two "D", and steps[n] and steps[n+1] are None.
 
     Each node lists, on entry, the unused values its prefix may take next:
-    the structural test read one step at a time.  An ascent must exceed the
-    value before the descent that precedes it and leave an unused value
-    between its ends, which the value after it must take (a window of type
-    2143 or 3142).  A value followed by k steps that must descend needs k
-    unused values below it.
+    the structural test read one step at a time.  A descent that follows
+    an ascent lands strictly between the ascent's ends.  An ascent must
+    exceed the value before the descent that precedes it and leave an
+    unused value between its ends, which the value after it must take (a
+    window of type 2143 or 3142).  A value also needs as many unused
+    values below and above it as there are later positions that every
+    output puts below and above it.  Below, those are the positions that
+    the "D" steps after it reach in a row.  Above, an "A" step s puts
+    positions s and s+1 above position s-1, and position s above s-2, and
+    with them every later position above s+1 or s respectively.  Once
+    every later step descends, the values left can only go in in
+    decreasing order: they are placed at once, after one check of the
+    step into the largest and of the window of an ascent there.
     """
-    # room[s]: the most ascents steps s..n-1 can take when step s-1
-    # descends (ascents are isolated, each needing descents on both sides);
-    # fall[s]: how many steps from s on must descend in a row, so a value
-    # placed before step s needs that many unused values below it
-    room = [0] * (n + 2)
-    fall = [0] * (n + 2)
-    for s in range(n - 1, 0, -1):
-        if ascend[s]:
-            room[s] = max(room[s + 1], 1 + room[s + 2])
-        else:
-            room[s] = room[s + 1]
-            fall[s] = fall[s + 1] + 1
-    if room[1] < fewest:
+    if n < 2:
         return
-    # a prefix with a ascents may take step s down if a >= down[s], and up
-    # if up[s] <= a < most
-    down = [fewest - room[s + 1] for s in range(n)]
-    up = [fewest - 1 - room[s + 2] if ascend[s] else n + 1 for s in range(n)]
-    word = [n + 1]  # a sentinel above every value, so a step 0 "descends"
+    # fall[i] / rise[i]: how many later positions every output puts below /
+    # above position i, so the value there needs that many unused values
+    # below / above it
+    fall = [0] * (n + 2)
+    rise = [0] * (n + 2)
+    for i in range(n - 1, -1, -1):
+        if steps[i + 1] == "D":
+            fall[i] = fall[i + 1] + 1
+        if steps[i + 1] == "A":
+            rise[i] = 2 + rise[i + 2]
+        elif steps[i + 2] == "A":
+            rise[i] = 1 + rise[i + 2]
+    word = [n + 2, n + 1]  # two sentinels, so position 0 follows a descent
     free = list(range(1, n + 1))  # the unused values, in increasing order
-    ascents = [0]  # ascents[i]: the ascent count of the prefix ending at word[i]
-    pending = [iter(free[fall[1]:])]
-    while pending:
-        v = next(pending[-1], 0)
-        if not v:
+    pending = []  # pending[i]: the untried values for position i
+    while True:
+        i = len(word) - 2  # the position the next value takes, by step i
+        p, a = word[-2], word[-1]
+        step = steps[i]
+        if fall[i] == len(free) - 1:
+            # every later step descends, so the values left go in in
+            # decreasing order: y must follow a as step i allows, and if it
+            # ascends, its window's ends must hold p and x between them
+            x, y = free[-2:]
+            if y < a and step != "A" and (p > a or y > p) or \
+                    y > a and (step == "A" or step == "F" and p > a) and y > p and x > a:
+                candidate = (*word[2:], *reversed(free))
+                if is_minimal(candidate):
+                    yield candidate
+            bisect.insort(free, word.pop())
+        else:
+            below = bisect.bisect(free, a)  # free[:below] lie below a
+            lo, hi = fall[i], len(free) - rise[i]  # free[k] has k unused values below it
+            nexts = []
+            if step != "A":
+                nexts = free[max(bisect.bisect(free, p) if p < a else 0, lo):min(below, hi)]
+            if step == "A" or step == "F" and p > a:
+                nexts += free[max(bisect.bisect(free, p), below + 1, lo):hi]
+            pending.append(iter(nexts))
+        while pending:
+            v = next(pending[-1], 0)
+            if v:
+                break
             pending.pop()
             bisect.insort(free, word.pop())
-            ascents.pop()
-            continue
-        s = len(word)  # v sits at position s, so the next value takes step s
-        if s == n:
-            candidate = (*word[1:], v)
-            if is_minimal(candidate):
-                yield candidate
-            continue
-        prev = word[-1]
-        a = ascents[-1] + (prev < v)
-        word.append(v)
-        ascents.append(a)
-        free.remove(v)
-        below = bisect.bisect(free, v)  # free[:below] lie below v
-        first = fall[s + 1]  # free[i] leaves i unused values below it
-        nexts = []
-        if prev < v:
-            if a >= down[s]:
-                nexts = free[max(bisect.bisect(free, prev), first):below]
         else:
-            if a >= down[s]:
-                nexts = free[first:below]
-            if up[s] <= a < most:
-                nexts += free[max(bisect.bisect(free, prev), below + 1, first):]
-        pending.append(iter(nexts))
+            return
+        word.append(v)
+        free.remove(v)
 
 
 def format_permutation(perm: Sequence[int]) -> str:
@@ -415,7 +431,7 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     word = []
     for pos, tok in enumerate(tokens, start=1):
         try:
-            word.append(int(tok))
+            word.append(_parse_int(tok))
         except ValueError:
             raise ValueError(f"token {pos} ({tok!r}) is not an integer") from None
     return check_permutation(word)

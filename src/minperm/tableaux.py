@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, _check_int
+from .errors import CapExceededError, _check_int, _parse_int
 
 DEFAULT_MAX_CELLS = 16
 
@@ -142,7 +142,7 @@ def parse_shape(text: str) -> SkewShape:
         if chunk in ("", "∅"):
             return ()
         try:
-            return tuple(int(tok) for tok in chunk.split(","))
+            return tuple(_parse_int(tok) for tok in chunk.split(","))
         except ValueError:
             raise ValueError(f"cannot parse {what} partition from {chunk!r}") from None
 

@@ -14,7 +14,8 @@ from test_bijection import random_filling
 
 import minperm.verify as verify
 from minperm import (SkewShape, SkewTableau, catalan, decreasing_run_lengths,
-                     even_odd_split, format_permutation, insertion_tableau, knuth_chain,
+                     enumerate_minimal, even_odd_split, format_permutation,
+                     insertion_tableau, knuth_chain,
                      minimal_count, one_ascent_count, perm_to_tableau, rsk_trace,
                      shape_from_runs, tableau_to_perm, two_ascent_count)
 import minperm.cli as cli
@@ -291,6 +292,46 @@ class TestEnumerate:
         second = run(capsys, "enumerate", "--n", "6")
         assert first == second
 
+    def test_line_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 62)
+        # a predicted count at the cap is listed; one above it is refused
+        # before any search, with --d, --ascents or neither
+        code, out, _ = run(capsys, "enumerate", "--n", "8", "--ascents", "4,4")
+        assert code == 0 and len(out.splitlines()) == 62
+        for argv, lines in ((("--n", "7", "--d", "4"), "84"),
+                            (("--n", "7"), "169"),
+                            (("--n", "7", "--d", "5", "--double-descent-at", "1"), "up to 84"),
+                            (("--n", "10", "--ascents", "5,5"), "242")):
+            code, out, err = run(capsys, "enumerate", *argv)
+            assert (code, out) == (3, ""), argv
+            assert err == f"error: enumerate would print {lines} lines, above the cap of 62\n"
+
+    def test_line_cap_past_the_brute_force_cap(self, capsys):
+        # Catalan(15) lines; a raised --max-brute-n lets the line cap refuse
+        # it, and the n cap still answers first
+        code, out, err = run(capsys, "enumerate", "--n", "30", "--d", "15",
+                             "--max-brute-n", "30")
+        assert (code, out) == (3, "")
+        assert err == (f"error: enumerate would print 9694845 lines, above the cap of "
+                       f"{cli.MAX_ENUMERATE_LINES}\n")
+        code, out, err = run(capsys, "enumerate", "--n", "30", "--d", "15")
+        assert (code, out) == (3, "") and "raise it via --max-brute-n" in err
+
+    def test_batches_match_lines(self, capsys, monkeypatch):
+        # 31,914 lines cross many batches and end on a partial one
+        code, out, _ = run(capsys, "enumerate", "--n", "10")
+        monkeypatch.setattr(cli, "ENUMERATE_BATCH", 1)
+        assert (code, out) == (0, "".join(format_permutation(w) + "\n"
+                                           for w in enumerate_minimal(10)))
+        assert run(capsys, "enumerate", "--n", "10") == (0, out, "")
+
+    def test_non_ascii_ascents_rejected(self, capsys):
+        # int() also reads other scripts' digits and underscores
+        for text in ("٢,٣", "2,3_0", "２,３"):
+            code, out, err = run(capsys, "enumerate", "--n", "5", "--ascents", text)
+            assert (code, out) == (2, ""), text
+            assert f"cannot parse ascent sequence {text!r}" in err
+
 
 class TestBijection:
     def test_perm_to_tableau(self, capsys):
@@ -310,6 +351,17 @@ class TestBijection:
     def test_parse_failure_reports_token(self, capsys):
         code, _, err = run(capsys, "bijection", "--perm", "1 2 x")
         assert code == 2 and "token 3" in err
+
+    def test_non_ascii_digits_rejected(self, capsys):
+        # int() also reads other scripts' digits and underscores
+        for perm, bad in (("٢,١", "1 ('٢')"), ("0_2,1", "1 ('0_2')"), ("2 １", "2 ('１')")):
+            code, out, err = run(capsys, "bijection", "--perm", perm)
+            assert (code, out) == (2, ""), perm
+            assert err == f"error: token {bad} is not an integer\n"
+        tableau = json.dumps({"shape": "٢,٢", "rows": [[1, 3], [2, 4]]})
+        code, out, err = run(capsys, "bijection", "--tableau", tableau)
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse outer partition from '٢,٢'\n"
 
     def test_non_minimal_rejected(self, capsys):
         code, _, err = run(capsys, "bijection", "--perm", "1 2 3")

@@ -1,5 +1,7 @@
+import bisect
 import itertools
 import random
+import re
 from enum import IntEnum
 
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 
 import minperm.permutations as permutations_module
 from minperm import (CapExceededError, ascent_set, check_permutation,
-                     contains_pattern, decreasing_run_lengths, descent_count,
-                     descent_set, duplicate_loss, enumerate_minimal,
-                     format_permutation, is_minimal, is_minimal_by_deletion,
-                     is_permutation, max_brute_n, minimality_violation,
+                     compositions_min2, contains_pattern,
+                     decreasing_run_lengths, descent_count, descent_set,
+                     duplicate_loss, enumerate_minimal, format_permutation,
+                     is_minimal, is_minimal_by_deletion, is_permutation,
+                     max_brute_n, minimal_count_by_runs, minimality_violation,
                      parse_permutation, perm_to_tableau, shape_from_runs,
                      standardize, tableau_to_perm)
 from test_bijection import random_filling
@@ -351,6 +354,127 @@ class TestConstrainedSearch:
             assert out and len(leaves) == len(out), constraints
 
 
+def search_by_budget(n, d=None, runs=None):
+    """A second constrained search, as the oracle for enumerate_minimal's
+    content and order: one walk of the prefix tree in which step s may
+    ascend only if ascend[s], under a budget fewest..most on the prefix's
+    ascent count, with every leaf checked by is_minimal."""
+    ascend = [1 < s < n - 1 for s in range(n)]
+    fewest, most = 0, n
+    if runs is not None:
+        if min(runs) < 2:
+            return []
+        tops = set(itertools.accumulate(runs[:-1]))
+        ascend = [s in tops for s in range(n)]
+        fewest = most = len(runs) - 1
+    if d is not None:
+        if not fewest <= n - 1 - d <= most:
+            return []
+        fewest = most = n - 1 - d
+        if most == 0:
+            ascend = [False] * n
+    return list(_walk_by_budget(n, ascend, fewest, most))
+
+
+def _walk_by_budget(n, ascend, fewest, most):
+    # room[s]: the most ascents steps s..n-1 can take when step s-1
+    # descends; fall[s]: how many steps from s on must descend in a row
+    room = [0] * (n + 2)
+    fall = [0] * (n + 2)
+    for s in range(n - 1, 0, -1):
+        if ascend[s]:
+            room[s] = max(room[s + 1], 1 + room[s + 2])
+        else:
+            room[s] = room[s + 1]
+            fall[s] = fall[s + 1] + 1
+    if room[1] < fewest:
+        return
+    # a prefix with a ascents may take step s down if a >= down[s], and up
+    # if up[s] <= a < most
+    down = [fewest - room[s + 1] for s in range(n)]
+    up = [fewest - 1 - room[s + 2] if ascend[s] else n + 1 for s in range(n)]
+    word = [n + 1]
+    free = list(range(1, n + 1))
+    ascents = [0]
+    pending = [iter(free[fall[1]:])]
+    while pending:
+        v = next(pending[-1], 0)
+        if not v:
+            pending.pop()
+            bisect.insort(free, word.pop())
+            ascents.pop()
+            continue
+        s = len(word)
+        if s == n:
+            candidate = (*word[1:], v)
+            if is_minimal(candidate):
+                yield candidate
+            continue
+        prev = word[-1]
+        a = ascents[-1] + (prev < v)
+        word.append(v)
+        ascents.append(a)
+        free.remove(v)
+        below = bisect.bisect(free, v)
+        first = fall[s + 1]
+        nexts = []
+        if prev < v:
+            if a >= down[s]:
+                nexts = free[max(bisect.bisect(free, prev), first):below]
+        else:
+            if a >= down[s]:
+                nexts = free[first:below]
+            if up[s] <= a < most:
+                nexts += free[max(bisect.bisect(free, prev), below + 1, first):]
+        pending.append(iter(nexts))
+
+
+class TestSearchByBudget:
+    """Fixed-step searches, merged over the profiles of a descent count,
+    against one walk under an ascent budget; a double descent at j keeps
+    the words that descend at j and j+1, in order."""
+
+    def check(self, n, cases, js):
+        for case in cases:
+            expected = search_by_budget(n, **case)
+            for j in js:
+                got = list(enumerate_minimal(n, **case, double_descent_at=j))
+                if j is not None:
+                    expected_j = [w for w in expected if w[j - 1] > w[j] > w[j + 1]]
+                    assert got == expected_j, (n, case, j)
+                else:
+                    assert got == expected, (n, case)
+
+    def test_every_constraint_to_n10(self):
+        for n in range(1, 11):
+            profiles = [runs for k in range(1, n // 2 + 1) for runs in compositions_min2(n, k)]
+            cases = [{"d": d} for d in [None, *range(n + 1)]] + [{"runs": r} for r in profiles]
+            self.check(n, cases, [None, *range(1, n - 1)])
+
+    def test_every_d_at_n11(self):
+        self.check(11, [{"d": d} for d in range(12)], (None, 1, 3))
+
+
+class TestPastTheCap:
+    """Enumeration as a counting oracle past n = 11: every run profile of
+    12 to 16 cells with at most 5,000 minimal permutations."""
+
+    def test_profiles_match_determinant(self):
+        checked = 0
+        for n in range(12, 17):
+            for k in range(1, n // 2 + 1):
+                for runs in compositions_min2(n, k):
+                    count = minimal_count_by_runs(runs)
+                    if count > 5000:
+                        continue
+                    words = list(enumerate_minimal(n, runs=runs, max_n=n))
+                    assert len(words) == count, runs
+                    assert all(decreasing_run_lengths(w) == runs and is_minimal_by_deletion(w)
+                               for w in words), runs
+                    checked += 1
+        assert checked == 84
+
+
 class TestSerialization:
     def test_format(self):
         assert format_permutation((2, 1, 4, 3)) == "2 1 4 3"
@@ -365,6 +489,12 @@ class TestSerialization:
     def test_parse_errors_name_token(self):
         with pytest.raises(ValueError, match="token 3"):
             parse_permutation("1 2 x")
+        # int() also reads other scripts' digits and underscores
+        for text, bad in (("٢ ١", "1 ('٢')"), ("2,1_0", "2 ('1_0')"), ("２ １", "1 ('２')"),
+                          ("2 --1", "2 ('--1')"), ("2 +", "2 ('+')")):
+            with pytest.raises(ValueError, match=rf"^token {re.escape(bad)} is not an integer$"):
+                parse_permutation(text)
+        assert parse_permutation("+2 1") == (2, 1)
         with pytest.raises(ValueError, match="not a permutation"):
             parse_permutation("1 3")
         with pytest.raises(ValueError):

@@ -235,6 +235,12 @@ class TestSkewShape:
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_shape("2,x")
+        # int() also reads other scripts' digits and underscores
+        with pytest.raises(ValueError, match="^cannot parse outer partition from '٢,1'$"):
+            parse_shape("٢,1")
+        with pytest.raises(ValueError, match="^cannot parse inner partition from '1_0'$"):
+            parse_shape("12,2/1_0")
+        assert parse_shape(" 2, 2 / 1 ") == SkewShape((2, 2), (1,))
 
     @given(skew_shapes())
     def test_format_round_trip(self, shape):
