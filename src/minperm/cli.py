@@ -21,9 +21,8 @@ from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .bijection import perm_to_tableau, tableau_to_perm
-from .counting import (catalan, mansour_yan, minimal_count,
-                       minimal_count_band, minimal_count_by_runs,
-                       one_ascent_count, two_ascent_count)
+from .counting import (_closed_form, minimal_count, minimal_count_band,
+                       minimal_count_by_runs)
 from .errors import CapExceededError, _parse_int
 from .permutations import (DEFAULT_MAX_BRUTE_N, _separator, descent_count,
                            enumerate_minimal, format_permutation,
@@ -53,11 +52,11 @@ BROKEN_PIPE = 141
 # file, length 801 with i = 1 (79,800 words of 3,095 characters) took 1.6 s
 # and 26 MB, and length 1001 with i = 143 took 1.5 s and 25 MB.
 # count --method closed refuses an in-band n above MAX_CLOSED_N.  Its
-# slowest form is catalan(n // 2), whose binomial grows about as n^2: the
+# slowest form is Catalan(n // 2), whose binomial grows about as n^2: the
 # full band took 1.0 s at n = 200,000 (216 kB printed with the int-to-text
 # limit off; exit 2 after 0.7 s under the default limit of 4,300 digits),
-# and catalan alone took 2.2 s at n = 400,000; the band took 11.6 s at
-# n = 1,000,000.
+# and the Catalan form alone took 2.2 s at n = 400,000; the band took 11.6 s
+# at n = 1,000,000.
 # enumerate refuses an input whose predicted line count is above
 # MAX_ENUMERATE_LINES: minimal_count for --d, minimal_count_by_runs for
 # --ascents, the band's total for neither, and with --double-descent-at
@@ -135,20 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _closed_form(n: int, d: int) -> int | None:
-    if d >= 1 and n == d + 1:
-        return 1
-    if d >= 1 and n == 2 * d:
-        return catalan(d)
-    if d >= 2 and n == 2 * d - 1:
-        return mansour_yan(d - 1)
-    if n >= 4 and d == n - 2:
-        return one_ascent_count(n)
-    if n >= 5 and d == n - 3:
-        return two_ascent_count(n)
-    return None
-
-
 def _brute_force(n: int, max_n: int | None, **constraints) -> Iterator[tuple[int, ...]]:
     """enumerate_minimal(n, max_n=max_n, ...), whose cap error names the
     --max-brute-n flag instead of the library's max_n argument.  Like
@@ -221,15 +206,11 @@ def _cmd_enumerate(args) -> int:
     if runs is not None and d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
     stream = _brute_force(n, args.max_brute_n, d=d, runs=runs, double_descent_at=j)
-    # the count of the lines asked for, an upper bound with
-    # --double-descent-at; a closed form answers at once where the column
-    # program is slowest, d near n
+    # the count of the lines asked for, an upper bound with --double-descent-at
     if runs is not None:
         lines = minimal_count_by_runs(runs) if min(runs) >= 2 else 0
     elif d is not None:
-        lines = _closed_form(n, d)
-        if lines is None:
-            lines = minimal_count(n, d)
+        lines = minimal_count(n, d)
     else:
         lines = sum(minimal_count_band(n).values())
     if lines > MAX_ENUMERATE_LINES:
@@ -281,8 +262,10 @@ def _cmd_rsk(args) -> int:
     w = parse_permutation(args.perm)
     p: list[list[int]] = []
     q: list[list[int]] = []
-    # each path is kept only as its JSON text, a few characters per cell
-    paths = [json.dumps(path) for path in _rsk_steps(w, p, q)]
+    # each path is kept only as its JSON text, a few characters per cell;
+    # it holds only int pairs, so the text is built without json.dumps
+    paths = ["[" + ", ".join([f"[{r}, {c}]" for r, c in path]) + "]"
+             for path in _rsk_steps(w, p, q)]
     out = sys.stdout
     out.write(f'{{"perm": {json.dumps(format_permutation(w))}, '
               f'"shape": {json.dumps([len(row) for row in p])}, '

@@ -7,11 +7,15 @@ counts, the odd-length product formula, the half-integer polynomial) divide
 through the exact-division guard tableaux._exact_div, which raises unless
 the quotient is a nonnegative integer.
 
-minimal_count sums the banded determinant over every run profile of
-(n, d) at once, by an integer dynamic program over the matrix columns
-(_column_counts) whose cost is polynomial in n.  The composition sum it
-replaced, minimal_count_by_runs over compositions_min2, is kept for
-per-profile counts and serves the tests as its oracle.
+minimal_count takes one of two routes.  Where one of the paper's closed
+forms covers (n, d) (_closed_form: one run, Catalan at n = 2d, Mansour-Yan
+at n = 2d - 1, one or two ascents) it answers at once.  Elsewhere it sums
+the banded determinant over every run profile of (n, d) at once, by an
+integer dynamic program over the matrix columns (_column_counts) whose
+cost is polynomial in n.  _column_count is that program alone: the oracle
+that verify and the tests compare each closed form with.  The composition
+sum the program replaced, minimal_count_by_runs over compositions_min2, is
+kept for per-profile counts and serves the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -148,11 +152,34 @@ def _column_counts(n: int, lo: int, hi: int) -> dict[int, int]:
     return counts
 
 
+def _column_count(n: int, d: int) -> int:
+    """minimal_count(n, d) by the column program alone, for int n and d."""
+    if d < 1 or n < d + 1 or n > 2 * d:
+        return 0
+    return _column_counts(n, d, d)[d]
+
+
+def _closed_form(n: int, d: int) -> int | None:
+    """The closed form that covers (n, d), or None where none does."""
+    if d >= 1 and n == d + 1:
+        return 1
+    if d >= 1 and n == 2 * d:
+        return catalan(d)
+    if d >= 2 and n == 2 * d - 1:
+        return mansour_yan(d - 1)
+    if n >= 4 and d == n - 2:
+        return one_ascent_count(n)
+    if n >= 5 and d == n - 3:
+        return two_ascent_count(n)
+    return None
+
+
 def minimal_count(n: int, d: int) -> int:
     """Number of minimal permutations of length n with d descents: the sum
     of minimal_count_by_runs over the compositions of n into n - d parts
-    >= 2, evaluated by the column program _column_counts restricted to
-    those n - d columns.  Zero outside the band d + 1 <= n <= 2d.
+    >= 2.  A closed form answers where one covers (n, d); elsewhere the
+    column program _column_counts evaluates the sum, restricted to those
+    n - d columns.  Zero outside the band d + 1 <= n <= 2d.
 
     >>> minimal_count(6, 3)
     5
@@ -163,9 +190,8 @@ def minimal_count(n: int, d: int) -> int:
     """
     _check_int("n", n)
     _check_int("d", d)
-    if d < 1 or n < d + 1 or n > 2 * d:
-        return 0
-    return _column_counts(n, d, d)[d]
+    value = _closed_form(n, d)
+    return _column_count(n, d) if value is None else value
 
 
 def minimal_count_band(n: int) -> dict[int, int]:

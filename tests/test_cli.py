@@ -15,12 +15,13 @@ from test_bijection import random_filling
 import minperm.verify as verify
 from minperm import (SkewShape, SkewTableau, catalan, decreasing_run_lengths,
                      enumerate_minimal, even_odd_split, format_permutation,
-                     insertion_tableau, knuth_chain,
-                     minimal_count, one_ascent_count, perm_to_tableau, rsk_trace,
-                     shape_from_runs, tableau_to_perm, two_ascent_count)
+                     insertion_tableau, knuth_chain, one_ascent_count,
+                     perm_to_tableau, rsk_trace, shape_from_runs,
+                     tableau_to_perm, two_ascent_count)
 import minperm.cli as cli
 from minperm.cli import (MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_CLOSED_N, MAX_DET_N,
-                         _closed_form, main)
+                         main)
+from minperm.counting import _closed_form, _column_count
 from minperm.permutations import _separator
 from minperm.rsk import _knuth_swap
 from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
@@ -517,7 +518,7 @@ class TestVerify:
     @staticmethod
     def check_injected_fault(capsys, monkeypatch):
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "minimal_count", lambda n, d: minimal_count(n, d) + 1)
+            patch.setattr(verify, "_column_count", lambda n, d: _column_count(n, d) + 1)
             code, out, err = run(capsys, "verify", "--suite", "counts", "--max-n", "4")
         assert code == 1
         report = json.loads(out)

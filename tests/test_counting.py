@@ -1,7 +1,12 @@
+import contextlib
 import math
+from collections.abc import Iterator
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import minperm.counting as counting
 import minperm.verify as verify
 from minperm import (SkewShape, catalan, compositions_min2,
                      decreasing_run_lengths, double_descent_count,
@@ -9,6 +14,11 @@ from minperm import (SkewShape, catalan, compositions_min2,
                      minimal_count, minimal_count_band, minimal_count_by_runs,
                      one_ascent_count, run_suite, shape_from_runs,
                      skew_syt_count, three_row_syt_count, two_ascent_count)
+from minperm.counting import _closed_form, _column_count
+
+# arguments of every kind: small ints, on and off the band, and non-ints
+ARGUMENTS = st.one_of(st.integers(-10, 60), st.floats(), st.booleans(), st.none(),
+                      st.text(max_size=3))
 
 
 def composition_sum(n, d):
@@ -128,7 +138,7 @@ class TestRunCounts:
         # an off-by-one count patched into the verify module is detected,
         # and once it is undone nothing leaks into a later run
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "minimal_count", lambda n, d: minimal_count(n, d) + 1)
+            patch.setattr(verify, "_column_count", lambda n, d: _column_count(n, d) + 1)
             report = run_suite("counts", 4)
         assert not report["passed"]
         assert "determinant" in next(c for c in report["checks"] if not c["passed"])["detail"]
@@ -152,7 +162,7 @@ class TestMinimalCount:
 
     def test_catalan_specialization(self):
         for m in range(1, 9):
-            assert minimal_count(2 * m, m) == catalan(m)
+            assert _column_count(2 * m, m) == catalan(m)
 
     def test_column_program_matches_composition_sum(self):
         # the composition sum the column program replaced is its oracle
@@ -161,7 +171,7 @@ class TestMinimalCount:
             assert list(band) == list(range((n + 1) // 2, n))
             for d in range(n + 2):
                 want = composition_sum(n, d)
-                assert minimal_count(n, d) == want, (n, d)
+                assert _column_count(n, d) == minimal_count(n, d) == want, (n, d)
                 if d in band:
                     assert band[d] == want, (n, d)
 
@@ -177,8 +187,12 @@ class TestMinimalCount:
                 assert band[n - 2] == one_ascent_count(n)
             if n >= 6:
                 assert band[n - 3] == two_ascent_count(n)
-        assert minimal_count(60, 30) == catalan(30)
-        assert minimal_count(59, 30) == mansour_yan(29)
+            # where a closed form covers (n, d), minimal_count takes it
+            for d in range(-1, n + 2):
+                if _closed_form(n, d) is not None:
+                    assert minimal_count(n, d) == band.get(d, 0), (n, d)
+        assert _column_count(60, 30) == catalan(30)
+        assert _column_count(59, 30) == mansour_yan(29)
 
     def test_exact_integer_arguments(self):
         for n, d in ((6.0, 3), (6, 3.0), (True, 1), (6, True), ("6", 3)):
@@ -189,18 +203,58 @@ class TestMinimalCount:
                 minimal_count_band(n)
         assert minimal_count_band(1) == {} == minimal_count_band(-4)
 
+    def test_closed_forms_skip_the_column_program(self, monkeypatch):
+        # the column program took 85 s at (2000, 1998) and 6.3 s at (400, 200)
+        def refuse(n, lo, hi):
+            raise AssertionError(f"column program run at n={n}")
+
+        monkeypatch.setattr(counting, "_column_counts", refuse)
+        assert minimal_count(2000, 1998) == one_ascent_count(2000) == 2 ** 2000 - 2000 * 1999 - 2
+        assert minimal_count(2000, 1997) == two_ascent_count(2000)
+        assert minimal_count(400, 200) == catalan(200) == math.comb(400, 200) // 201
+        assert minimal_count(401, 201) == mansour_yan(200)
+        assert minimal_count(2001, 2000) == 1
+        with pytest.raises(AssertionError, match="column program"):
+            minimal_count(40, 26)
+
+
+class TestArguments:
+    """The counting entry points return or raise ValueError on arguments of
+    any kind; a TypeError from deep inside would fail the test."""
+
+    @seed(21)
+    @settings(max_examples=150, deadline=None)
+    @given(ARGUMENTS, ARGUMENTS)
+    def test_minimal_count(self, n, d):
+        with contextlib.suppress(ValueError):
+            assert type(minimal_count(n, d)) is int
+
+    @seed(21)
+    @settings(max_examples=100, deadline=None)
+    @given(ARGUMENTS)
+    def test_minimal_count_band(self, n):
+        with contextlib.suppress(ValueError):
+            assert type(minimal_count_band(n)) is dict
+
+    @seed(21)
+    @settings(max_examples=150, deadline=None)
+    @given(ARGUMENTS, ARGUMENTS)
+    def test_compositions_min2(self, n, k):
+        with contextlib.suppress(ValueError):
+            assert isinstance(compositions_min2(n, k), Iterator)
+
 
 class TestClosedForms:
     def test_one_ascent(self):
         assert one_ascent_count(4) == 2
         assert one_ascent_count(5) == 10
         for n in range(4, 31):
-            assert one_ascent_count(n) == minimal_count(n, n - 2)
+            assert one_ascent_count(n) == _column_count(n, n - 2)
 
     def test_two_ascents(self):
         assert [two_ascent_count(n) for n in (5, 6, 7)] == [0, 5, 84]
         for n in range(5, 31):
-            assert two_ascent_count(n) == minimal_count(n, n - 3)
+            assert two_ascent_count(n) == _column_count(n, n - 3)
 
     def test_domains(self):
         with pytest.raises(ValueError):
@@ -215,7 +269,7 @@ class TestOddLengthFormula:
 
     def test_against_determinant_sum(self):
         for m in range(1, 13):
-            assert mansour_yan(m) == minimal_count(2 * m + 1, m + 1)
+            assert mansour_yan(m) == _column_count(2 * m + 1, m + 1)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """run_suite deals its checks into shares, runs every share after the first
 in a forked child, and must give the report, and the errors, of a serial
-run at any share count, with no child left behind."""
+run at any share count, with no child left behind.  Each check must fail
+when the route it checks is broken."""
 
 import os
 import threading
@@ -11,7 +12,13 @@ import pytest
 
 import minperm.verify as verify
 from minperm.cli import main
-from minperm.verify import Check, run_suite
+from minperm.counting import _column_count
+from minperm.tableaux import skew_syt_count
+from minperm.verify import (Check, check_catalan_law,
+                            check_determinant_vs_enumeration,
+                            check_odd_length_formula,
+                            check_one_ascent_closed_form,
+                            check_two_ascent_closed_form, run_suite)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -141,3 +148,22 @@ def test_interrupt_kills_the_children(shares, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_suite("counts", 4)
     assert time.perf_counter() - start < 30
+
+
+def test_transpose_mismatch_fails(monkeypatch):
+    # a shape with more rows than columns counts one more than its conjugate
+    monkeypatch.setattr(verify, "skew_syt_count",
+                        lambda shape: skew_syt_count(shape) + (len(shape.outer) > shape.outer[0]))
+    check = check_determinant_vs_enumeration(4)
+    assert not check.passed and check.detail.startswith("transpose mismatch"), check
+
+
+@pytest.mark.parametrize("check", [check_catalan_law, check_one_ascent_closed_form,
+                                   check_two_ascent_closed_form, check_odd_length_formula])
+def test_closed_form_checks_read_the_column_program(monkeypatch, check):
+    # minimal_count returns the closed form itself, so a check that read it
+    # would pass here
+    monkeypatch.setattr(verify, "_column_count", lambda n, d: _column_count(n, d) + 1)
+    result = check(4)
+    assert not result.passed, result
+    assert result.detail.startswith("closed form and determinant sum differ"), result
