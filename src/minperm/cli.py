@@ -27,8 +27,8 @@ from .errors import CapExceededError, _parse_int
 from .permutations import (DEFAULT_MAX_BRUTE_N, _separator, descent_count,
                            enumerate_minimal, format_permutation,
                            max_brute_n, parse_permutation)
-from .rsk import (KnuthMove, _knuth_swap, _rsk_steps, double_descent_class,
-                  even_odd_split, insertion_tableau, knuth_chain)
+from .rsk import (_knuth_swap, _rsk_steps, _sweeps, double_descent_class,
+                  even_odd_split, insertion_tableau)
 from .tableaux import tableau_from_json, tableau_to_json
 from .verify import SUITES, run_suite
 
@@ -49,8 +49,8 @@ BROKEN_PIPE = 141
 # writes them one at a time, so its memory follows one word, but its time
 # and output follow all of them: it refuses a chain whose words would take
 # more than MAX_CHAIN_CHARS characters.  Just under the cap, writing to a
-# file, length 801 with i = 1 (79,800 words of 3,095 characters) took 1.6 s
-# and 26 MB, and length 1001 with i = 143 took 1.5 s and 25 MB.
+# file, length 801 with i = 1 (79,800 words of 3,095 characters) took 1.5-2 s
+# and 16.6 MB, and length 1001 with i = 143 1.8 s and 16.6 MB: start-up memory.
 # count --method closed refuses an in-band n above MAX_CLOSED_N.  Its
 # slowest form is Catalan(n // 2), whose binomial grows about as n^2: the
 # full band took 1.0 s at n = 200,000 (216 kB printed with the int-to-text
@@ -275,14 +275,14 @@ def _cmd_rsk(args) -> int:
     return OK
 
 
-def _replay(word: list[int], moves: Iterable[KnuthMove]) -> Iterator[str]:
-    """Apply the moves to word in place, checking each, and yield every word
-    the chain passes through as a JSON string.  The text format holds only
-    digits and one separator, which JSON never escapes."""
+def _replay(word: list[int], moves: Iterable[tuple[int, str]]) -> Iterator[str]:
+    """Apply the (position, kind) moves to word in place, checking each, and
+    yield every word the chain passes through as a JSON string.  The text
+    format holds only digits and one separator, which JSON never escapes."""
     tokens = list(map(str, word))
     sep = _separator(len(word))
-    for move in moves:
-        j = _knuth_swap(word, move)
+    for t, kind in moves:
+        j = _knuth_swap(word, t, kind)
         tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
         yield f'"{sep.join(tokens)}"'
 
@@ -290,24 +290,24 @@ def _replay(word: list[int], moves: Iterable[KnuthMove]) -> Iterator[str]:
 def _cmd_knuth_chain(args) -> int:
     w = parse_permutation(args.perm)
     n, i = double_descent_class(w)
-    # knuth_chain's sweeps make (n-i)(n-i+1)/2 moves, and every word the
-    # chain passes through is as long as the first
+    # the sweeps make (n-i)(n-i+1)/2 moves, and every word the chain passes
+    # through is as long as the first
     text = format_permutation(w)
     words_needed = (n - i) * (n - i + 1) // 2
     if words_needed * len(text) > MAX_CHAIN_CHARS:
         raise CapExceededError(
             f"knuth-chain on length {len(w)} with i={i} would print {words_needed} words "
             f"of {len(text)} characters, above the cap of {MAX_CHAIN_CHARS} characters")
-    moves = knuth_chain(w)
     # every refusal is raised above; from here on the object is written in
-    # order, each word as the replay makes it
+    # order, each word as the one replay makes it.  A move the replay finds
+    # illegal, which only a wrong schedule can make, exits 2 partway through
     out = sys.stdout
     out.write(f'{{"perm": {json.dumps(text)}, "moves": ')
-    _write_array(out, (f'{{"position": {m.position}, "kind": {json.dumps(m.kind)}}}'
-                       for m in moves))
+    # the kinds are ASCII letters, which JSON never escapes
+    _write_array(out, (f'{{"position": {t}, "kind": "{kind}"}}' for t, kind in _sweeps(n, i)))
     out.write(', "words": ')
     word = list(w)
-    _write_array(out, _replay(word, moves))
+    _write_array(out, _replay(word, _sweeps(n, i)))
     word = tuple(word)
     target = even_odd_split(w)
     unchanged = insertion_tableau(w) == insertion_tableau(word)

@@ -12,8 +12,9 @@ adjacent descent pair, at positions (2i-1, 2i) for some 1 <= i <= n.  Such
 a word is Knuth-equivalent to the word that keeps its first 2i letters and
 then lists the remaining even-position letters followed by the odd-position
 ones; the chain of elementary moves realizing this is produced explicitly.
-Moves are applied in place on one list, and each move's legality is checked
-in O(1) by comparing the three letters of its triple.
+Its one schedule, _sweeps, yields (position, kind) pairs, which only
+knuth_chain wraps in KnuthMoves.  Moves are replayed once, in place on one
+list, each checked in O(1) by comparing the three letters of its triple.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bijection import tableau_to_perm
 from .errors import _check_int
 from .permutations import (check_permutation, decreasing_run_lengths,
                            minimality_violation, standardize)
-from .tableaux import SkewShape, SkewTableau
+from .tableaux import SkewShape, SkewTableau, _built
 
 Rows = tuple[tuple[int, ...], ...]
 Cell = tuple[int, int]
@@ -73,8 +74,11 @@ def _unbump(rows: list[list[int]], r: int) -> int:
 
 def _straight(rows: Sequence[Sequence[int]], what: str) -> list[list[int]]:
     """rows copied as lists, after checking that they form a straight
-    tableau: distinct integers, every row nonempty and increasing, and each
-    row no longer than the one above and strictly below it, column by column."""
+    tableau: sequences of distinct integers, every row nonempty and
+    increasing, and each row no longer than the one above and strictly below
+    it, column by column."""
+    if not all(isinstance(row, Sequence) for row in rows):
+        raise ValueError(f"{what} rows must be sequences: {rows!r}")
     tableau = [list(row) for row in rows]
     cells = [x for row in tableau for x in row]
     if any(type(x) is not int for x in cells):  # exact type: no bool, no float
@@ -210,31 +214,31 @@ class KnuthMove:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in _PATTERNS:
+        _check_int("position", self.position)
+        if not isinstance(self.kind, str) or self.kind not in _PATTERNS:
             raise ValueError(f"unknown move kind {self.kind!r}")
 
     def inverse(self) -> "KnuthMove":
         return KnuthMove(self.position, _INVERSE[self.kind])
 
 
-def _knuth_swap(word: list[int], move: KnuthMove) -> int:
-    """Apply one elementary Knuth move to word in place, in O(1), and return
-    the 0-indexed position j of the swapped pair word[j], word[j+1].
+def _knuth_swap(word: list[int], t: int, kind: str) -> int:
+    """Apply the elementary move kind at the 1-indexed position t to word in
+    place, in O(1), and return the 0-indexed j of the swapped word[j], word[j+1].
 
     Raises ValueError naming the pattern actually found when the triple
-    does not match the move's kind; the word is then left unchanged.
+    does not match kind; the word is then left unchanged.
     """
-    t = move.position
     if not 1 <= t <= len(word) - 2:
         raise ValueError(f"no triple starts at position {t} in a word of length {len(word)}")
-    lo, mid, hi = _ORDER[move.kind]
+    lo, mid, hi = _ORDER[kind]
     s = t - 1
     if not word[s + lo] < word[s + mid] < word[s + hi]:
         triple = tuple(word[s:s + 3])
         found = standardize(triple)
         raise ValueError(f"triple {triple} at position {t} has pattern "
-                         f"{_KINDS.get(found, found)}, not {move.kind}")
-    j = s if move.kind in _SWAP_FIRST else t
+                         f"{_KINDS.get(found, found)}, not {kind}")
+    j = s if kind in _SWAP_FIRST else t
     word[j], word[j + 1] = word[j + 1], word[j]
     return j
 
@@ -246,7 +250,7 @@ def apply_knuth_move(word: Sequence[int], move: KnuthMove) -> tuple[int, ...]:
     does not match the move's kind.
     """
     w = list(word)
-    _knuth_swap(w, move)
+    _knuth_swap(w, move.position, move.kind)
     return tuple(w)
 
 
@@ -295,14 +299,21 @@ def even_odd_split(perm: Sequence[int]) -> tuple[int, ...]:
     return w[:2 * i] + w[2 * i + 1:2 * n:2] + w[2 * i::2]
 
 
-def knuth_chain(perm: Sequence[int]) -> list[KnuthMove]:
-    """Elementary moves carrying the word to even_odd_split(perm).
-
-    Sweep s first pulls one even-position letter forward with a "bac" move
+def _sweeps(n: int, i: int) -> Iterator[tuple[int, str]]:
+    """The chain's schedule for the class (n, i) as (position, kind) pairs:
+    sweep s first pulls one even-position letter forward with a "bac" move
     at position 2i+s-1, then pushes the odd-position letters one slot back
     with "acb" moves marching right two positions at a time, (n-i)(n-i+1)/2
-    moves in all.  The moves are applied in place on one list, and the
-    legality of each is checked in O(1).
+    moves in all."""
+    for s in range(1, n - i + 1):
+        yield 2 * i + s - 1, "bac"
+        for q in range(2 * i + s + 2, 2 * n - s + 1, 2):
+            yield q, "acb"
+
+
+def knuth_chain(perm: Sequence[int]) -> list[KnuthMove]:
+    """The elementary moves of _sweeps carrying the word to
+    even_odd_split(perm), replayed once in place and checked to end there.
 
     >>> knuth_chain((3, 2, 1))
     []
@@ -313,11 +324,9 @@ def knuth_chain(perm: Sequence[int]) -> list[KnuthMove]:
     n, i = double_descent_class(w)
     moves: list[KnuthMove] = []
     word = list(w)
-    for s in range(1, n - i + 1):
-        moves.append(KnuthMove(2 * i + s - 1, "bac"))
-        moves.extend(KnuthMove(q, "acb") for q in range(2 * i + s + 2, 2 * n - s + 1, 2))
-    for move in moves:
-        _knuth_swap(word, move)
+    for t, kind in _sweeps(n, i):
+        _knuth_swap(word, t, kind)
+        moves.append(_built(KnuthMove, position=t, kind=kind))
     if tuple(word) != even_odd_split(w):
         raise AssertionError(f"sweep schedule for {w} ended at {tuple(word)}")
     return moves
@@ -350,7 +359,9 @@ def syt_to_minimal(rows: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
     The forward map is re-applied to confirm the round trip.  The same
     tableau can be inverted for several i, so i is an explicit argument.
     """
-    p = _frozen(rows)
+    _check_int("i", i)
+    current = _straight(rows, "tableau")
+    p = _frozen(current)
     if len(p) != 3:
         raise ValueError(f"expected a three-row tableau, got {len(p)} rows")
     n, k = len(p[0]), len(p[2])
@@ -360,7 +371,6 @@ def syt_to_minimal(rows: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
         raise ValueError(f"third row length {k} is incompatible with i={i}")
     # row 2 beyond column i, then all of row 3, each from the right; k <= i
     # leaves every such cell a removable corner
-    current = [list(r) for r in p]
     evicted = [_unbump(current, 1) for _ in range(n + 1 - k - i)]
     evicted += [_unbump(current, 2) for _ in range(k)]
     top = (None,) * (i - 1) + tuple(reversed(evicted))

@@ -29,6 +29,8 @@ from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
                             check_odd_length_formula, check_rsk_refinement)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# minperm.rsk, the module: the package binds the name rsk to the function
+rsk_module = sys.modules["minperm.rsk"]
 
 
 def run(capsys, *argv):
@@ -60,7 +62,7 @@ def knuth_chain_stdout_by_dumps(w):
     word, tokens, words = list(w), list(map(str, w)), []
     sep = _separator(len(w))
     for move in moves:
-        j = _knuth_swap(word, move)
+        j = _knuth_swap(word, move.position, move.kind)
         tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
         words.append(sep.join(tokens))
     word = tuple(word)
@@ -480,9 +482,56 @@ class TestKnuthChain:
 
     def test_traced_memory(self):
         # the staircase's 11,175 words took 40 MB when held and printed
-        # through one json.dumps; written one at a time, they take one word
+        # through one json.dumps, and 1.18 MB written one at a time beside a
+        # list of one KnuthMove per move; from the schedule, they take one word
         code, peak = traced_peak(["knuth-chain", "--perm", ",".join(map(str, staircase(150)))])
-        assert code == 0 and peak < 8 * 2**20, peak
+        assert code == 0 and peak < 2**19, peak
+
+    def test_one_replay(self, capsys, monkeypatch):
+        # every move is made once, by the replay that prints the words
+        calls = []
+        swap = rsk_module._knuth_swap
+
+        def counted(*args):
+            calls.append(args[1:])
+            return swap(*args)
+
+        monkeypatch.setattr(rsk_module, "_knuth_swap", counted)
+        monkeypatch.setattr(cli, "_knuth_swap", counted)
+        code, out, _ = run(capsys, "knuth-chain", "--perm", format_permutation(WORKED_PERM_13))
+        assert code == 0 and len(calls) == len(json.loads(out)["moves"]) == 10
+
+    @pytest.mark.parametrize("fault", ["last move dropped", "one kind swapped"])
+    def test_wrong_schedule_fails(self, capsys, monkeypatch, fault):
+        # a wrong schedule ends away from the split form (exit 1), or makes a
+        # move the replay finds illegal partway through the output (exit 2)
+        sweeps = rsk_module._sweeps
+
+        def wrong_sweeps(n, i):
+            moves = list(sweeps(n, i))
+            if fault == "last move dropped":
+                moves.pop()
+            else:
+                moves[5] = (moves[5][0], "bac")  # an "acb" move in WORKED_PERM_13's chain
+            return iter(moves)
+
+        monkeypatch.setattr(rsk_module, "_sweeps", wrong_sweeps)
+        monkeypatch.setattr(cli, "_sweeps", wrong_sweeps)
+        error, message, want = {
+            "last move dropped": (AssertionError, "sweep schedule for", 1),
+            "one kind swapped": (ValueError, "at position 8 has pattern acb, not bac", 2),
+        }[fault]
+        with pytest.raises(error, match=message):
+            knuth_chain(WORKED_PERM_13)
+        code, out, err = run(capsys, "knuth-chain", "--perm", format_permutation(WORKED_PERM_13))
+        assert code == want
+        if fault == "last move dropped":
+            payload = json.loads(out)
+            assert len(payload["words"]) == 9 and payload["final"] != payload["target"]
+        else:
+            # the output stops after the five words before the illegal move
+            assert out.split('"words": ')[1].count('"') == 10 and not out.endswith("\n")
+            assert err == f"error: triple (2, 11, 8) {message}\n"
 
     @pytest.mark.parametrize("case", sorted(REFUSED_PERMS))
     def test_refusal_prints_nothing(self, capsys, case):

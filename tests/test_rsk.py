@@ -1,13 +1,16 @@
 import bisect
+import contextlib
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from test_bijection import random_filling
 
-from minperm import (KnuthMove, SkewShape, apply_knuth_move, descent_set,
-                     double_descent_class, enumerate_minimal, even_odd_split,
+from minperm import (CapExceededError, KnuthMove, SkewShape, apply_knuth_move,
+                     descent_set, double_descent_class, enumerate_minimal, even_odd_split,
                      format_permutation, insertion_tableau, inverse_bump,
                      knuth_chain, legal_knuth_moves, minimal_to_syt,
                      minimality_violation, row_insert, rsk, rsk_inverse,
@@ -137,7 +140,7 @@ def swap_outcome(word, move):
     must then be unchanged)."""
     w = list(word)
     try:
-        j = _knuth_swap(w, move)
+        j = _knuth_swap(w, move.position, move.kind)
     except ValueError as exc:
         assert w == list(word)
         return str(exc)
@@ -172,6 +175,9 @@ class TestRowInsert:
                 row_insert(rows, 9)
         with pytest.raises(ValueError, match="value must be an integer, got 'a'"):
             row_insert(((1,),), "a")
+        # rows of ints, not a tuple of rows, once raised TypeError
+        with pytest.raises(ValueError, match="tableau rows must be sequences"):
+            row_insert((1, 2), 3)
 
 
 class TestRSK:
@@ -226,6 +232,8 @@ class TestRSK:
             rsk_inverse(((1, 2),), ((2, 1),))
         with pytest.raises(ValueError, match="recording tableau is not standard on 1..n"):
             rsk_inverse(((1, 2),), ((1, 3),))
+        with pytest.raises(ValueError, match="insertion tableau rows must be sequences"):
+            rsk_inverse((1, 2), ((1, 2),))
 
     def test_inverse_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shape"):
@@ -276,6 +284,8 @@ class TestInverseBump:
             inverse_bump(((3, 1), (2,)), (2, 1))
         with pytest.raises(ValueError, match="row 2 does not lie strictly below row 1"):
             inverse_bump(((2, 3), (1,)), (2, 1))
+        with pytest.raises(ValueError, match="tableau rows must be sequences"):
+            inverse_bump((1, 2), (1, 1))
 
     def test_round_trip_random(self):
         rng = random.Random(7)
@@ -320,6 +330,16 @@ class TestKnuthMoves:
             apply_knuth_move((2, 1), KnuthMove(1, "bac"))
         with pytest.raises(ValueError):
             KnuthMove(1, "abc")
+
+    @pytest.mark.parametrize("position", [True, 1.0, "2", None])
+    def test_non_int_position_rejected(self, position):
+        # True once acted as position 1, and "2" raised TypeError when applied
+        with pytest.raises(ValueError, match="position must be an integer"):
+            KnuthMove(position, "bac")
+
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown move kind"):
+            KnuthMove(1, ["bac"])
 
     def test_in_place_swap_matches_copying_oracle(self):
         # every ordering of a triple at every position of a length-5 word,
@@ -458,6 +478,78 @@ class TestClassMaps:
             syt_to_minimal(((1, 4), (2, 5), (3,)), 3)  # k=1 needs i <= n
         with pytest.raises(ValueError):
             syt_to_minimal(((1, 2), (3, 4)), 1)
-        # rows it takes as given reach _unbump's column check
-        with pytest.raises(ValueError, match="not column-strict above the corner"):
+        # rows that are not a tableau are refused before any unbumping
+        with pytest.raises(ValueError, match="does not lie strictly below row 1"):
             syt_to_minimal(((5, 6), (1, 2), (3,)), 1)
+        with pytest.raises(ValueError, match="i must be an integer"):
+            syt_to_minimal(((1, 4), (2, 5), (3,)), 1.0)
+        with pytest.raises(ValueError, match="entries must be integers"):
+            syt_to_minimal(((1, 4), (2, "5"), (3,)), 1)
+        with pytest.raises(ValueError, match="entries must be integers"):
+            syt_to_minimal(((1, 4), (2, None), (3,)), 1)
+        with pytest.raises(ValueError, match="rows must be sequences"):
+            syt_to_minimal((1, 2, 3), 1)
+
+
+# arguments of every kind: small ints that can spell permutations and
+# tableaux, ints of any sign and size, and non-ints; words and rows drawn
+# from them, or class members and their tableaux, so that valid input also
+# reaches the checks past the type checks
+SCALARS = st.one_of(st.integers(-2, 9), st.integers(), st.booleans(), st.floats(),
+                    st.text(max_size=3), st.none())
+MEMBERS = [(3, 2, 1), *enumerate_minimal(5, d=3), *enumerate_minimal(7, d=4, double_descent_at=3)]
+WORDS = st.one_of(st.sampled_from(MEMBERS), st.permutations(range(1, 6)).map(tuple),
+                  st.lists(SCALARS, max_size=7).map(tuple))
+ROWS = st.one_of(st.sampled_from([minimal_to_syt(w) for w in MEMBERS]),
+                 st.lists(st.one_of(WORDS, SCALARS), max_size=4).map(tuple))
+KINDS = st.one_of(st.sampled_from(sorted(KNUTH_PATTERNS)), SCALARS, st.lists(st.text(max_size=3)))
+
+
+def returns_or_refuses(fn, *args):
+    """Call fn(*args), allowing only the errors the CLI turns into exit codes."""
+    with contextlib.suppress(ValueError, ArithmeticError, CapExceededError):
+        fn(*args)
+
+
+class TestArguments:
+    """The rsk-layer entry points return or raise ValueError, ArithmeticError
+    or CapExceededError on arguments of any kind; a TypeError, IndexError or
+    AttributeError from deep inside would fail the test."""
+
+    @pytest.mark.parametrize("fn", [double_descent_class, even_odd_split, knuth_chain,
+                                    minimal_to_syt])
+    @seed(22)
+    @settings(max_examples=50, deadline=None)
+    @given(word=WORDS)
+    def test_class_maps(self, fn, word):
+        returns_or_refuses(fn, word)
+
+    @seed(22)
+    @settings(max_examples=100, deadline=None)
+    @given(ROWS, SCALARS)
+    def test_syt_to_minimal(self, rows, i):
+        returns_or_refuses(syt_to_minimal, rows, i)
+
+    @seed(22)
+    @settings(max_examples=100, deadline=None)
+    @given(ROWS, SCALARS)
+    def test_row_insert(self, rows, value):
+        returns_or_refuses(row_insert, rows, value)
+
+    @seed(22)
+    @settings(max_examples=100, deadline=None)
+    @given(ROWS, WORDS)
+    def test_inverse_bump(self, rows, corner):
+        returns_or_refuses(inverse_bump, rows, corner)
+
+    @seed(22)
+    @settings(max_examples=100, deadline=None)
+    @given(ROWS, ROWS)
+    def test_rsk_inverse(self, p, q):
+        returns_or_refuses(rsk_inverse, p, q)
+
+    @seed(22)
+    @settings(max_examples=100, deadline=None)
+    @given(SCALARS, KINDS)
+    def test_knuth_move(self, position, kind):
+        returns_or_refuses(KnuthMove, position, kind)
