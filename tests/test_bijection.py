@@ -11,7 +11,7 @@ from minperm import (SkewShape, SkewTableau, compositions_min2,
 import minperm.bijection as bijection
 from minperm.verify import (WORKED_PERM_16, WORKED_TABLEAU_16_ROWS,
                             WORKED_TABLEAU_16_SHAPE, check_bijection_round_trip)
-from minperm.tableaux import format_shape
+from minperm.tableaux import format_shape, parse_shape
 
 
 def perm_to_tableau_by_grid(w):
@@ -96,6 +96,33 @@ def test_bad_tableaux_rejected():
     three_overlap = next(skew_standard_tableaux(SkewShape((3, 3, 3))))
     with pytest.raises(ValueError, match="2-regular"):
         tableau_to_perm(three_overlap)
+
+
+@pytest.mark.parametrize("shape, rows, message", [
+    # the 2x2 square is 2-regular; its second row decreases
+    ("2,2", ((1, 2), (4, 3)), "tableau is not standard"),
+    # the 2-regular skew shape of runs (2, 3): its first column increases
+    # when read upward; its rows increase
+    ("2,2,2/1", ((None, 1), (3, 4), (2, 5)), "tableau is not standard"),
+    # one column of two cells is 2-regular; its values are not 1..2
+    ("1,1", ((2,), (3,)), "tableau is not standard"),
+    # standard, but adjacent columns of the 3x3 square share three rows
+    ("3,3,3", ((1, 2, 3), (4, 5, 6), (7, 8, 9)), "tableau is not 2-regular"),
+    # standard, but one column of a single cell
+    ("1", ((1,),), "tableau is not 2-regular"),
+    # standard, with no cells at all
+    ("", (), "tableau is not 2-regular"),
+    # standard, with an empty first column
+    ("2,2/1,1", ((None, 1), (None, 2)), "tableau is not 2-regular"),
+    # neither: standardness is reported first
+    ("3,3,3", ((1, 2, 3), (4, 5, 6), (7, 9, 8)), "tableau is not standard"),
+    ("3", ((1, 3, 2),), "tableau is not standard"),
+    ("3", ((1, 2, 3),), "tableau is not 2-regular"),
+])
+def test_refusals_and_their_order(shape, rows, message):
+    t = SkewTableau(parse_shape(shape), rows)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tableau_to_perm(t)
 
 
 def test_round_trips_small():

@@ -1,4 +1,5 @@
 import bisect
+import collections.abc
 import contextlib
 import itertools
 import json
@@ -178,6 +179,26 @@ class TestRowInsert:
         # rows of ints, not a tuple of rows, once raised TypeError
         with pytest.raises(ValueError, match="tableau rows must be sequences"):
             row_insert((1, 2), 3)
+
+    def test_rows_of_any_sequence_type(self):
+        class Row(collections.abc.Sequence):
+            def __init__(self, *values):
+                self.values = values
+
+            def __getitem__(self, k):
+                return self.values[k]
+
+            def __len__(self):
+                return len(self.values)
+
+        expected = (((1, 3), (2, 4)), ((1, 2), (2, 2)))
+        for rows in [((1, 4), (2,)), [[1, 4], [2]], (range(1, 5, 3), range(2, 3)),
+                     (Row(1, 4), Row(2)), [Row(1, 4), range(2, 3)]]:
+            assert row_insert(rows, 3) == expected
+            assert inverse_bump(rows, (2, 1)) == (((2, 4),), 1)
+        # a str is a sequence too, of non-integers
+        with pytest.raises(ValueError, match="tableau entries must be integers"):
+            row_insert(("ab",), 3)
 
 
 class TestRSK:
