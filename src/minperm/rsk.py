@@ -20,8 +20,8 @@ list, each checked in O(1) by comparing the three letters of its triple.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .bijection import tableau_to_perm
 from .errors import _check_int
@@ -77,19 +77,21 @@ def _straight(rows: Sequence[Sequence[int]], what: str) -> list[list[int]]:
     tableau: sequences of distinct integers, every row nonempty and
     increasing, and each row no longer than the one above and strictly below
     it, column by column."""
-    if not all(isinstance(row, Sequence) for row in rows):
+    # an exact-type test first: isinstance against Sequence costs far more
+    if not all(type(row) in (tuple, list) or isinstance(row, Sequence) for row in rows):
         raise ValueError(f"{what} rows must be sequences: {rows!r}")
     tableau = [list(row) for row in rows]
     cells = [x for row in tableau for x in row]
-    if any(type(x) is not int for x in cells):  # exact type: no bool, no float
+    if not {int}.issuperset(map(type, cells)):  # exact type: no bool, no float
         raise ValueError(f"{what} entries must be integers: {_frozen(tableau)}")
     if len(set(cells)) != len(cells):
         raise ValueError(f"{what} entries are not distinct: {_frozen(tableau)}")
+    # the entries are distinct from here on, so sorted means increasing
     for r, row in enumerate(tableau, start=1):
-        if not row or any(a >= b for a, b in zip(row, row[1:])):
+        if not row or row != sorted(row):
             raise ValueError(f"{what} row {r} is empty or not increasing: {tuple(row)}")
     for r, (above, row) in enumerate(zip(tableau, tableau[1:]), start=2):
-        if len(row) > len(above) or any(a >= b for a, b in zip(above, row)):
+        if len(row) > len(above) or not all(map(int.__lt__, above, row)):
             raise ValueError(f"{what} row {r} does not lie strictly below row {r - 1}: "
                              f"{_frozen(tableau)}")
     return tableau

@@ -38,8 +38,7 @@ DEFAULT_MAX_CELLS = 16
 def _built(cls, **fields):
     """The frozen dataclass cls holding fields, made without __post_init__."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -9,9 +9,10 @@ from minperm import (SkewShape, SkewTableau, compositions_min2,
                      is_standard, is_two_regular, perm_to_tableau,
                      shape_from_runs, skew_standard_tableaux, tableau_to_perm)
 import minperm.bijection as bijection
+import minperm.tableaux as tableaux
 from minperm.verify import (WORKED_PERM_16, WORKED_TABLEAU_16_ROWS,
                             WORKED_TABLEAU_16_SHAPE, check_bijection_round_trip)
-from minperm.tableaux import format_shape, parse_shape
+from minperm.tableaux import _built, format_shape, parse_shape, shape_is_two_regular
 
 
 def perm_to_tableau_by_grid(w):
@@ -164,9 +165,70 @@ def test_images_pass_full_validation():
         assert t == revalidated(t)
 
 
+def decided_as_oracle(t, rng):
+    """Compare the one-pass decision with is_standard and is_two_regular on
+    t, on t with two entries swapped, and on t with one entry set to 0,
+    N + 1 or another entry's value; the cells are drawn from rng."""
+    cells = [(r, c) for r, row in enumerate(t.rows) for c, x in enumerate(row) if x is not None]
+    variants = [t.rows]
+    if len(cells) >= 2:
+        (r1, c1), (r2, c2) = rng.sample(cells, 2)
+        swapped = [list(row) for row in t.rows]
+        swapped[r1][c1], swapped[r2][c2] = swapped[r2][c2], swapped[r1][c1]
+        changed = [list(row) for row in t.rows]
+        changed[r1][c1] = rng.choice((0, len(cells) + 1, changed[r2][c2]))
+        variants += [swapped, changed]
+    for rows in variants:
+        # every entry is still an integer, so the tableau needs no new check
+        u = _built(SkewTableau, shape=t.shape, rows=tuple(map(tuple, rows)))
+        word = bijection._column_word(u)
+        assert (word is not None) == (is_standard(u) and is_two_regular(u)), u
+        if word is not None:  # each column from its lowest cell upward
+            assert word == tuple(x for col in itertools.zip_longest(*u.rows)
+                                 for x in reversed(col) if x is not None)
+
+
+def test_one_pass_decision_matches_oracle_on_two_regular_shapes():
+    # every standard filling of every 2-regular shape of at most 10 cells
+    rng = random.Random(23)
+    for total in range(2, 11):
+        for parts in range(1, total // 2 + 1):
+            for a in compositions_min2(total, parts):
+                for t in skew_standard_tableaux(shape_from_runs(a).conjugated()):
+                    decided_as_oracle(t, rng)
+
+
+def test_one_pass_decision_matches_oracle_on_other_shapes():
+    # seeded skew shapes, most of them not 2-regular; some have a column or
+    # a top row of inner cells only, and some are 2-regular shapes moved down
+    rng = random.Random(1010)
+    shapes = [SkewShape(()), SkewShape((2, 2, 2), (2,)), SkewShape((3, 3, 2, 2), (3, 1))]
+    while len(shapes) < 300:
+        outer = sorted((rng.randint(1, 5) for _ in range(rng.randint(1, 5))), reverse=True)
+        inner = sorted((rng.randint(0, lam) for lam in outer), reverse=True)
+        shape = SkewShape(tuple(outer), tuple(min(mu, lam) for mu, lam in zip(inner, outer)))
+        if shape.size <= 9:
+            shapes.append(shape)
+    assert sum(map(shape_is_two_regular, shapes)) < 100
+    for shape in shapes:
+        for t in itertools.islice(skew_standard_tableaux(shape), 200):
+            decided_as_oracle(t, rng)
+
+
+def test_maps_take_no_conjugate(monkeypatch):
+    def refused(parts):
+        raise AssertionError("a conjugate was taken")
+
+    monkeypatch.setattr(tableaux, "_conjugate", refused)
+    for n in range(2, 9):
+        for w in enumerate_minimal(n):
+            assert tableau_to_perm(perm_to_tableau(w)) == w
+
+
 def test_round_trip_check_validates_each_value_once(monkeypatch):
     # no tableau or shape is rebuilt through its validating constructor, and
-    # is_standard runs once per image and once per filling, in tableau_to_perm
+    # _column_word runs once per image and once per filling, in
+    # tableau_to_perm; is_standard, which only words a refusal, never runs
     calls = Counter()
 
     def counted(name, fn):
@@ -178,9 +240,11 @@ def test_round_trip_check_validates_each_value_once(monkeypatch):
     for cls in (SkewShape, SkewTableau):
         monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
     monkeypatch.setattr(bijection, "is_standard", counted("is_standard", is_standard))
+    monkeypatch.setattr(bijection, "_column_word",
+                        counted("_column_word", bijection._column_word))
     assert check_bijection_round_trip(7).passed
     words = sum(1 for n in range(2, 8) for _ in enumerate_minimal(n))
-    assert calls == {"is_standard": 2 * words + 1}  # + 1: the 16-cell example
+    assert calls == {"_column_word": 2 * words + 1}  # + 1: the 16-cell example
 
 
 def test_grid_reference_agrees():
