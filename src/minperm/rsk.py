@@ -245,20 +245,31 @@ def _knuth_swap(word: list[int], t: int, kind: str) -> int:
     return j
 
 
+def _word(word: Sequence[int]) -> list[int]:
+    """word copied as a list, after checking that it holds distinct integers."""
+    w = list(word)
+    if not {int}.issuperset(map(type, w)):  # exact type: no bool, no float
+        raise ValueError(f"word entries must be integers: {tuple(w)}")
+    if len(set(w)) != len(w):
+        raise ValueError(f"word entries are not distinct: {tuple(w)}")
+    return w
+
+
 def apply_knuth_move(word: Sequence[int], move: KnuthMove) -> tuple[int, ...]:
-    """Apply one elementary Knuth move; the insertion tableau is unchanged.
+    """Apply one elementary Knuth move to a word of distinct integers; the
+    insertion tableau is unchanged.
 
     Raises ValueError naming the pattern actually found when the triple
     does not match the move's kind.
     """
-    w = list(word)
+    w = _word(word)
     _knuth_swap(w, move.position, move.kind)
     return tuple(w)
 
 
 def legal_knuth_moves(word: Sequence[int]) -> list[KnuthMove]:
-    """All elementary moves applicable to the word."""
-    w = tuple(word)
+    """All elementary moves applicable to a word of distinct integers."""
+    w = _word(word)
     moves = []
     for t in range(1, len(w) - 1):
         kind = _KINDS.get(standardize(w[t - 1:t + 2]))

@@ -364,14 +364,29 @@ class TestKnuthMoves:
 
     def test_in_place_swap_matches_copying_oracle(self):
         # every ordering of a triple at every position of a length-5 word,
-        # positions outside the word, short words, and repeated letters
+        # positions outside the word, short words, and repeated letters,
+        # which apply_knuth_move refuses whatever the move
         words = [*itertools.permutations(range(1, 6)), (), (1,), (2, 1), (1, 1, 2, 3, 4)]
         for word in words:
             for t, kind in itertools.product(range(-1, 7), KNUTH_PATTERNS):
                 move = KnuthMove(t, kind)
                 expected = class_outcome(lambda w: apply_knuth_move_by_copies(w, move), word)
                 assert swap_outcome(word, move) == expected, (word, move)
+                if len(set(word)) < len(word):
+                    expected = f"word entries are not distinct: {word}"
                 assert class_outcome(lambda w: apply_knuth_move(w, move), word) == expected
+
+    @pytest.mark.parametrize("word, message", [
+        ((2, 1.5, 3), "must be integers"),  # once returned (2, 3, 1.5)
+        ((None, 1, 2), "must be integers"),  # once raised TypeError
+        ((2, True, 3), "must be integers"),
+        ((2, 1, 2), "are not distinct"),
+    ])
+    def test_word_validated(self, word, message):
+        with pytest.raises(ValueError, match=f"^word entries {message}: "):
+            apply_knuth_move(word, KnuthMove(1, "bac"))
+        with pytest.raises(ValueError, match=f"^word entries {message}: "):
+            legal_knuth_moves(word)
 
     def test_insertion_tableau_invariant(self):
         rng = random.Random(17)
@@ -574,3 +589,10 @@ class TestArguments:
     @given(SCALARS, KINDS)
     def test_knuth_move(self, position, kind):
         returns_or_refuses(KnuthMove, position, kind)
+
+    @seed(22)
+    @settings(max_examples=100, deadline=None)
+    @given(WORDS, st.builds(KnuthMove, st.integers(-2, 9), st.sampled_from(sorted(KNUTH_PATTERNS))))
+    def test_knuth_moves_on_words(self, word, move):
+        returns_or_refuses(apply_knuth_move, word, move)
+        returns_or_refuses(legal_knuth_moves, word)
