@@ -64,17 +64,19 @@ BROKEN_PIPE = 141
 # for longer words: on the machine above, writing to a file, n = 13, d = 8
 # (4,576,000 lines) took 47 s, n = 22, d = 20 (4,193,840 lines) 46 s,
 # n = 14, d = 11 (3,385,265 lines) 32 s and the whole of n = 12 (1,722,174
-# lines) 15 s.  The lines are written ENUMERATE_BATCH at a time: to a
+# lines) 15 s.  The lines are written WRITE_BATCH at a time: to a
 # file on an unbuffered stdout (PYTHONUNBUFFERED), the 31,914 lines of
 # n = 10 took 0.06 s printed one at a time and 0.002 s in batches of 64,
-# and batches of 256 raised the peak RSS by about 36 kB more.
+# and batches of 256 raised the peak RSS by about 36 kB more.  The arrays
+# of rsk's paths and knuth-chain's moves and words are written in batches
+# of as many elements.
 MAX_DET_N = 160
 MAX_ASCENT_PARTS = 500
 MAX_ASCENT_CELLS = 1500
 MAX_CHAIN_CHARS = 250_000_000
 MAX_CLOSED_N = 200_000
 MAX_ENUMERATE_LINES = 5_000_000
-ENUMERATE_BATCH = 64
+WRITE_BATCH = 64
 
 
 def _ascents_arg(text: str) -> tuple[int, ...]:
@@ -218,7 +220,7 @@ def _cmd_enumerate(args) -> int:
             f"enumerate would print {'up to ' if j is not None else ''}{lines} lines, "
             f"above the cap of {MAX_ENUMERATE_LINES}")
     texts = map(format_permutation, stream)
-    while batch := list(itertools.islice(texts, ENUMERATE_BATCH)):
+    while batch := list(itertools.islice(texts, WRITE_BATCH)):
         sys.stdout.write("\n".join(batch) + "\n")
     return OK
 
@@ -248,13 +250,24 @@ def _cmd_bijection(args) -> int:
 
 
 def _write_array(out, texts: Iterable[str]) -> None:
-    """Write the JSON array of the given element texts, one at a time,
-    separated as json.dumps separates them."""
+    """Write the JSON array of the given element texts, separated as
+    json.dumps separates them, WRITE_BATCH elements to a write.  Should
+    texts raise, the elements it gave before are written first, so the
+    output stops where one write per element would have stopped it."""
+    texts = iter(texts)
     out.write("[")
-    for k, text in enumerate(texts):
-        if k:
-            out.write(", ")
-        out.write(text)
+    sep = ""
+    while True:
+        batch: list[str] = []
+        try:
+            for text in itertools.islice(texts, WRITE_BATCH):
+                batch.append(text)
+        finally:
+            if batch:
+                out.write(sep + ", ".join(batch))
+                sep = ", "
+        if len(batch) < WRITE_BATCH:
+            break
     out.write("]")
 
 

@@ -323,7 +323,7 @@ class TestEnumerate:
     def test_batches_match_lines(self, capsys, monkeypatch):
         # 31,914 lines cross many batches and end on a partial one
         code, out, _ = run(capsys, "enumerate", "--n", "10")
-        monkeypatch.setattr(cli, "ENUMERATE_BATCH", 1)
+        monkeypatch.setattr(cli, "WRITE_BATCH", 1)
         assert (code, out) == (0, "".join(format_permutation(w) + "\n"
                                            for w in enumerate_minimal(10)))
         assert run(capsys, "enumerate", "--n", "10") == (0, out, "")
@@ -539,6 +539,57 @@ class TestKnuthChain:
         code, out, err = run(capsys, "knuth-chain", "--perm", perm)
         assert (code, out) == (want, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class Writes:
+    """A stdout stand-in that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        pass
+
+
+class TestWriteArray:
+    @pytest.mark.parametrize("count", [0, 1, cli.WRITE_BATCH, cli.WRITE_BATCH + 1,
+                                       3 * cli.WRITE_BATCH - 1])
+    def test_one_write_per_batch(self, count):
+        out = Writes()
+        cli._write_array(out, map(str, range(count)))
+        assert "".join(out.writes) == json.dumps(list(range(count)))
+        # the brackets, and one write per batch
+        assert len(out.writes) == 2 + -(-count // cli.WRITE_BATCH)
+
+    def test_elements_before_an_error_are_written(self):
+        def texts():
+            yield from map(str, range(cli.WRITE_BATCH + 3))
+            raise ValueError("stop")
+
+        out = Writes()
+        with pytest.raises(ValueError, match="stop"):
+            cli._write_array(out, texts())
+        assert "".join(out.writes) == json.dumps(list(range(cli.WRITE_BATCH + 3)))[:-1]
+
+    def test_commands_write_in_batches(self, monkeypatch):
+        # written one element at a time, the staircase's chain took 44,705
+        # writes and rsk on a length-8000 word 16,003, each a system call on
+        # an unbuffered stdout
+        batches = -(-11175 // cli.WRITE_BATCH)
+        w = random.Random(1).sample(range(1, 8001), 8000)
+        for argv, want, writes in [
+                (["knuth-chain", "--perm", ",".join(map(str, staircase(150)))],
+                 knuth_chain_stdout_by_dumps(staircase(150)), 3 + 2 * (2 + batches)),
+                (["rsk", "--perm", ",".join(map(str, w))],
+                 rsk_stdout_by_dumps(w), 4 + 8000 // cli.WRITE_BATCH)]:
+            out = Writes()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(argv) == 0
+            assert "".join(out.writes) == want
+            assert len(out.writes) == writes
 
 
 class TestVerify:
