@@ -46,11 +46,12 @@ BROKEN_PIPE = 141
 # such as (12,)*50 + (2,)*450, took 15 s, and the largest took 200 MB; at
 # 600 parts and 1,800 cells they took 30 s and 340 MB.
 # knuth-chain prints one word per move, Theta(n^3) characters in all.  It
-# writes them one at a time, so its memory follows one word, but its time
-# and output follow all of them: it refuses a chain whose words would take
-# more than MAX_CHAIN_CHARS characters.  Just under the cap, writing to a
-# file, length 801 with i = 1 (79,800 words of 3,095 characters) took 1.5-2 s
-# and 16.6 MB, and length 1001 with i = 143 1.8 s and 16.6 MB: start-up memory.
+# writes them WRITE_BATCH at a time, so its memory follows one batch of
+# words, but its time and output follow all of them: it refuses a chain whose
+# words would take more than MAX_CHAIN_CHARS characters.  Just under the
+# cap, writing to a file, length 801 with i = 1 (79,800 words of 3,095
+# characters) took 1.3-2 s and 16.7 MB, and length 1001 with i = 143 1.8 s
+# and 16.6 MB: start-up memory.
 # count --method closed refuses an in-band n above MAX_CLOSED_N.  Its
 # slowest form is Catalan(n // 2), whose binomial grows about as n^2: the
 # full band took 1.0 s at n = 200,000 (216 kB printed with the int-to-text
