@@ -1,3 +1,6 @@
+"""Errors and argument checks shared by every module: _check_int and
+_check_ints own the exact-int rule, _parse_int the text of an integer."""
+
 class CapExceededError(RuntimeError):
     """Raised when a brute-force sweep, a determinant count or a printed
     Knuth chain would exceed its size cap."""
@@ -6,6 +9,13 @@ class CapExceededError(RuntimeError):
 def _check_int(name: str, value) -> None:
     if type(value) is not int:  # exact type: no bool, no float
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_ints(name: str, values) -> tuple:
+    t = tuple(values)
+    if not {int}.issuperset(map(type, t)):  # exact type: no bool, no float
+        raise ValueError(f"{name} must be integers: {t}")
+    return t
 
 
 def _parse_int(token: str) -> int:

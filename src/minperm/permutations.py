@@ -19,7 +19,7 @@ import bisect
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, _check_int, _parse_int
+from .errors import CapExceededError, _check_int, _check_ints, _parse_int
 
 DEFAULT_MAX_BRUTE_N = 11
 
@@ -231,6 +231,8 @@ def duplicate_loss(perm: Sequence[int], start: int, stop: int,
     """
     w = check_permutation(perm)
     n = len(w)
+    _check_int("start", start)
+    _check_int("stop", stop)
     if not 1 <= start <= stop <= n:
         raise ValueError(f"invalid fragment bounds {start}..{stop} for length {n}")
     size = stop - start + 1
@@ -300,9 +302,7 @@ def enumerate_minimal(n: int, d: int | None = None,
         raise CapExceededError(
             f"enumeration over S_{n} exceeds the brute-force cap {cap}; raise it "
             "via the max_n argument")
-    wanted = None if runs is None else tuple(runs)
-    if wanted is not None and not {int}.issuperset(map(type, wanted)):
-        raise ValueError(f"run lengths must be integers: {wanted}")
+    wanted = None if runs is None else _check_ints("run lengths", runs)
     if wanted is not None and sum(wanted) != n:
         raise ValueError(f"run lengths {wanted} do not sum to {n}")
     j = double_descent_at

@@ -4,8 +4,9 @@ normal form for minimal permutations of odd length with one double descent.
 Straight-shape tableaux here are plain tuples of row tuples on distinct
 integers.  Cells are addressed (row, column), 1-indexed, row 1 on top.
 Bumping (_bump) and reverse bumping (_unbump) work in place on lists of
-rows; row_insert and inverse_bump wrap them on copies that _straight has
-checked, and _rsk_steps runs the bumping over a word one letter at a time.
+rows, and _rsk_steps runs the bumping over a word one letter at a time.
+_word checks a word (distinct integers, by errors._check_ints), and _straight
+the rows of a straight tableau, read once, with their entries through _word.
 
 A minimal permutation of length 2n+1 with n+1 descents has exactly one
 adjacent descent pair, at positions (2i-1, 2i) for some 1 <= i <= n.  Such
@@ -20,11 +21,11 @@ list, each checked in O(1) by comparing the three letters of its triple.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .bijection import tableau_to_perm
-from .errors import _check_int
+from .errors import _check_int, _check_ints
 from .permutations import (check_permutation, decreasing_run_lengths,
                            minimality_violation, standardize)
 from .tableaux import SkewShape, SkewTableau, _built
@@ -72,20 +73,24 @@ def _unbump(rows: list[list[int]], r: int) -> int:
     return x
 
 
-def _straight(rows: Sequence[Sequence[int]], what: str) -> list[list[int]]:
-    """rows copied as lists, after checking that they form a straight
-    tableau: sequences of distinct integers, every row nonempty and
-    increasing, and each row no longer than the one above and strictly below
-    it, column by column."""
+def _word(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """values as a tuple, after checking that they are distinct integers."""
+    w = _check_ints(f"{what} entries", values)
+    if len(set(w)) != len(w):
+        raise ValueError(f"{what} entries are not distinct: {w}")
+    return w
+
+
+def _straight(rows: Iterable[Sequence[int]], what: str) -> list[list[int]]:
+    """rows, read once, copied as lists, after checking that they form a
+    straight tableau: sequences whose entries pass _word, each row nonempty,
+    increasing, no longer than the one above and strictly below it."""
+    rows = tuple(rows)
     # an exact-type test first: isinstance against Sequence costs far more
     if not all(type(row) in (tuple, list) or isinstance(row, Sequence) for row in rows):
         raise ValueError(f"{what} rows must be sequences: {rows!r}")
     tableau = [list(row) for row in rows]
-    cells = [x for row in tableau for x in row]
-    if not {int}.issuperset(map(type, cells)):  # exact type: no bool, no float
-        raise ValueError(f"{what} entries must be integers: {_frozen(tableau)}")
-    if len(set(cells)) != len(cells):
-        raise ValueError(f"{what} entries are not distinct: {_frozen(tableau)}")
+    _word([x for row in tableau for x in row], what)
     # the entries are distinct from here on, so sorted means increasing
     for r, row in enumerate(tableau, start=1):
         if not row or row != sorted(row):
@@ -119,16 +124,13 @@ def _frozen(rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(tuple(row) for row in rows)
 
 
-def _rsk_steps(word: Sequence[int], p: list[list[int]],
+def _rsk_steps(word: Iterable[int], p: list[list[int]],
                q: list[list[int]]) -> Iterator[list[Cell]]:
-    """Insert the letters of a word of distinct integers into p in place,
-    record each one's step in q, and yield each letter's insertion path.
+    """Insert the letters of a word into p in place, record each one's step
+    in q, and yield each letter's insertion path.
 
-    Raises ValueError, when iteration starts, if the letters repeat."""
-    w = tuple(word)
-    if len(set(w)) != len(w):
-        raise ValueError(f"entries are not distinct: {w}")
-    for step, x in enumerate(w, start=1):
+    Raises ValueError, when iteration starts, if _word refuses the word."""
+    for step, x in enumerate(_word(word, "word"), start=1):
         path = _bump(p, x)
         r, _ = path[-1]
         if r > len(q):
@@ -192,13 +194,13 @@ def inverse_bump(rows: Sequence[Sequence[int]], corner: Cell) -> tuple[Rows, int
     (((1, 4), (2,)), 3)
     """
     tableau = _straight(rows, "tableau")
-    r, c = corner
-    if type(r) is not int or type(c) is not int:  # exact type: no bool, no float
-        raise ValueError(f"cell coordinates must be integers: ({r!r}, {c!r})")
+    if not isinstance(corner, Iterable):
+        raise ValueError(f"corner must be a (row, column) pair, got {corner!r}")
+    r, c = _check_ints("cell coordinates", corner)
     if not (1 <= r <= len(tableau) and c == len(tableau[r - 1])):
-        raise ValueError(f"cell {corner} is not the last cell of its row")
+        raise ValueError(f"cell ({r}, {c}) is not the last cell of its row")
     if r < len(tableau) and len(tableau[r]) >= c:
-        raise ValueError(f"cell {corner} has a cell below it, not a removable corner")
+        raise ValueError(f"cell ({r}, {c}) has a cell below it, not a removable corner")
     x = _unbump(tableau, r - 1)
     if not tableau[-1]:
         tableau.pop()
@@ -245,16 +247,6 @@ def _knuth_swap(word: list[int], t: int, kind: str) -> int:
     return j
 
 
-def _word(word: Sequence[int]) -> list[int]:
-    """word copied as a list, after checking that it holds distinct integers."""
-    w = list(word)
-    if not {int}.issuperset(map(type, w)):  # exact type: no bool, no float
-        raise ValueError(f"word entries must be integers: {tuple(w)}")
-    if len(set(w)) != len(w):
-        raise ValueError(f"word entries are not distinct: {tuple(w)}")
-    return w
-
-
 def apply_knuth_move(word: Sequence[int], move: KnuthMove) -> tuple[int, ...]:
     """Apply one elementary Knuth move to a word of distinct integers; the
     insertion tableau is unchanged.
@@ -262,14 +254,14 @@ def apply_knuth_move(word: Sequence[int], move: KnuthMove) -> tuple[int, ...]:
     Raises ValueError naming the pattern actually found when the triple
     does not match the move's kind.
     """
-    w = _word(word)
+    w = list(_word(word, "word"))
     _knuth_swap(w, move.position, move.kind)
     return tuple(w)
 
 
 def legal_knuth_moves(word: Sequence[int]) -> list[KnuthMove]:
     """All elementary moves applicable to a word of distinct integers."""
-    w = _word(word)
+    w = _word(word, "word")
     moves = []
     for t in range(1, len(w) - 1):
         kind = _KINDS.get(standardize(w[t - 1:t + 2]))

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, _check_int, _parse_int
+from .errors import CapExceededError, _check_int, _check_ints, _parse_int
 
 DEFAULT_MAX_CELLS = 16
 
@@ -45,9 +45,7 @@ def _built(cls, **fields):
 def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing sequence of positive parts; trailing
     zeros are tolerated and dropped."""
-    p = tuple(parts)
-    if not {int}.issuperset(map(type, p)):  # exact type: no bool, no float
-        raise ValueError(f"partition parts must be integers: {p}")
+    p = _check_ints("partition parts", parts)
     while p and p[-1] == 0:
         p = p[:-1]
     for i, x in enumerate(p):
@@ -227,9 +225,7 @@ def shape_from_runs(runs: Sequence[int]) -> SkewShape:
     >>> shape_from_runs((2, 2, 2))
     SkewShape(outer=(2, 2, 2), inner=(0, 0, 0))
     """
-    a = tuple(runs)
-    if not {int}.issuperset(map(type, a)):
-        raise ValueError(f"run lengths must be integers: {a}")
+    a = _check_ints("run lengths", runs)
     if not a:
         raise ValueError("run lengths must be nonempty")
     if any(x < 2 for x in a):
@@ -357,8 +353,7 @@ def hook_length(parts: Sequence[int], row: int, col: int) -> int:
     1
     """
     lam = check_partition(parts)
-    if type(row) is not int or type(col) is not int:
-        raise ValueError(f"cell coordinates must be integers: ({row!r}, {col!r})")
+    _check_ints("cell coordinates", (row, col))
     if not (1 <= row <= len(lam) and 1 <= col <= lam[row - 1]):
         raise ValueError(f"cell ({row},{col}) is outside the partition {lam}")
     return lam[row - 1] + _conjugate(lam)[col - 1] - row - col + 1

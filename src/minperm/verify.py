@@ -30,7 +30,7 @@ from .bijection import perm_to_tableau, tableau_to_perm
 from .counting import (_column_count, catalan, compositions_min2,
                        double_descent_count, mansour_yan, minimal_count_by_runs,
                        one_ascent_count, three_row_syt_count, two_ascent_count)
-from .errors import CapExceededError
+from .errors import CapExceededError, _check_int
 from .permutations import (descent_count, enumerate_minimal, is_minimal,
                            is_minimal_by_deletion, max_brute_n)
 from .rsk import (apply_knuth_move, even_odd_split, insertion_tableau,
@@ -482,6 +482,7 @@ def run_suite(suite: str, max_n: int = 8) -> dict:
         functions = list(SUITES[suite])
     else:
         raise ValueError(f"unknown suite {suite!r}; choose all, " + ", ".join(SUITES))
+    _check_int("max_n", max_n)
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     cap = max_brute_n()

@@ -6,11 +6,7 @@ import pytest
 
 from minperm import (KnuthMove, apply_knuth_move, conjugate, enumerate_minimal,
                      hook_length, insertion_tableau, inverse_bump, legal_knuth_moves,
-                     rsk, rsk_trace, shape_from_runs)
-
-# rsk, rsk_trace and insertion_tableau do not check their letters' types:
-# rsk((2.5, 1)) returns a tableau holding 2.5, and (None, 1) raises TypeError
-UNCHECKED_LETTERS = pytest.mark.xfail(strict=True, reason="letters' types unchecked")
+                     row_insert, rsk, rsk_trace, shape_from_runs)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -25,11 +21,13 @@ UNCHECKED_LETTERS = pytest.mark.xfail(strict=True, reason="letters' types unchec
     pytest.param(lambda: legal_knuth_moves([None, 1]),
                  "word entries must be integers: (None, 1)", id="legal_knuth_moves"),
     pytest.param(lambda: rsk((2.5, 1)), "word entries must be integers: (2.5, 1)",
-                 id="rsk", marks=UNCHECKED_LETTERS),
+                 id="rsk"),
     pytest.param(lambda: rsk_trace((None, 1)), "word entries must be integers: (None, 1)",
-                 id="rsk_trace", marks=UNCHECKED_LETTERS),
+                 id="rsk_trace"),
     pytest.param(lambda: insertion_tableau((1, "a")), "word entries must be integers: (1, 'a')",
-                 id="insertion_tableau", marks=UNCHECKED_LETTERS),
+                 id="insertion_tableau"),
+    pytest.param(lambda: row_insert(((1, 2.0),), 3), "tableau entries must be integers: (1, 2.0)",
+                 id="row_insert"),
     pytest.param(lambda: inverse_bump(((1,),), (1.0, 1)),
                  "cell coordinates must be integers: (1.0, 1)", id="inverse_bump"),
     pytest.param(lambda: hook_length((3, 2), 1, "2"),

@@ -219,6 +219,13 @@ class TestDuplicateLoss:
         with pytest.raises(ValueError):
             duplicate_loss((1, 2, 3), 1, 2, ("first", "third"))
 
+    @pytest.mark.parametrize("start, stop, name", [(1.0, 2, "start"), (1, 2.0, "stop"),
+                                                   (True, 2, "start"), (1, None, "stop")])
+    def test_non_int_bounds_rejected(self, start, stop, name):
+        # (1.0, 2) once raised TypeError from slicing, and True acted as 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            duplicate_loss((2, 1), start, stop, ("first", "first"))
+
     @given(perms(7), st.data())
     def test_result_is_permutation(self, w, data):
         w = tuple(w)

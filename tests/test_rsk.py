@@ -299,6 +299,12 @@ class TestInverseBump:
         with pytest.raises(ValueError, match=r"^cell coordinates must be integers: \("):
             inverse_bump(((1,),), corner)
 
+    @pytest.mark.parametrize("corner", [5, None, 1.5])
+    def test_corner_not_a_pair_rejected(self, corner):
+        # 5 once raised TypeError: cannot unpack non-iterable int object
+        with pytest.raises(ValueError, match=r"^corner must be a \(row, column\) pair, got "):
+            inverse_bump(((1,),), corner)
+
     def test_malformed_tableau_rejected(self):
         # (((3, 2),), 1) came back once: P's first row decreases
         with pytest.raises(ValueError, match="tableau row 1 is empty or not increasing"):
@@ -541,13 +547,6 @@ ROWS = st.one_of(st.sampled_from([minimal_to_syt(w) for w in MEMBERS]),
 KINDS = st.one_of(st.sampled_from(sorted(KNUTH_PATTERNS)), SCALARS, st.lists(st.text(max_size=3)))
 
 
-# the letters' types go unchecked: rsk((None, 1)) raises TypeError
-UNCHECKED_LETTERS = pytest.mark.xfail(strict=True, raises=TypeError,
-                                      reason="letters' types unchecked")
-# the rows are read twice, so an iterator of rows reads as an empty tableau
-ROWS_READ_TWICE = pytest.mark.xfail(strict=True, reason="rows read twice")
-
-
 def outcome(fn, *args):
     """fn(*args), or the message of the ValueError it raises."""
     try:
@@ -579,7 +578,6 @@ class TestArguments:
     @seed(22)
     @settings(max_examples=50, deadline=None)
     @given(word=WORDS)
-    @UNCHECKED_LETTERS
     def test_rsk_maps(self, fn, word):
         returns_or_refuses(fn, word)
 
@@ -631,7 +629,6 @@ class TestArguments:
         (syt_to_minimal, (((1, 4), (2, 5), (3,)), 1), (0,)),
         (syt_to_minimal, (((1, 4), (2, "5"), (3,)), 1), (0,)),
     ])
-    @ROWS_READ_TWICE
     def test_one_shot_rows(self, fn, args, tableaux):
         # a tableau given as a one-shot iterator of rows gives the result, or
         # the refusal, that the tuple of the same rows gives

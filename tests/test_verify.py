@@ -150,6 +150,13 @@ def test_interrupt_kills_the_children(shares, monkeypatch):
     assert time.perf_counter() - start < 30
 
 
+@pytest.mark.parametrize("max_n", [2.0, True, "2", None])
+def test_non_int_max_n_rejected(max_n):
+    # 2.0 once raised TypeError from deep inside a check
+    with pytest.raises(ValueError, match="^max_n must be an integer, got "):
+        run_suite("rsk", max_n)
+
+
 def test_transpose_mismatch_fails(monkeypatch):
     # a shape with more rows than columns counts one more than its conjugate
     monkeypatch.setattr(verify, "skew_syt_count",
