@@ -34,8 +34,6 @@ Rows = tuple[tuple[int, ...], ...]
 Cell = tuple[int, int]
 
 _PATTERNS = {"bac": (2, 1, 3), "bca": (2, 3, 1), "acb": (1, 3, 2), "cab": (3, 1, 2)}
-_SWAP_FIRST = {"acb", "cab"}
-_INVERSE = {"bac": "bca", "bca": "bac", "acb": "cab", "cab": "acb"}
 _KINDS = {pattern: kind for kind, pattern in _PATTERNS.items()}
 # offsets into the triple from its smallest letter to its largest, so that
 # word[s + lo] < word[s + mid] < word[s + hi] tests a move: (1, 0, 2) for "bac"
@@ -223,7 +221,8 @@ class KnuthMove:
             raise ValueError(f"unknown move kind {self.kind!r}")
 
     def inverse(self) -> "KnuthMove":
-        return KnuthMove(self.position, _INVERSE[self.kind])
+        # a move swaps the triple's letters 1 and 3, so its inverse's pattern does too
+        return KnuthMove(self.position, _KINDS[tuple(4 - v for v in _PATTERNS[self.kind])])
 
 
 def _knuth_swap(word: list[int], t: int, kind: str) -> int:
@@ -242,7 +241,8 @@ def _knuth_swap(word: list[int], t: int, kind: str) -> int:
         found = standardize(triple)
         raise ValueError(f"triple {triple} at position {t} has pattern "
                          f"{_KINDS.get(found, found)}, not {kind}")
-    j = s if kind in _SWAP_FIRST else t
+    # every move swaps the triple's smallest and largest letters, which are adjacent
+    j = s + min(lo, hi)
     word[j], word[j + 1] = word[j + 1], word[j]
     return j
 
