@@ -1,6 +1,3 @@
-"""Errors and argument checks shared by every module: _check_int and
-_check_ints own the exact-int rule, _parse_int the text of an integer."""
-
 class CapExceededError(RuntimeError):
     """Raised when a brute-force sweep, a determinant count or a printed
     Knuth chain would exceed its size cap."""
@@ -12,6 +9,7 @@ def _check_int(name: str, value) -> None:
 
 
 def _check_ints(name: str, values) -> tuple:
+    """values as a tuple, each checked by _check_int's exact-int rule."""
     t = tuple(values)
     if not {int}.issuperset(map(type, t)):  # exact type: no bool, no float
         raise ValueError(f"{name} must be integers: {t}")

@@ -100,7 +100,7 @@ def _straight(rows: Iterable[Sequence[int]], what: str) -> list[list[int]]:
     return tableau
 
 
-def row_insert(rows: Sequence[Sequence[int]], value: int) -> tuple[Rows, tuple[Cell, ...]]:
+def row_insert(rows: Iterable[Sequence[int]], value: int) -> tuple[Rows, tuple[Cell, ...]]:
     """Classic bumping insertion.  Returns the new tableau and the insertion
     path, one cell per row touched, ending at the newly created cell.
 
@@ -183,7 +183,7 @@ def rsk_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
-def inverse_bump(rows: Sequence[Sequence[int]], corner: Cell) -> tuple[Rows, int]:
+def inverse_bump(rows: Iterable[Sequence[int]], corner: Cell) -> tuple[Rows, int]:
     """Remove a removable outer corner and reverse the bumping, returning
     the shrunken tableau and the evicted value.  Exact inverse of
     row_insert: reinserting the evicted value recreates the input.
@@ -221,7 +221,7 @@ class KnuthMove:
             raise ValueError(f"unknown move kind {self.kind!r}")
 
     def inverse(self) -> "KnuthMove":
-        # a move swaps the triple's letters 1 and 3, so its inverse's pattern does too
+        # the pattern a move leaves, the inverse's kind, has letters 1 and 3 exchanged
         return KnuthMove(self.position, _KINDS[tuple(4 - v for v in _PATTERNS[self.kind])])
 
 
@@ -354,7 +354,7 @@ def minimal_to_syt(perm: Sequence[int]) -> Rows:
     return p
 
 
-def syt_to_minimal(rows: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
+def syt_to_minimal(rows: Iterable[Sequence[int]], i: int) -> tuple[int, ...]:
     """Inverse of minimal_to_syt for a target double-descent index i.
 
     The cells outside the two-row shape (n, i) are evicted from northeast
