@@ -1,6 +1,9 @@
 """Exact enumeration of minimal permutations, their bijection with
 2-regular skew Young tableaux, and cross-verified counting formulas."""
 
+# verify, the largest module, loads first: without cached bytecode each module
+# is compiled as it loads, and compiling verify before the rest lowers peak RSS
+from .verify import run_suite
 from .bijection import perm_to_tableau, tableau_to_perm
 from .counting import (catalan, compositions_min2, double_descent_count,
                        mansour_yan, minimal_count, minimal_count_band,
@@ -24,7 +27,6 @@ from .tableaux import (SkewShape, SkewTableau, conjugate,
                        shape_from_runs, shape_is_two_regular,
                        skew_standard_tableaux, skew_syt_count,
                        tableau_from_json, tableau_to_json)
-from .verify import run_suite
 
 __version__ = "0.1.0"
 
