@@ -1,6 +1,6 @@
-"""The exact-int rule, owned by errors._check_ints: every entry is an int,
-not a bool, a float or anything else.  Each site names what it checks and
-shows the values it read as a tuple."""
+"""The exact-int rule for many values, errors._check_ints: every entry is
+an int, not a bool, a float or anything else.  Each site names what it
+checks and shows the values it read as a tuple."""
 
 import pytest
 
