@@ -8,6 +8,10 @@ printed to stderr).
 Counts print as CSV (header n,d,count) or JSON lines with big integers
 rendered as decimal strings.  The long JSON outputs of rsk and knuth-chain
 are written in pieces, in order, byte for byte as json.dumps prints them.
+
+Only the standard library and errors load with this module: each command
+imports the modules it runs when it runs, so that count loads counting
+alone (and tableaux for --ascents) and only verify loads the verify suites.
 """
 
 from __future__ import annotations
@@ -20,17 +24,7 @@ import sys
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .bijection import perm_to_tableau, tableau_to_perm
-from .counting import (_closed_form, minimal_count, minimal_count_band,
-                       minimal_count_by_runs)
-from .errors import CapExceededError, _parse_int
-from .permutations import (DEFAULT_MAX_BRUTE_N, _separator, descent_count,
-                           enumerate_minimal, format_permutation,
-                           max_brute_n, parse_permutation)
-from .rsk import (_knuth_swap, _rsk_steps, _sweeps, double_descent_class,
-                  even_odd_split, insertion_tableau)
-from .tableaux import tableau_from_json, tableau_to_json
-from .verify import SUITES, run_suite
+from .errors import DEFAULT_MAX_BRUTE_N, CapExceededError, _parse_int
 
 OK, VERIFY_FAILURE, USAGE_ERROR, CAP_ERROR = 0, 1, 2, 3
 # 128 + SIGPIPE (13): what a shell reports for a process that SIGPIPE ended
@@ -78,6 +72,9 @@ MAX_CHAIN_CHARS = 250_000_000
 MAX_CLOSED_N = 200_000
 MAX_ENUMERATE_LINES = 5_000_000
 WRITE_BATCH = 64
+# the names of verify.SUITES, spelled out so that building the parser does
+# not load verify
+SUITE_NAMES = ("counts", "bijection", "rsk")
 
 
 def _ascents_arg(text: str) -> tuple[int, ...]:
@@ -131,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the cross-verification suites")
     verify.add_argument("--max-n", type=int, default=8,
                         help="cap for the brute-force sweeps (default 8)")
-    verify.add_argument("--suite", choices=("all", *SUITES), default="all")
+    verify.add_argument("--suite", choices=("all", *SUITE_NAMES), default="all")
     verify.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -141,6 +138,7 @@ def _brute_force(n: int, max_n: int | None, **constraints) -> Iterator[tuple[int
     """enumerate_minimal(n, max_n=max_n, ...), whose cap error names the
     --max-brute-n flag instead of the library's max_n argument.  Like
     enumerate_minimal, it checks its arguments on the call."""
+    from .permutations import enumerate_minimal, max_brute_n
     try:
         return enumerate_minimal(n, max_n=max_n, **constraints)
     except CapExceededError:
@@ -160,6 +158,8 @@ def _emit_rows(rows: Sequence[tuple[int, int, int]], fmt: str) -> None:
 
 
 def _cmd_count(args) -> int:
+    from .counting import (_closed_form, minimal_count, minimal_count_band,
+                           minimal_count_by_runs)
     n, d = args.n, args.d
     if n < 1:
         raise ValueError(f"--n must be >= 1, got {n}")
@@ -191,6 +191,7 @@ def _cmd_count(args) -> int:
         raise CapExceededError(f"n={n} is above the cap {cap} for --method {args.method}")
     band = range((n + 1) // 2, n) if d is None else (d,)
     if args.method == "brute":
+        from .permutations import descent_count
         tally = Counter(map(descent_count, _brute_force(n, args.max_brute_n)))
         counts = {k: tally[k] for k in band}
     elif args.method == "det":
@@ -205,6 +206,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .counting import minimal_count, minimal_count_band, minimal_count_by_runs
+    from .permutations import format_permutation
     n, d, runs, j = args.n, args.d, args.ascents, args.double_descent_at
     if runs is not None and d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
@@ -227,6 +230,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
+    from .bijection import perm_to_tableau, tableau_to_perm
+    from .permutations import format_permutation, parse_permutation
+    from .tableaux import tableau_from_json, tableau_to_json
     if (args.perm is None) == (args.tableau is None):
         raise ValueError("provide exactly one of --perm or --tableau")
     if args.perm is not None:
@@ -273,6 +279,8 @@ def _write_array(out, texts: Iterable[str]) -> None:
 
 
 def _cmd_rsk(args) -> int:
+    from .permutations import format_permutation, parse_permutation
+    from .rsk import _rsk_steps
     w = parse_permutation(args.perm)
     p: list[list[int]] = []
     q: list[list[int]] = []
@@ -293,6 +301,8 @@ def _replay(word: list[int], moves: Iterable[tuple[int, str]]) -> Iterator[str]:
     """Apply the (position, kind) moves to word in place, checking each, and
     yield every word the chain passes through as a JSON string.  The text
     format holds only digits and one separator, which JSON never escapes."""
+    from .permutations import _separator
+    from .rsk import _knuth_swap
     tokens = list(map(str, word))
     sep = _separator(len(word))
     for t, kind in moves:
@@ -302,6 +312,8 @@ def _replay(word: list[int], moves: Iterable[tuple[int, str]]) -> Iterator[str]:
 
 
 def _cmd_knuth_chain(args) -> int:
+    from .permutations import format_permutation, parse_permutation
+    from .rsk import _sweeps, double_descent_class, even_odd_split, insertion_tableau
     w = parse_permutation(args.perm)
     n, i = double_descent_class(w)
     # the sweeps make (n-i)(n-i+1)/2 moves, and every word the chain passes
@@ -332,6 +344,7 @@ def _cmd_knuth_chain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
     report = run_suite(args.suite, max_n=args.max_n)
     print(json.dumps(report, indent=2))
     if not report["passed"]:
@@ -342,9 +355,10 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    # the parser is dropped before the command runs, so that the modules
+    # the command loads can reuse its memory
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else OK
     try:

@@ -4,7 +4,7 @@ tableau families.
 Every result is an arbitrary-precision integer, computed with integers
 only.  Formulas involving division (Catalan numbers, the three-row tableau
 counts, the odd-length product formula, the half-integer polynomial) divide
-through the exact-division guard tableaux._exact_div, which raises unless
+through the exact-division guard errors._exact_div, which raises unless
 the quotient is a nonnegative integer.
 
 minimal_count takes one of two routes.  Where one of the paper's closed
@@ -24,8 +24,7 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .errors import _check_int
-from .tableaux import _exact_div, shape_from_runs, skew_syt_count
+from .errors import _check_int, _exact_div
 
 
 def catalan(n: int) -> int:
@@ -34,6 +33,7 @@ def catalan(n: int) -> int:
     >>> [catalan(n) for n in range(6)]
     [1, 1, 2, 5, 14, 42]
     """
+    _check_int("n", n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return _exact_div(math.comb(2 * n, n), n + 1, lambda: f"Catalan number at n={n}")
@@ -76,6 +76,9 @@ def minimal_count_by_runs(runs: Sequence[int]) -> int:
     >>> minimal_count_by_runs((2, 2, 2))
     5
     """
+    # tableaux, and the dataclasses it builds its shapes with, load on the
+    # first call: the band and closed-form counts never need them
+    from .tableaux import shape_from_runs, skew_syt_count
     return skew_syt_count(shape_from_runs(runs))
 
 
@@ -216,6 +219,7 @@ def one_ascent_count(n: int) -> int:
     >>> one_ascent_count(5)
     10
     """
+    _check_int("n", n)
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
     return 2 ** n - n * (n - 1) - 2
@@ -229,6 +233,7 @@ def two_ascent_count(n: int) -> int:
     >>> [two_ascent_count(n) for n in (5, 6, 7)]
     [0, 5, 84]
     """
+    _check_int("n", n)
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
     poly = n ** 4 - 7 * n ** 3 + 19 * n ** 2 - 21 * n + 2
@@ -244,6 +249,7 @@ def mansour_yan(n: int) -> int:
     >>> [mansour_yan(n) for n in (1, 2, 3, 4)]
     [1, 10, 84, 672]
     """
+    _check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return _exact_div(2 ** n * n * catalan(n + 1), 4, lambda: f"odd-length count at n={n}")
@@ -257,6 +263,8 @@ def double_descent_count(n: int, i: int) -> int:
     >>> double_descent_count(2, 1), double_descent_count(3, 2)
     (5, 42)
     """
+    _check_int("n", n)
+    _check_int("i", i)
     if not 1 <= i <= n:
         raise ValueError(f"i must be in 1..{n}, got {i}")
     return math.comb(2 * n + 1, n - 1) * math.comb(n - 1, i - 1)
@@ -270,6 +278,8 @@ def three_row_syt_count(n: int, k: int) -> int:
     >>> three_row_syt_count(3, 1), three_row_syt_count(3, 2), three_row_syt_count(4, 2)
     (21, 21, 168)
     """
+    _check_int("n", n)
+    _check_int("k", k)
     if not 1 <= k <= (n + 1) // 2:
         raise ValueError(f"k must be in 1..{(n + 1) // 2}, got {k}")
     base = math.comb(2 * n + 1, n - 1)

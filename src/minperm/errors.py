@@ -1,3 +1,12 @@
+"""Errors, argument checks and limits shared by every module; it imports
+nothing from the package, so each command can load it without the rest."""
+
+from typing import Callable
+
+# enumerate_minimal's brute-force cap on n, unless its max_n is given
+DEFAULT_MAX_BRUTE_N = 11
+
+
 class CapExceededError(RuntimeError):
     """Raised when a brute-force sweep, a determinant count or a printed
     Knuth chain would exceed its size cap."""
@@ -8,12 +17,31 @@ def _check_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_tuple(name: str, values) -> tuple:
+    """values read once into a tuple; ValueError if they are not iterable."""
+    try:
+        it = iter(values)
+    except TypeError:
+        raise ValueError(f"expected an iterable for {name}, got {values!r}") from None
+    return tuple(it)
+
+
 def _check_ints(name: str, values) -> tuple:
     """values as a tuple, each checked by _check_int's exact-int rule."""
-    t = tuple(values)
+    t = _as_tuple(name, values)
     if not {int}.issuperset(map(type, t)):  # exact type: no bool, no float
         raise ValueError(f"{name} must be integers: {t}")
     return t
+
+
+def _exact_div(num: int, den: int, what: Callable[[], str]) -> int:
+    """num / den as an int, raising ArithmeticError unless the division is
+    exact and the quotient nonnegative; what() names the quotient, and is
+    called only on failure."""
+    q, rem = divmod(num, den)
+    if rem or q < 0:
+        raise ArithmeticError(f"{what()} evaluated to {num}/{den}, expected a nonnegative integer")
+    return q
 
 
 def _parse_int(token: str) -> int:

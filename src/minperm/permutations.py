@@ -19,9 +19,8 @@ import bisect
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, _check_int, _check_ints, _parse_int
-
-DEFAULT_MAX_BRUTE_N = 11
+from .errors import (DEFAULT_MAX_BRUTE_N, CapExceededError, _as_tuple,
+                     _check_int, _check_ints, _parse_int)
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -44,7 +43,7 @@ def is_permutation(word: Sequence[int]) -> bool:
 def check_permutation(word: Iterable[int]) -> tuple[int, ...]:
     """Validate word and return it as a tuple; ValueError if it is not a
     permutation of 1..n."""
-    w = tuple(word)
+    w = _as_tuple("permutation", word)
     if not w:
         raise ValueError("a permutation must have length >= 1")
     if not is_permutation(w):
@@ -316,8 +315,8 @@ def enumerate_minimal(n: int, d: int | None = None,
         if j is not None:
             steps[j] = steps[j + 1] = "D"
         return _search_minimal(n, steps)
-    # heapq and counting are imported here, not with this module, which
-    # every command imports at start-up: there they raised the peak RSS
+    # heapq and counting are imported here, not with this module: only the
+    # searches by run profile need them, and at the top they raised the peak RSS
     import heapq
     from .counting import compositions_min2
     if wanted is not None:

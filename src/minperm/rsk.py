@@ -25,7 +25,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .bijection import tableau_to_perm
-from .errors import _check_int, _check_ints
+from .errors import _as_tuple, _check_int, _check_ints
 from .permutations import (check_permutation, decreasing_run_lengths,
                            minimality_violation, standardize)
 from .tableaux import SkewShape, SkewTableau, _built
@@ -83,7 +83,7 @@ def _straight(rows: Iterable[Sequence[int]], what: str) -> list[list[int]]:
     """rows, read once, copied as lists, after checking that they form a
     straight tableau: sequences whose entries pass _word, each row nonempty,
     increasing, no longer than the one above and strictly below it."""
-    rows = tuple(rows)
+    rows = _as_tuple(what, rows)
     # an exact-type test first: isinstance against Sequence costs far more
     if not all(type(row) in (tuple, list) or isinstance(row, Sequence) for row in rows):
         raise ValueError(f"{what} rows must be sequences: {rows!r}")
@@ -299,7 +299,7 @@ def even_odd_split(perm: Sequence[int]) -> tuple[int, ...]:
     >>> even_odd_split((3, 2, 1))
     (3, 2, 1)
     """
-    w = tuple(perm)
+    w = check_permutation(perm)
     n, i = double_descent_class(w)
     return w[:2 * i] + w[2 * i + 1:2 * n:2] + w[2 * i::2]
 
@@ -325,7 +325,7 @@ def knuth_chain(perm: Sequence[int]) -> list[KnuthMove]:
     >>> [(m.position, m.kind) for m in knuth_chain((3, 2, 1, 5, 4))]
     [(2, 'bac')]
     """
-    w = tuple(perm)
+    w = check_permutation(perm)
     n, i = double_descent_class(w)
     moves: list[KnuthMove] = []
     word = list(w)

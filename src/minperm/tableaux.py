@@ -13,7 +13,7 @@ Counting is exact and uses integers only.  The determinant route builds
 each matrix row integral and eliminates it, with no row swaps since every
 leading minor is positive, by division-free row updates that touch only
 the nonzero staircase of the matrix (det_rational); every exact quotient
-goes through the one guard _exact_div.
+goes through the one guard errors._exact_div.
 The paper's banded determinant per decreasing-run profile a is
 skew_syt_count on shape_from_runs(a): it is banded because adjacent
 columns of that shape share exactly two rows, so its elimination does
@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, _check_int, _check_ints, _parse_int
+from .errors import (CapExceededError, _check_int, _check_ints, _exact_div,
+                     _parse_int)
 
 DEFAULT_MAX_CELLS = 16
 
@@ -45,14 +46,14 @@ def _built(cls, **fields):
 def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing sequence of positive parts; trailing
     zeros are tolerated and dropped."""
-    p = _check_ints("partition parts", parts)
+    given = p = _check_ints("partition parts", parts)
     while p and p[-1] == 0:
         p = p[:-1]
     for i, x in enumerate(p):
         if x <= 0:
-            raise ValueError(f"partition parts must be positive: {tuple(parts)}")
+            raise ValueError(f"partition parts must be positive: {given}")
         if i and p[i - 1] < x:
-            raise ValueError(f"partition parts must be weakly decreasing: {tuple(parts)}")
+            raise ValueError(f"partition parts must be weakly decreasing: {given}")
     return p
 
 
@@ -238,16 +239,6 @@ def shape_from_runs(runs: Sequence[int]) -> SkewShape:
         lam[i] = suffix - 2 * (k - 1 - i)
     mu = [lam[i] - a[i] for i in range(k)]
     return _built(SkewShape, outer=tuple(lam), inner=tuple(mu))
-
-
-def _exact_div(num: int, den: int, what: Callable[[], str]) -> int:
-    """num / den as an int, raising ArithmeticError unless the division is
-    exact and the quotient nonnegative; what() names the quotient, and is
-    called only on failure."""
-    q, rem = divmod(num, den)
-    if rem or q < 0:
-        raise ArithmeticError(f"{what()} evaluated to {num}/{den}, expected a nonnegative integer")
-    return q
 
 
 def _product(values: Iterable[int]) -> int:

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # minperm.rsk, the module: the package binds the name rsk to the function
-rsk_module = sys.modules["minperm.rsk"]
+rsk_module = importlib.import_module("minperm.rsk")
 
 
 def run(capsys, *argv):
@@ -497,7 +498,6 @@ class TestKnuthChain:
             return swap(*args)
 
         monkeypatch.setattr(rsk_module, "_knuth_swap", counted)
-        monkeypatch.setattr(cli, "_knuth_swap", counted)
         code, out, _ = run(capsys, "knuth-chain", "--perm", format_permutation(WORKED_PERM_13))
         assert code == 0 and len(calls) == len(json.loads(out)["moves"]) == 10
 
@@ -516,7 +516,6 @@ class TestKnuthChain:
             return iter(moves)
 
         monkeypatch.setattr(rsk_module, "_sweeps", wrong_sweeps)
-        monkeypatch.setattr(cli, "_sweeps", wrong_sweeps)
         error, message, want = {
             "last move dropped": (AssertionError, "sweep schedule for", 1),
             "one kind swapped": (ValueError, "at position 8 has pattern acb, not bac", 2),

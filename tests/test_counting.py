@@ -243,6 +243,31 @@ class TestArguments:
         with contextlib.suppress(ValueError):
             assert isinstance(compositions_min2(n, k), Iterator)
 
+    @pytest.mark.parametrize("fn", [catalan, one_ascent_count, two_ascent_count, mansour_yan])
+    @seed(21)
+    @settings(max_examples=100, deadline=None)
+    @given(ARGUMENTS)
+    def test_closed_forms_of_n(self, fn, n):
+        with contextlib.suppress(ValueError):
+            assert type(fn(n)) is int
+
+    @pytest.mark.parametrize("fn", [double_descent_count, three_row_syt_count])
+    @seed(21)
+    @settings(max_examples=150, deadline=None)
+    @given(ARGUMENTS, ARGUMENTS)
+    def test_closed_forms_of_two(self, fn, n, k):
+        with contextlib.suppress(ValueError):
+            assert type(fn(n, k)) is int
+
+    @pytest.mark.parametrize("fn, args", [
+        (one_ascent_count, (5.0,)), (two_ascent_count, (6.0,)), (mansour_yan, (True,)),
+        (three_row_syt_count, (3, 1.0)), (catalan, (2.0,)), (double_descent_count, (2.0, 1)),
+    ])
+    def test_closed_forms_refuse_non_ints(self, fn, args):
+        # once 10.0, 5.0, 1 and 21, and a TypeError from math.comb
+        with pytest.raises(ValueError, match="must be an integer"):
+            fn(*args)
+
 
 class TestClosedForms:
     def test_one_ascent(self):

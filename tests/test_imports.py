@@ -1,0 +1,109 @@
+"""What `import minperm` and each command load, and the package's lazy
+names: every exported name resolves on first use to the object its home
+module defines, and only then loads that module."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import minperm
+import minperm.cli as cli
+import minperm.verify as verify
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ALL = {"bijection", "cli", "counting", "errors", "permutations", "rsk", "tableaux", "verify"}
+
+
+def fresh(code: str) -> str:
+    """The stdout of code run in a new interpreter that imports minperm
+    from the source tree."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def loaded_by(*argv: str) -> set[str]:
+    """The minperm submodules that the command argv loads, run through
+    main in a new interpreter, after checking that it exits 0."""
+    out = fresh(f"""
+import contextlib, io, json, sys
+from minperm.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({list(argv)!r})
+print(json.dumps([code, [m for m in sys.modules if m.startswith("minperm.")]]))""")
+    code, modules = json.loads(out)
+    assert code == 0
+    return {m.removeprefix("minperm.") for m in modules}
+
+
+def test_import_loads_no_submodule():
+    out = fresh("import sys, minperm; print([m for m in sys.modules if m.startswith('minperm.')])")
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (("count", "--n", "9"), {"cli", "errors", "counting"}),
+    (("count", "--n", "9", "--ascents", "3,3,3"), {"cli", "errors", "counting", "tableaux"}),
+])
+def test_count_loads_only_counting(argv, modules):
+    assert loaded_by(*argv) == modules
+
+
+@pytest.mark.parametrize("argv", [("enumerate", "--n", "8"), ("enumerate", "--n", "8", "--d", "5")])
+def test_enumerate_loads_no_tableau_module(argv):
+    assert not loaded_by(*argv) & {"tableaux", "rsk", "bijection", "verify"}
+
+
+@pytest.mark.parametrize("argv", [("rsk", "--perm", "3,1,2"), ("knuth-chain", "--perm", "3,2,1")])
+def test_rsk_commands_load_no_counting(argv):
+    modules = loaded_by(*argv)
+    assert "rsk" in modules and not modules & {"verify", "counting"}
+
+
+def test_verify_loads_every_module():
+    assert loaded_by("verify", "--suite", "rsk", "--max-n", "4") == ALL
+
+
+def test_names_resolve_to_their_home_objects():
+    for module, names in minperm._EXPORTS.items():
+        home = importlib.import_module(f"minperm.{module}")
+        for name in names:
+            assert getattr(minperm, name) is getattr(home, name), name
+
+
+def test_star_import_and_dir_agree():
+    out = fresh("""
+import json, minperm
+namespace = {}
+exec("from minperm import *", namespace)
+print(json.dumps([sorted(n for n in namespace if n != "__builtins__"), dir(minperm)]))""")
+    star, listed = json.loads(out)
+    assert star == listed == minperm.__all__
+
+
+def test_missing_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        minperm.no_such_name
+    assert not hasattr(minperm, "_no_such_name")
+
+
+def test_rsk_stays_the_function():
+    # the import system binds each submodule it loads onto the package,
+    # which would make minperm.rsk the module once minperm.rsk is imported
+    out = fresh("""
+import minperm.verify, minperm.rsk, minperm
+from minperm import rsk
+print(callable(rsk), rsk is minperm.rsk, rsk.__module__)""")
+    assert out == "True True minperm.rsk\n"
+    assert isinstance(minperm.rsk, types.FunctionType)
+    assert minperm.rsk((2, 1)) == (((1,), (2,)), ((1,), (2,)))
+
+
+def test_suite_names_match_verify():
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)

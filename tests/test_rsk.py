@@ -541,9 +541,9 @@ SCALARS = st.one_of(st.integers(-2, 9), st.integers(), st.booleans(), st.floats(
                     st.text(max_size=3), st.none())
 MEMBERS = [(3, 2, 1), *enumerate_minimal(5, d=3), *enumerate_minimal(7, d=4, double_descent_at=3)]
 WORDS = st.one_of(st.sampled_from(MEMBERS), st.permutations(range(1, 6)).map(tuple),
-                  st.lists(SCALARS, max_size=7).map(tuple))
+                  st.lists(SCALARS, max_size=7).map(tuple), SCALARS)
 ROWS = st.one_of(st.sampled_from([minimal_to_syt(w) for w in MEMBERS]),
-                 st.lists(st.one_of(WORDS, SCALARS), max_size=4).map(tuple))
+                 st.lists(st.one_of(WORDS, SCALARS), max_size=4).map(tuple), SCALARS)
 KINDS = st.one_of(st.sampled_from(sorted(KNUTH_PATTERNS)), SCALARS, st.lists(st.text(max_size=3)))
 
 
@@ -609,6 +609,18 @@ class TestArguments:
     def test_knuth_moves_on_words(self, word, move):
         returns_or_refuses(apply_knuth_move, word, move)
         returns_or_refuses(legal_knuth_moves, word)
+
+    @pytest.mark.parametrize("fn, args", [
+        (row_insert, (5, 1)), (rsk, (5,)), (rsk_trace, (None,)), (insertion_tableau, (2.0,)),
+        (rsk_inverse, (None, ())), (rsk_inverse, ((), 7)), (inverse_bump, (5, (1, 1))),
+        (syt_to_minimal, (3, 1)), (apply_knuth_move, (5, KnuthMove(1, "bac"))),
+        (legal_knuth_moves, (None,)), (double_descent_class, (5,)), (even_odd_split, (None,)),
+        (knuth_chain, (1.0,)), (minimal_to_syt, (3,)),
+    ])
+    def test_not_iterable(self, fn, args):
+        # a word or tableau that is not iterable once raised TypeError
+        with pytest.raises(ValueError, match="expected an iterable for"):
+            fn(*args)
 
     @pytest.mark.parametrize("fn, args, tableaux", [
         (row_insert, (((1, 4), (2,)), 3), (0,)),

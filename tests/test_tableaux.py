@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from minperm import (CapExceededError, SkewShape, SkewTableau, conjugate,
                      tableau_from_json, tableau_to_json)
 import minperm.tableaux as tableaux
 from minperm.counting import compositions_min2, minimal_count_by_runs
-from minperm.tableaux import _exact_div, det_rational
+from minperm.errors import _exact_div
+from minperm.tableaux import det_rational
 
 
 @st.composite
@@ -205,6 +207,17 @@ class TestPartitions:
             assert conjugate(lam) == conjugate_by_counting(lam)
             assert conjugate(conjugate(lam)) == lam
             assert_conjugated_consistent(SkewShape(lam, lam[rows // 2:]))
+
+    @pytest.mark.parametrize("parts, message", [
+        ((2, 3), "weakly decreasing: (2, 3)"),
+        ((2, -1, 0), "positive: (2, -1, 0)"),
+    ])
+    def test_messages_show_parts_read_once(self, parts, message):
+        # parts given as a one-shot iterator are named in the message as
+        # read, not as the () a second read of the spent iterator gives
+        for build in (conjugate, SkewShape):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(iter(parts))
 
     def test_invalid_partitions(self):
         with pytest.raises(ValueError):
