@@ -8,6 +8,10 @@ printed to stderr).
 Counts print as CSV (header n,d,count) or JSON lines with big integers
 rendered as decimal strings.  The long JSON outputs of rsk and knuth-chain
 are written in pieces, in order, byte for byte as json.dumps prints them.
+Each costs a fixed number of interpreted steps per path or per move: rsk
+fills a path's text from one %-template of (row, column) cells with the
+path's columns, and knuth-chain keeps the word's text in one buffer, in
+which each move rewrites only the two tokens it swaps.
 
 Only the standard library and errors load with this module: each command
 imports the modules it runs when it runs, so that count loads counting
@@ -284,10 +288,18 @@ def _cmd_rsk(args) -> int:
     w = parse_permutation(args.perm)
     p: list[list[int]] = []
     q: list[list[int]] = []
-    # each path is kept only as its JSON text, a few characters per cell;
-    # it holds only int pairs, so the text is built without json.dumps
-    paths = ["[" + ", ".join([f"[{r}, {c}]" for r, c in path]) + "]"
-             for path in _rsk_steps(w, p, q)]
+    # each path is kept only as its JSON text, which fills the first k cells
+    # of one template "[1, %d], [2, %d], ..." with its k columns; the
+    # template grows to the longest path so far, and end[k] is where its
+    # k-th cell ends
+    template, end = "", [0]
+    paths = []
+    for cols in _rsk_steps(w, p, q):
+        k = len(cols)
+        while k >= len(end):
+            template += f", [{len(end)}, %d]" if template else "[1, %d]"
+            end.append(len(template))
+        paths.append("[" + template[:end[k]] % tuple(cols) + "]")
     out = sys.stdout
     out.write(f'{{"perm": {json.dumps(format_permutation(w))}, '
               f'"shape": {json.dumps([len(row) for row in p])}, '
@@ -300,15 +312,29 @@ def _cmd_rsk(args) -> int:
 def _replay(word: list[int], moves: Iterable[tuple[int, str]]) -> Iterator[str]:
     """Apply the (position, kind) moves to word in place, checking each, and
     yield every word the chain passes through as a JSON string.  The text
-    format holds only digits and one separator, which JSON never escapes."""
+    format holds only digits and one separator, which JSON never escapes.
+
+    The quoted text is kept in one bytearray, with the offset of each
+    letter's token.  A move swaps two adjacent letters, so it rewrites only
+    their two tokens, whose widths may differ (9 and 10), and the separator
+    between them, and moves the offset of the second."""
     from .permutations import _separator
     from .rsk import _knuth_swap
-    tokens = list(map(str, word))
-    sep = _separator(len(word))
+    sep = _separator(len(word)).encode()
+    tokens = [str(x).encode() for x in word]
+    text = bytearray(b'"' + sep.join(tokens) + b'"')
+    start, offset = [], 1
+    for token in tokens:
+        start.append(offset)
+        offset += len(token) + len(sep)
     for t, kind in moves:
         j = _knuth_swap(word, t, kind)
-        tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
-        yield f'"{sep.join(tokens)}"'
+        first, second = tokens[j + 1], tokens[j]
+        tokens[j], tokens[j + 1] = first, second
+        s = start[j]
+        text[s:start[j + 1] + len(first)] = first + sep + second
+        start[j + 1] = s + len(first) + len(sep)
+        yield text.decode()
 
 
 def _cmd_knuth_chain(args) -> int:

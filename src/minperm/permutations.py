@@ -31,13 +31,25 @@ def is_permutation(word: Sequence[int]) -> bool:
     >>> is_permutation((1, 3))
     False
     """
-    n = len(word)
+    try:
+        n = len(word)
+    except TypeError:
+        return False
     seen = [False] * (n + 1)
     for x in word:
         if type(x) is not int or not 1 <= x <= n or seen[x]:
             return False
         seen[x] = True
     return True
+
+
+def _length(name: str, values: Sequence) -> int:
+    """len(values); ValueError if values is not iterable at all."""
+    try:
+        return len(values)
+    except TypeError:
+        _as_tuple(name, values)  # raises ValueError if values is not iterable
+        raise
 
 
 def check_permutation(word: Iterable[int]) -> tuple[int, ...]:
@@ -59,8 +71,9 @@ def standardize(word: Sequence[int]) -> tuple[int, ...]:
     >>> standardize((3, 5, 4, 9))
     (1, 3, 2, 4)
     """
+    n = _length("word", word)
     rank = {v: r for r, v in enumerate(sorted(word), start=1)}
-    if len(rank) != len(word):
+    if len(rank) != n:
         raise ValueError(f"entries are not distinct: {tuple(word)}")
     return tuple(rank[v] for v in word)
 
@@ -71,18 +84,18 @@ def descent_set(perm: Sequence[int]) -> set[int]:
     >>> sorted(descent_set((3, 1, 4, 5, 7, 2, 6)))
     [1, 5]
     """
-    return {i for i in range(1, len(perm)) if perm[i - 1] > perm[i]}
+    return {i for i in range(1, _length("permutation", perm)) if perm[i - 1] > perm[i]}
 
 
 def ascent_set(perm: Sequence[int]) -> set[int]:
     """Positions i (1-indexed, i <= n-1) where perm steps up; complementary
     to descent_set inside 1..n-1."""
-    return {i for i in range(1, len(perm)) if perm[i - 1] < perm[i]}
+    return {i for i in range(1, _length("permutation", perm)) if perm[i - 1] < perm[i]}
 
 
 def descent_count(perm: Sequence[int]) -> int:
     c = 0
-    for i in range(1, len(perm)):
+    for i in range(1, _length("permutation", perm)):
         if perm[i - 1] > perm[i]:
             c += 1
     return c
@@ -99,8 +112,8 @@ def contains_pattern(perm: Sequence[int], pattern: Sequence[int]) -> bool:
     >>> contains_pattern((2, 1, 4, 3), (1, 2, 3))
     False
     """
-    k = len(pattern)
-    if k > len(perm):
+    k = _length("pattern", pattern)
+    if k > _length("permutation", perm):
         return False
     target = tuple(pattern)
     for sub in itertools.combinations(perm, k):
@@ -119,7 +132,7 @@ def decreasing_run_lengths(perm: Sequence[int]) -> tuple[int, ...]:
     """
     runs = []
     length = 1
-    for i in range(1, len(perm)):
+    for i in range(1, _length("permutation", perm)):
         if perm[i - 1] > perm[i]:
             length += 1
         else:
@@ -158,7 +171,9 @@ def is_minimal(perm: Sequence[int]) -> bool:
 
     It compares entries only and does not check that perm is a permutation
     (it runs on every search leaf); callers holding untrusted input run
-    check_permutation first.
+    check_permutation first.  A perm that is not iterable raises
+    ValueError, checked only once reading it has raised TypeError, so
+    that the search's leaves pay nothing for it.
 
     >>> is_minimal((3, 2, 1))
     True
@@ -167,18 +182,23 @@ def is_minimal(perm: Sequence[int]) -> bool:
     >>> is_minimal((1, 3, 2))
     False
     """
-    return _first_violation(perm) is None
+    try:
+        return _first_violation(perm) is None
+    except TypeError:
+        _as_tuple("permutation", perm)  # raises ValueError if perm is not iterable
+        raise
 
 
 def minimality_violation(perm: Sequence[int]) -> str | None:
     """Explain why perm is not minimal, or None if it is.  Positions in the
     message are 1-indexed."""
+    n = _length("permutation", perm)
     pos = _first_violation(perm)
     if pos is None:
         return None
     if pos == 0:
         return "length-1 permutations have no descent to start with"
-    if pos in (1, len(perm) - 1):
+    if pos in (1, n - 1):
         return f"position {pos} is an ascent, not a descent"
     window = tuple(perm[pos - 2:pos + 2])
     return (f"ascent at position {pos}: window {window} is of type "
@@ -205,7 +225,11 @@ def is_minimal_by_deletion(perm: Sequence[int]) -> bool:
     >>> is_minimal_by_deletion((1, 2, 3, 4))
     False
     """
-    w = tuple(perm)
+    try:
+        w = tuple(perm)
+    except TypeError:
+        _as_tuple("permutation", perm)  # raises ValueError if perm is not iterable
+        raise
     n = len(w)
     if n < 2 or not (w[0] > w[1] and w[n - 2] > w[n - 1]):
         return False
@@ -414,7 +438,12 @@ def format_permutation(perm: Sequence[int]) -> str:
     >>> format_permutation((2, 1, 4, 3))
     '2 1 4 3'
     """
-    return _separator(len(perm)).join(map(str, perm))
+    try:
+        sep = _separator(len(perm))
+    except TypeError:
+        _as_tuple("permutation", perm)  # raises ValueError if perm is not iterable
+        raise
+    return sep.join(map(str, perm))
 
 
 def _separator(n: int) -> str:

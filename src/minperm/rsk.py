@@ -5,6 +5,8 @@ Straight-shape tableaux here are plain tuples of row tuples on distinct
 integers.  Cells are addressed (row, column), 1-indexed, row 1 on top.
 Bumping (_bump) and reverse bumping (_unbump) work in place on lists of
 rows, and _rsk_steps runs the bumping over a word one letter at a time.
+An insertion path visits rows 1..k in order, so _bump returns it as its
+k columns alone; row_insert and rsk_trace pair them with their rows.
 _word checks a word (distinct integers, by errors._check_ints), and _straight
 the rows of a straight tableau, read once, with their entries through _word.
 
@@ -16,6 +18,10 @@ ones; the chain of elementary moves realizing this is produced explicitly.
 Its one schedule, _sweeps, yields (position, kind) pairs, which only
 knuth_chain wraps in KnuthMoves.  Moves are replayed once, in place on one
 list, each checked in O(1) by comparing the three letters of its triple.
+
+tableaux and bijection are imported where they are used, by
+syt_to_minimal and knuth_chain, so that the rsk and knuth-chain commands
+load neither.
 """
 
 from __future__ import annotations
@@ -24,11 +30,9 @@ import bisect
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .bijection import tableau_to_perm
 from .errors import _as_tuple, _check_int, _check_ints
 from .permutations import (check_permutation, decreasing_run_lengths,
                            minimality_violation, standardize)
-from .tableaux import SkewShape, SkewTableau, _built
 
 Rows = tuple[tuple[int, ...], ...]
 Cell = tuple[int, int]
@@ -41,20 +45,21 @@ _ORDER = {kind: tuple(sorted(range(3), key=pattern.__getitem__))
           for kind, pattern in _PATTERNS.items()}
 
 
-def _bump(rows: list[list[int]], x: int) -> list[Cell]:
+def _bump(rows: list[list[int]], x: int) -> list[int]:
     """Row-insert x into rows in place, bumping down row by row, and return
-    the insertion path, one cell per row touched, ending at the new cell."""
-    path = []
-    for r, row in enumerate(rows, start=1):
+    the insertion path as its columns: the path visits rows 1..k in order,
+    one cell per row touched, and ends at the new cell in row k."""
+    cols = []
+    for row in rows:
         pos = bisect.bisect_left(row, x)
-        path.append((r, pos + 1))
+        cols.append(pos + 1)
         if pos == len(row):
             row.append(x)
-            return path
+            return cols
         x, row[pos] = row[pos], x
     rows.append([x])
-    path.append((len(rows), 1))
-    return path
+    cols.append(1)
+    return cols
 
 
 def _unbump(rows: list[list[int]], r: int) -> int:
@@ -114,8 +119,8 @@ def row_insert(rows: Iterable[Sequence[int]], value: int) -> tuple[Rows, tuple[C
     for row in tableau:
         if value in row:
             raise ValueError(f"value {value} is already present")
-    path = _bump(tableau, value)
-    return _frozen(tableau), tuple(path)
+    cols = _bump(tableau, value)
+    return _frozen(tableau), tuple(enumerate(cols, start=1))
 
 
 def _frozen(rows: Sequence[Sequence[int]]) -> Rows:
@@ -123,18 +128,19 @@ def _frozen(rows: Sequence[Sequence[int]]) -> Rows:
 
 
 def _rsk_steps(word: Iterable[int], p: list[list[int]],
-               q: list[list[int]]) -> Iterator[list[Cell]]:
+               q: list[list[int]]) -> Iterator[list[int]]:
     """Insert the letters of a word into p in place, record each one's step
-    in q, and yield each letter's insertion path.
+    in q, and yield each letter's insertion path as _bump's columns; the
+    new cell's row is the path's length.
 
     Raises ValueError, when iteration starts, if _word refuses the word."""
     for step, x in enumerate(_word(word, "word"), start=1):
-        path = _bump(p, x)
-        r, _ = path[-1]
+        cols = _bump(p, x)
+        r = len(cols)
         if r > len(q):
             q.append([])
         q[r - 1].append(step)
-        yield path
+        yield cols
 
 
 def rsk_trace(word: Sequence[int]) -> tuple[Rows, Rows, tuple[tuple[Cell, ...], ...]]:
@@ -142,7 +148,7 @@ def rsk_trace(word: Sequence[int]) -> tuple[Rows, Rows, tuple[tuple[Cell, ...], 
     the recording tableau, and every insertion path."""
     p: list[list[int]] = []
     q: list[list[int]] = []
-    paths = tuple(tuple(path) for path in _rsk_steps(word, p, q))
+    paths = tuple(tuple(enumerate(cols, start=1)) for cols in _rsk_steps(word, p, q))
     return _frozen(p), _frozen(q), paths
 
 
@@ -325,6 +331,7 @@ def knuth_chain(perm: Sequence[int]) -> list[KnuthMove]:
     >>> [(m.position, m.kind) for m in knuth_chain((3, 2, 1, 5, 4))]
     [(2, 'bac')]
     """
+    from .tableaux import _built
     w = check_permutation(perm)
     n, i = double_descent_class(w)
     moves: list[KnuthMove] = []
@@ -364,6 +371,8 @@ def syt_to_minimal(rows: Iterable[Sequence[int]], i: int) -> tuple[int, ...]:
     The forward map is re-applied to confirm the round trip.  The same
     tableau can be inverted for several i, so i is an explicit argument.
     """
+    from .bijection import tableau_to_perm
+    from .tableaux import SkewShape, SkewTableau
     _check_int("i", i)
     current = _straight(rows, "tableau")
     p = _frozen(current)

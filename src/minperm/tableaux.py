@@ -134,6 +134,8 @@ def format_shape(shape: SkewShape) -> str:
 def parse_shape(text: str) -> SkewShape:
     """Parse the "outer/inner" shape format; the "/inner" half may be
     omitted, empty, or the empty-set sign."""
+    if not isinstance(text, str):
+        raise ValueError(f"shape text must be a string, got {text!r}")
 
     def parse_parts(chunk: str, what: str) -> tuple[int, ...]:
         chunk = chunk.strip()

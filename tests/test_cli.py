@@ -408,8 +408,10 @@ class TestRsk:
         assert payload["paths"][0] == [[1, 1]]
 
     def test_stdout_matches_dumps(self, capsys):
+        # the decreasing word of length 300 has paths of every length 1..300,
+        # so its paths grow the text template one cell at a time
         rng = random.Random(8000)
-        words = [(1,), tuple(range(1, 41)), tuple(range(40, 0, -1))]
+        words = [(1,), tuple(range(1, 41)), tuple(range(40, 0, -1)), tuple(range(300, 0, -1))]
         words += [tuple(rng.sample(range(1, n + 1), n)) for n in (10, 11, 97, 300, 2000)]
         for w in words:
             code, out, _ = run(capsys, "rsk", "--perm", format_permutation(w))
@@ -421,6 +423,13 @@ class TestRsk:
         # printed through one json.dumps; kept as text, the run peaks near 5 MB
         w = random.Random(1).sample(range(1, 8001), 8000)
         code, peak = traced_peak(["rsk", "--perm", ",".join(map(str, w))])
+        assert code == 0 and peak < 8 * 2**20, peak
+
+    def test_traced_memory_every_path_length(self):
+        # the decreasing word of length 1000 has paths of every length
+        # 1..1000, 500,500 cells: one template grown to the longest path
+        # peaked at 7.2 MB, where a template cached per path length took 12.4 MB
+        code, peak = traced_peak(["rsk", "--perm", ",".join(map(str, range(1000, 0, -1)))])
         assert code == 0 and peak < 8 * 2**20, peak
 
     @pytest.mark.parametrize("case", ["not a permutation", "a repeated letter"])
@@ -475,10 +484,18 @@ class TestKnuthChain:
             for i in sorted({1, 2, 3, 4, m}):
                 perms.append(tableau_to_perm(random_filling(SkewShape((m, m, i), (i - 1,)),
                                                             rng)))
+        unequal = 0
         for w in perms:
             code, out, _ = run(capsys, "knuth-chain", "--perm", format_permutation(w))
             assert code == 0
             assert out == knuth_chain_stdout_by_dumps(w), w
+            word = list(w)
+            for move in knuth_chain(w):
+                j = _knuth_swap(word, move.position, move.kind)
+                unequal += len(str(word[j])) != len(str(word[j + 1]))
+        # some moves swap tokens of unequal width, such as 9 and 10, whose
+        # swap moves the offset of the second token in the replay's text
+        assert unequal > 0
         assert '"moves": [], "words": []' in knuth_chain_stdout_by_dumps((3, 2, 1))
 
     def test_traced_memory(self):

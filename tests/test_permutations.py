@@ -5,7 +5,7 @@ import re
 from enum import IntEnum
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import minperm.permutations as permutations_module
@@ -530,3 +530,47 @@ class TestSerialization:
             n = rng.randint(1, 14)
             w = tuple(rng.sample(range(1, n + 1), n))
             assert parse_permutation(format_permutation(w)) == w
+
+
+# every predicate and formatter, with its arguments for a given perm
+SEQUENCE_FUNCTIONS = [
+    (is_minimal, lambda w: (w,)), (is_minimal_by_deletion, lambda w: (w,)),
+    (minimality_violation, lambda w: (w,)), (descent_count, lambda w: (w,)),
+    (descent_set, lambda w: (w,)), (ascent_set, lambda w: (w,)),
+    (decreasing_run_lengths, lambda w: (w,)), (standardize, lambda w: (w,)),
+    (format_permutation, lambda w: (w,)), (contains_pattern, lambda w: (w, (1,))),
+    (contains_pattern, lambda w: ((2, 1), w)),
+]
+NOT_ITERABLE = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                         st.complex_numbers(), st.builds(object))
+
+
+class TestArguments:
+    """A perm that is not iterable is refused with ValueError where each
+    predicate and formatter once raised TypeError, and is_permutation
+    answers False."""
+
+    @pytest.mark.parametrize("fn, args", SEQUENCE_FUNCTIONS)
+    @seed(26)
+    @settings(max_examples=50, deadline=None)
+    @given(value=NOT_ITERABLE)
+    @example(value=5)
+    def test_not_iterable(self, fn, args, value):
+        with pytest.raises(ValueError, match=r"^expected an iterable for (permutation|word|"
+                                             r"pattern), got "):
+            fn(*args(value))
+
+    @given(value=NOT_ITERABLE)
+    def test_is_permutation_answers_false(self, value):
+        assert is_permutation(value) is False
+
+    @pytest.mark.parametrize("fn, args", SEQUENCE_FUNCTIONS)
+    def test_iterable_answers_unchanged(self, fn, args):
+        # the refusal runs only once a TypeError is raised: valid input
+        # answers as before, and entries that do not compare still raise
+        # their own TypeError
+        w = (3, 1, 4, 2)
+        assert fn(*args(list(w))) == fn(*args(w))
+        if fn not in (format_permutation, contains_pattern):
+            with pytest.raises(TypeError, match="not supported between"):
+                fn(*args((2, None, 1, 3)))

@@ -276,6 +276,19 @@ class TestRSK:
             assert (p, q, paths) == rsk_trace_by_loop(w)
             assert rsk(w) == (p, q) and insertion_tableau(w) == p
 
+    @pytest.mark.parametrize("n", [300, 2000])
+    def test_paths_from_columns_match_loop_oracle(self, n):
+        # _bump returns a path as its columns; rsk_trace and row_insert pair
+        # them with rows 1..k, and must give the oracle's (row, column) cells
+        w = tuple(random.Random(n).sample(range(1, 3 * n), n))
+        p, q, paths = rsk_trace_by_loop(w)
+        assert rsk_trace(w) == (p, q, paths)
+        rows = ()
+        for x, path in zip(w, paths):
+            rows, got = row_insert(rows, x)
+            assert got == path
+        assert rows == p
+
     def test_duplicate_entries_rejected(self):
         for fn in (rsk_trace, rsk, insertion_tableau):
             with pytest.raises(ValueError, match="not distinct"):

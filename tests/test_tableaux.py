@@ -255,6 +255,13 @@ class TestSkewShape:
             parse_shape("12,2/1_0")
         assert parse_shape(" 2, 2 / 1 ") == SkewShape((2, 2), (1,))
 
+    @given(st.one_of(st.integers(), st.floats(), st.none(), st.lists(st.text(max_size=2))))
+    @example(5)
+    def test_non_string_rejected(self, text):
+        # 5 once raised AttributeError: 'int' object has no attribute 'partition'
+        with pytest.raises(ValueError, match="^shape text must be a string, got "):
+            parse_shape(text)
+
     @given(skew_shapes())
     def test_format_round_trip(self, shape):
         assert parse_shape(format_shape(shape)) == shape
