@@ -34,7 +34,10 @@ def is_permutation(word: Sequence[int]) -> bool:
     try:
         n = len(word)
     except TypeError:
-        return False
+        try:
+            return _retry(is_permutation, ("permutation", word))
+        except ValueError:
+            return False
     seen = [False] * (n + 1)
     for x in word:
         if type(x) is not int or not 1 <= x <= n or seen[x]:
@@ -43,13 +46,15 @@ def is_permutation(word: Sequence[int]) -> bool:
     return True
 
 
-def _length(name: str, values: Sequence) -> int:
-    """len(values); ValueError if values is not iterable at all."""
-    try:
-        return len(values)
-    except TypeError:
-        _as_tuple(name, values)  # raises ValueError if values is not iterable
-        raise
+def _retry(fn, *named):
+    """fn's answer on its arguments, each read once through _check_ints
+    from its (name, value) pair: ValueError for a value that is not an
+    iterable of ints.  The predicates and formatters call this only once
+    their fast path has raised TypeError, on an iterator (it has no len())
+    or on entries that do not compare, so that valid input pays nothing for
+    it.  On tuples of ints that path never raises TypeError, so fn runs at
+    most once more."""
+    return fn(*[_check_ints(name, value) for name, value in named])
 
 
 def check_permutation(word: Iterable[int]) -> tuple[int, ...]:
@@ -71,8 +76,11 @@ def standardize(word: Sequence[int]) -> tuple[int, ...]:
     >>> standardize((3, 5, 4, 9))
     (1, 3, 2, 4)
     """
-    n = _length("word", word)
-    rank = {v: r for r, v in enumerate(sorted(word), start=1)}
+    try:
+        n = len(word)
+        rank = {v: r for r, v in enumerate(sorted(word), start=1)}
+    except TypeError:
+        return _retry(standardize, ("word", word))
     if len(rank) != n:
         raise ValueError(f"entries are not distinct: {tuple(word)}")
     return tuple(rank[v] for v in word)
@@ -84,20 +92,29 @@ def descent_set(perm: Sequence[int]) -> set[int]:
     >>> sorted(descent_set((3, 1, 4, 5, 7, 2, 6)))
     [1, 5]
     """
-    return {i for i in range(1, _length("permutation", perm)) if perm[i - 1] > perm[i]}
+    try:
+        return {i for i in range(1, len(perm)) if perm[i - 1] > perm[i]}
+    except TypeError:
+        return _retry(descent_set, ("permutation", perm))
 
 
 def ascent_set(perm: Sequence[int]) -> set[int]:
     """Positions i (1-indexed, i <= n-1) where perm steps up; complementary
     to descent_set inside 1..n-1."""
-    return {i for i in range(1, _length("permutation", perm)) if perm[i - 1] < perm[i]}
+    try:
+        return {i for i in range(1, len(perm)) if perm[i - 1] < perm[i]}
+    except TypeError:
+        return _retry(ascent_set, ("permutation", perm))
 
 
 def descent_count(perm: Sequence[int]) -> int:
     c = 0
-    for i in range(1, _length("permutation", perm)):
-        if perm[i - 1] > perm[i]:
-            c += 1
+    try:
+        for i in range(1, len(perm)):
+            if perm[i - 1] > perm[i]:
+                c += 1
+    except TypeError:
+        return _retry(descent_count, ("permutation", perm))
     return c
 
 
@@ -112,13 +129,16 @@ def contains_pattern(perm: Sequence[int], pattern: Sequence[int]) -> bool:
     >>> contains_pattern((2, 1, 4, 3), (1, 2, 3))
     False
     """
-    k = _length("pattern", pattern)
-    if k > _length("permutation", perm):
-        return False
-    target = tuple(pattern)
-    for sub in itertools.combinations(perm, k):
-        if standardize(sub) == target:
-            return True
+    try:
+        k = len(pattern)
+        if k > len(perm):
+            return False
+        target = tuple(pattern)
+        for sub in itertools.combinations(perm, k):
+            if standardize(sub) == target:
+                return True
+    except TypeError:
+        return _retry(contains_pattern, ("permutation", perm), ("pattern", pattern))
     return False
 
 
@@ -132,12 +152,15 @@ def decreasing_run_lengths(perm: Sequence[int]) -> tuple[int, ...]:
     """
     runs = []
     length = 1
-    for i in range(1, _length("permutation", perm)):
-        if perm[i - 1] > perm[i]:
-            length += 1
-        else:
-            runs.append(length)
-            length = 1
+    try:
+        for i in range(1, len(perm)):
+            if perm[i - 1] > perm[i]:
+                length += 1
+            else:
+                runs.append(length)
+                length = 1
+    except TypeError:
+        return _retry(decreasing_run_lengths, ("permutation", perm))
     runs.append(length)
     return tuple(runs)
 
@@ -171,7 +194,7 @@ def is_minimal(perm: Sequence[int]) -> bool:
 
     It compares entries only and does not check that perm is a permutation
     (it runs on every search leaf); callers holding untrusted input run
-    check_permutation first.  A perm that is not iterable raises
+    check_permutation first.  A perm that is not an iterable of ints raises
     ValueError, checked only once reading it has raised TypeError, so
     that the search's leaves pay nothing for it.
 
@@ -185,20 +208,21 @@ def is_minimal(perm: Sequence[int]) -> bool:
     try:
         return _first_violation(perm) is None
     except TypeError:
-        _as_tuple("permutation", perm)  # raises ValueError if perm is not iterable
-        raise
+        return _retry(is_minimal, ("permutation", perm))
 
 
 def minimality_violation(perm: Sequence[int]) -> str | None:
     """Explain why perm is not minimal, or None if it is.  Positions in the
     message are 1-indexed."""
-    n = _length("permutation", perm)
-    pos = _first_violation(perm)
+    try:
+        pos = _first_violation(perm)
+    except TypeError:
+        return _retry(minimality_violation, ("permutation", perm))
     if pos is None:
         return None
     if pos == 0:
         return "length-1 permutations have no descent to start with"
-    if pos in (1, n - 1):
+    if pos in (1, len(perm) - 1):
         return f"position {pos} is an ascent, not a descent"
     window = tuple(perm[pos - 2:pos + 2])
     return (f"ascent at position {pos}: window {window} is of type "
@@ -226,17 +250,15 @@ def is_minimal_by_deletion(perm: Sequence[int]) -> bool:
     False
     """
     try:
-        w = tuple(perm)
-    except TypeError:
-        _as_tuple("permutation", perm)  # raises ValueError if perm is not iterable
-        raise
-    n = len(w)
-    if n < 2 or not (w[0] > w[1] and w[n - 2] > w[n - 1]):
-        return False
-    for k in range(1, n - 1):
-        p, x, s = w[k - 1], w[k], w[k + 1]
-        if (p > x) + (x > s) <= (p > s):
+        n = len(perm)
+        if n < 2 or not (perm[0] > perm[1] and perm[n - 2] > perm[n - 1]):
             return False
+        for k in range(1, n - 1):
+            p, x, s = perm[k - 1], perm[k], perm[k + 1]
+            if (p > x) + (x > s) <= (p > s):
+                return False
+    except TypeError:
+        return _retry(is_minimal_by_deletion, ("permutation", perm))
     return True
 
 
@@ -259,6 +281,7 @@ def duplicate_loss(perm: Sequence[int], start: int, stop: int,
     if not 1 <= start <= stop <= n:
         raise ValueError(f"invalid fragment bounds {start}..{stop} for length {n}")
     size = stop - start + 1
+    keep = _as_tuple("keep", keep)
     if len(keep) != size:
         raise ValueError(f"keep must have {size} entries, got {len(keep)}")
     duplicated = w[:stop] + w[start - 1:stop] + w[stop:]
@@ -439,11 +462,9 @@ def format_permutation(perm: Sequence[int]) -> str:
     '2 1 4 3'
     """
     try:
-        sep = _separator(len(perm))
+        return _separator(len(perm)).join(map(str, perm))
     except TypeError:
-        _as_tuple("permutation", perm)  # raises ValueError if perm is not iterable
-        raise
-    return sep.join(map(str, perm))
+        return _retry(format_permutation, ("permutation", perm))
 
 
 def _separator(n: int) -> str:
@@ -453,6 +474,8 @@ def _separator(n: int) -> str:
 
 def parse_permutation(text: str) -> tuple[int, ...]:
     """Parse either serialization; reports the offending token on failure."""
+    if not isinstance(text, str):
+        raise ValueError(f"permutation text must be a string, got {text!r}")
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty permutation")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ from minperm import (SkewShape, SkewTableau, compositions_min2,
                      shape_from_runs, skew_standard_tableaux, tableau_to_perm)
 import minperm.bijection as bijection
 import minperm.tableaux as tableaux
+from minperm.cli import main
 from minperm.verify import (WORKED_PERM_16, WORKED_TABLEAU_16_ROWS,
                             WORKED_TABLEAU_16_SHAPE, check_bijection_round_trip)
 from minperm.tableaux import _built, format_shape, parse_shape, shape_is_two_regular
@@ -120,10 +122,12 @@ def test_bad_tableaux_rejected():
     ("3", ((1, 3, 2),), "tableau is not standard"),
     ("3", ((1, 2, 3),), "tableau is not 2-regular"),
 ])
-def test_refusals_and_their_order(shape, rows, message):
+def test_refusals_and_their_order(capsys, shape, rows, message):
     t = SkewTableau(parse_shape(shape), rows)
     with pytest.raises(ValueError, match=f"^{message}$"):
         tableau_to_perm(t)
+    assert main(["bijection", "--tableau", json.dumps({"shape": shape, "rows": rows})]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_round_trips_small():

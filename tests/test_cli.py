@@ -17,7 +17,7 @@ import minperm.verify as verify
 from minperm import (SkewShape, SkewTableau, catalan, decreasing_run_lengths,
                      enumerate_minimal, even_odd_split, format_permutation,
                      insertion_tableau, knuth_chain, one_ascent_count,
-                     perm_to_tableau, rsk_trace, shape_from_runs,
+                     perm_to_tableau, rsk_inverse, rsk_trace, shape_from_runs,
                      tableau_to_perm, two_ascent_count)
 import minperm.cli as cli
 from minperm.cli import (MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_CLOSED_N, MAX_DET_N,
@@ -30,6 +30,9 @@ from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
                             check_odd_length_formula, check_rsk_refinement)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# `minperm` run in a child that imports it from the source tree
+CHILD = [sys.executable, "-m", "minperm"]
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(SRC))
 # minperm.rsk, the module: the package binds the name rsk to the function
 rsk_module = importlib.import_module("minperm.rsk")
 
@@ -76,6 +79,25 @@ def knuth_chain_stdout_by_dumps(w):
         "target": format_permutation(target),
         "insertion_tableau_unchanged": insertion_tableau(w) == insertion_tableau(word),
     }) + "\n"
+
+
+def peak_rss_mb(argv, timeout):
+    """Exit code and peak RSS in MB of `minperm argv`, stdout discarded,
+    killed after timeout seconds.  A child's ru_maxrss starts at the memory
+    of the process that starts it, so a fresh interpreter starts it and
+    reads its ru_maxrss (KiB on Linux) through os.wait4 on its pid."""
+    starter = """
+import os, signal, subprocess, sys
+proc = subprocess.Popen(sys.argv[2:], stdout=subprocess.DEVNULL)
+signal.signal(signal.SIGALRM, lambda *_: proc.kill())
+signal.alarm(int(sys.argv[1]))
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"""
+    out = subprocess.run([sys.executable, "-c", starter, str(timeout), *CHILD, *argv],
+                         env=CHILD_ENV, stdout=subprocess.PIPE, check=True,
+                         timeout=timeout + 30).stdout
+    code, kib = map(int, out.split())
+    return code, kib / 1024
 
 
 def traced_peak(argv):
@@ -275,6 +297,10 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--n", "4", "--d", "2")
         assert code == 0
         assert out.splitlines() == ["2 1 4 3", "3 1 4 2"]
+        # the pruned enumeration and the determinant count agree
+        _, out, _ = run(capsys, "enumerate", "--n", "10", "--d", "6")
+        assert run(capsys, "count", "--n", "10", "--d", "6")[1] == \
+            f"n,d,count\n10,6,{len(out.splitlines())}\n"
 
     def test_double_descent_filter(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "5", "--d", "3",
@@ -320,6 +346,14 @@ class TestEnumerate:
                        f"{cli.MAX_ENUMERATE_LINES}\n")
         code, out, err = run(capsys, "enumerate", "--n", "30", "--d", "15")
         assert (code, out) == (3, "") and "raise it via --max-brute-n" in err
+
+    def test_ten_runs_of_two(self):
+        # ten runs of 2 list all Catalan(10) = 16,796 words in well under a
+        # second; a walk that only counted ascents took 16 s already at n = 18
+        out = subprocess.run([*CHILD, "enumerate", "--n", "20", "--ascents", ",".join(["2"] * 10),
+                              "--max-brute-n", "20"], env=CHILD_ENV, stdout=subprocess.PIPE,
+                             check=True, timeout=20).stdout
+        assert out.count(b"\n") == 16796
 
     def test_batches_match_lines(self, capsys, monkeypatch):
         # 31,914 lines cross many batches and end on a partial one
@@ -417,6 +451,17 @@ class TestRsk:
             code, out, _ = run(capsys, "rsk", "--perm", format_permutation(w))
             assert code == 0
             assert out == rsk_stdout_by_dumps(w), w
+        # without rsk_trace, at the maps workload's length: rsk_inverse gives the
+        # word back; each path runs down rows 1..k to the cell where Q records it
+        w = list(range(1, 8001))
+        random.Random(8000).shuffle(w)
+        code, out, _ = run(capsys, "rsk", "--perm", format_permutation(w))
+        payload = json.loads(out)
+        p, q = (tuple(map(tuple, payload[key])) for key in ("P", "Q"))
+        assert code == 0 and rsk_inverse(p, q) == tuple(w) and len(payload["paths"]) == 8000
+        for step, path in enumerate(payload["paths"], start=1):
+            r, c = path[-1]
+            assert [row for row, _ in path] == list(range(1, r + 1)) and q[r - 1][c - 1] == step
 
     def test_traced_memory(self):
         # the paths of a length-8000 word took 29 MB when held as tuples and
@@ -459,8 +504,24 @@ class TestKnuthChain:
         code, out, _ = run(capsys, "knuth-chain", "--perm", ",".join(map(str, staircase(150))))
         payload = json.loads(out)
         assert code == 0 and len(payload["moves"]) == len(payload["words"]) == 11175
+        # each word is the one before it with one adjacent pair swapped,
+        # read from the output itself rather than replayed
+        words = [w.split(",") for w in [payload["perm"], *payload["words"]]]
+        for k, (before, after) in enumerate(zip(words, words[1:]), start=1):
+            j = next((j for j, (x, y) in enumerate(zip(before, after)) if x != y), 0)
+            assert after == before[:j] + [before[j + 1], before[j]] + before[j + 2:], k
         assert payload["insertion_tableau_unchanged"] is True
         assert payload["final"] == payload["target"] == payload["words"][-1]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    @pytest.mark.parametrize("m, bound", [(300, 100), (400, 40)])
+    def test_peak_rss(self, m, bound):
+        # length 601 writes 105 MB of words, which peaked at 332 MB held whole;
+        # length 801, the largest chain under the cap, peaked at 26.5 MB with
+        # one KnuthMove per move, and at 16.6 MB replaying the schedule once
+        code, peak = peak_rss_mb(["knuth-chain", "--perm", ",".join(map(str, staircase(m)))],
+                                 timeout=60)
+        assert code == 0 and peak <= bound, peak
 
     def test_output_cap(self, capsys, monkeypatch):
         # the class (1000, 1) at length 2001 is refused before any move is made
@@ -726,8 +787,7 @@ class TestBrokenPipe:
     ], ids=["enumerate", "knuth-chain"])
     def test_closed_pipe_is_quiet(self, argv):
         # the reader takes 10 bytes of a much longer output and closes the pipe
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        with subprocess.Popen([sys.executable, "-m", "minperm", *argv], env=env,
+        with subprocess.Popen([*CHILD, *argv], env=CHILD_ENV,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert len(proc.stdout.read(10)) == 10
             proc.stdout.close()

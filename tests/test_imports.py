@@ -1,7 +1,9 @@
 """What `import minperm` and each command load, and the package's lazy
 names: every exported name resolves on first use to the object its home
-module defines, and only then loads that module."""
+module defines, and only then loads that module.  The source imports only
+the standard library and never reads the environment."""
 
+import ast
 import importlib
 import json
 import os
@@ -18,6 +20,9 @@ import minperm.verify as verify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ALL = {"bijection", "cli", "counting", "errors", "permutations", "rsk", "tableaux", "verify"}
+# (file name, node) for every AST node of every module in the package
+SOURCE_NODES = [(path.name, node) for path in sorted((SRC / "minperm").rglob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))]
 
 
 def fresh(code: str) -> str:
@@ -105,6 +110,23 @@ print(callable(rsk), rsk is minperm.rsk, rsk.__module__)""")
     assert out == "True True minperm.rsk\n"
     assert isinstance(minperm.rsk, types.FunctionType)
     assert minperm.rsk((2, 1)) == (((1,), (2,)), ((1,), (2,)))
+
+
+def test_standard_library_only():
+    # lazy imports included; a relative import (level > 0) is the package's own
+    imported = [(path, node.lineno, name) for path, node in SOURCE_NODES
+                for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                             [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+                             else [])]
+    assert [i for i in imported if i[2].split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_no_environment_reads():
+    # os.environ, os.getenv, or their names imported from os
+    names = {"environ", "environb", "getenv", "getenvb"}
+    assert [(path, node.lineno) for path, node in SOURCE_NODES
+            if getattr(node, "attr", None) in names or getattr(node, "id", None) in names
+            or isinstance(node, ast.alias) and node.name in names] == []
 
 
 def test_suite_names_match_verify():

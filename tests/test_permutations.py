@@ -546,9 +546,9 @@ NOT_ITERABLE = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
 
 
 class TestArguments:
-    """A perm that is not iterable is refused with ValueError where each
-    predicate and formatter once raised TypeError, and is_permutation
-    answers False."""
+    """A perm that is not an iterable of ints is refused with ValueError
+    where each predicate and formatter once raised TypeError, an iterator
+    reads as the same tuple, and is_permutation answers False."""
 
     @pytest.mark.parametrize("fn, args", SEQUENCE_FUNCTIONS)
     @seed(26)
@@ -567,10 +567,40 @@ class TestArguments:
     @pytest.mark.parametrize("fn, args", SEQUENCE_FUNCTIONS)
     def test_iterable_answers_unchanged(self, fn, args):
         # the refusal runs only once a TypeError is raised: valid input
-        # answers as before, and entries that do not compare still raise
-        # their own TypeError
+        # answers as before, and entries that do not compare are refused
         w = (3, 1, 4, 2)
         assert fn(*args(list(w))) == fn(*args(w))
         if fn not in (format_permutation, contains_pattern):
-            with pytest.raises(TypeError, match="not supported between"):
+            with pytest.raises(ValueError, match=r"must be integers: \(2, None, 1, 3\)$"):
                 fn(*args((2, None, 1, 3)))
+
+    @pytest.mark.parametrize("fn, args", SEQUENCE_FUNCTIONS + [(is_permutation, lambda w: (w,))])
+    @seed(27)
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.lists(st.one_of(st.integers(1, 6), st.none(), st.floats(),
+                                      st.booleans(), st.text(max_size=1)), max_size=6))
+    @example(entries=[3, 1, 4, 2])
+    @example(entries=[2, None, 1])
+    def test_iterator_reads_as_tuple(self, fn, args, entries):
+        # an iterator answers as the same tuple, or, holding an entry that
+        # is not an int, may be refused; TypeError and AttributeError escape
+        def outcome(value):
+            try:
+                return fn(*args(value))
+            except ValueError:
+                return ValueError
+
+        got = outcome(iter(entries))
+        assert got == outcome(tuple(entries)) or \
+            got is ValueError and not {int}.issuperset(map(type, entries))
+
+    @given(value=NOT_ITERABLE)
+    def test_duplicate_loss_keep(self, value):
+        with pytest.raises(ValueError, match="^expected an iterable for keep, got "):
+            duplicate_loss((1, 2), 1, 2, value)
+        assert duplicate_loss((1, 2), 1, 2, iter(("second", "first"))) == (2, 1)
+
+    @given(value=st.one_of(NOT_ITERABLE, st.binary(), st.lists(st.integers(1, 3))))
+    def test_parse_permutation_takes_text_only(self, value):
+        with pytest.raises(ValueError, match="^permutation text must be a string, got "):
+            parse_permutation(value)

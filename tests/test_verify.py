@@ -4,6 +4,8 @@ run at any share count, with no child left behind.  Each check must fail
 when the route it checks is broken."""
 
 import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -21,6 +23,7 @@ from minperm.verify import (Check, check_catalan_law,
                             check_two_ascent_closed_form, run_suite)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -73,6 +76,20 @@ def test_report_is_byte_identical(capsys, shares, k):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "9")
     assert code == 0
     assert out == (GOLDEN / "verify_all_9.txt").read_text()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_one_cpu_runs_one_share():
+    # in a child pinned to one CPU (preexec_fn acts on the child only), the
+    # real _usable_cpus gives one share: verify runs its checks serially, in
+    # one process, and must print the report of the checks spread over CPUs
+    cpu = min(os.sched_getaffinity(0))
+    code = ("from minperm.verify import _usable_cpus; from minperm.cli import main; "
+            "print(_usable_cpus()); raise SystemExit(main(['verify', '--suite', 'all', '--max-n', '9']))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+                         stdout=subprocess.PIPE, check=True, timeout=60).stdout
+    assert out == b"1\n" + (GOLDEN / "verify_all_9.txt").read_bytes()
 
 
 def test_checks_are_dealt_round_robin(shares, monkeypatch):
