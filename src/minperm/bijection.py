@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .permutations import (check_permutation, decreasing_run_lengths,
                            minimality_violation)
-from .tableaux import SkewShape, SkewTableau, _built, is_standard
+from .tableaux import SkewShape, SkewTableau, is_standard
 
 
 def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
@@ -54,7 +54,7 @@ def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
     last = len(outer) - 1
     rows = tuple((None,) * mu + w[last - r + 2 * mu:last - r + 2 * lam - 1:2]
                  for r, (mu, lam) in enumerate(zip(inner, outer)))
-    return _built(SkewTableau, shape=_built(SkewShape, outer=outer, inner=inner), rows=rows)
+    return tuple.__new__(SkewTableau, (tuple.__new__(SkewShape, (outer, inner)), rows))
 
 
 def _column_word(t: SkewTableau) -> tuple[int, ...] | None:

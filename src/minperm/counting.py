@@ -76,8 +76,8 @@ def minimal_count_by_runs(runs: Sequence[int]) -> int:
     >>> minimal_count_by_runs((2, 2, 2))
     5
     """
-    # tableaux, and the dataclasses it builds its shapes with, load on the
-    # first call: the band and closed-form counts never need them
+    # tableaux loads on the first call: the band and closed-form counts
+    # never need it
     from .tableaux import shape_from_runs, skew_syt_count
     return skew_syt_count(shape_from_runs(runs))
 

@@ -35,7 +35,7 @@ def is_permutation(word: Sequence[int]) -> bool:
         n = len(word)
     except TypeError:
         try:
-            return _retry(is_permutation, ("permutation", word))
+            return _retry(is_permutation, "permutation", word)
         except ValueError:
             return False
     seen = [False] * (n + 1)
@@ -46,15 +46,14 @@ def is_permutation(word: Sequence[int]) -> bool:
     return True
 
 
-def _retry(fn, *named):
-    """fn's answer on its arguments, each read once through _check_ints
-    from its (name, value) pair: ValueError for a value that is not an
-    iterable of ints.  The predicates and formatters call this only once
-    their fast path has raised TypeError, on an iterator (it has no len())
-    or on entries that do not compare, so that valid input pays nothing for
-    it.  On tuples of ints that path never raises TypeError, so fn runs at
-    most once more."""
-    return fn(*[_check_ints(name, value) for name, value in named])
+def _retry(fn, name: str, value):
+    """fn's answer on value read once through _check_ints under name:
+    ValueError for a value that is not an iterable of ints.  The predicates
+    and formatters call this only once their fast path has raised
+    TypeError, on an iterator (it has no len()) or on entries that do not
+    compare, so that valid input pays nothing for it.  On tuples of ints
+    that path never raises TypeError, so fn runs at most once more."""
+    return fn(_check_ints(name, value))
 
 
 def check_permutation(word: Iterable[int]) -> tuple[int, ...]:
@@ -80,7 +79,7 @@ def standardize(word: Sequence[int]) -> tuple[int, ...]:
         n = len(word)
         rank = {v: r for r, v in enumerate(sorted(word), start=1)}
     except TypeError:
-        return _retry(standardize, ("word", word))
+        return _retry(standardize, "word", word)
     if len(rank) != n:
         raise ValueError(f"entries are not distinct: {tuple(word)}")
     return tuple(rank[v] for v in word)
@@ -95,7 +94,7 @@ def descent_set(perm: Sequence[int]) -> set[int]:
     try:
         return {i for i in range(1, len(perm)) if perm[i - 1] > perm[i]}
     except TypeError:
-        return _retry(descent_set, ("permutation", perm))
+        return _retry(descent_set, "permutation", perm)
 
 
 def ascent_set(perm: Sequence[int]) -> set[int]:
@@ -104,7 +103,7 @@ def ascent_set(perm: Sequence[int]) -> set[int]:
     try:
         return {i for i in range(1, len(perm)) if perm[i - 1] < perm[i]}
     except TypeError:
-        return _retry(ascent_set, ("permutation", perm))
+        return _retry(ascent_set, "permutation", perm)
 
 
 def descent_count(perm: Sequence[int]) -> int:
@@ -114,7 +113,7 @@ def descent_count(perm: Sequence[int]) -> int:
             if perm[i - 1] > perm[i]:
                 c += 1
     except TypeError:
-        return _retry(descent_count, ("permutation", perm))
+        return _retry(descent_count, "permutation", perm)
     return c
 
 
@@ -122,24 +121,18 @@ def contains_pattern(perm: Sequence[int], pattern: Sequence[int]) -> bool:
     """True if some subsequence of perm standardizes to pattern.
 
     Naive exhaustive subsequence search; every pattern used internally has
-    length at most 4, so nothing cleverer is warranted.
+    length at most 4, so nothing cleverer is warranted.  Both arguments are
+    read once, up front, and refused with ValueError unless they are
+    iterables of ints.
 
     >>> contains_pattern((2, 6, 3, 7, 5, 1, 4, 9, 8), (1, 3, 2, 4))
     True
     >>> contains_pattern((2, 1, 4, 3), (1, 2, 3))
     False
     """
-    try:
-        k = len(pattern)
-        if k > len(perm):
-            return False
-        target = tuple(pattern)
-        for sub in itertools.combinations(perm, k):
-            if standardize(sub) == target:
-                return True
-    except TypeError:
-        return _retry(contains_pattern, ("permutation", perm), ("pattern", pattern))
-    return False
+    w = _check_ints("permutation", perm)
+    target = _check_ints("pattern", pattern)
+    return any(standardize(sub) == target for sub in itertools.combinations(w, len(target)))
 
 
 def decreasing_run_lengths(perm: Sequence[int]) -> tuple[int, ...]:
@@ -160,7 +153,7 @@ def decreasing_run_lengths(perm: Sequence[int]) -> tuple[int, ...]:
                 runs.append(length)
                 length = 1
     except TypeError:
-        return _retry(decreasing_run_lengths, ("permutation", perm))
+        return _retry(decreasing_run_lengths, "permutation", perm)
     runs.append(length)
     return tuple(runs)
 
@@ -208,7 +201,7 @@ def is_minimal(perm: Sequence[int]) -> bool:
     try:
         return _first_violation(perm) is None
     except TypeError:
-        return _retry(is_minimal, ("permutation", perm))
+        return _retry(is_minimal, "permutation", perm)
 
 
 def minimality_violation(perm: Sequence[int]) -> str | None:
@@ -217,7 +210,7 @@ def minimality_violation(perm: Sequence[int]) -> str | None:
     try:
         pos = _first_violation(perm)
     except TypeError:
-        return _retry(minimality_violation, ("permutation", perm))
+        return _retry(minimality_violation, "permutation", perm)
     if pos is None:
         return None
     if pos == 0:
@@ -258,7 +251,7 @@ def is_minimal_by_deletion(perm: Sequence[int]) -> bool:
             if (p > x) + (x > s) <= (p > s):
                 return False
     except TypeError:
-        return _retry(is_minimal_by_deletion, ("permutation", perm))
+        return _retry(is_minimal_by_deletion, "permutation", perm)
     return True
 
 
@@ -464,7 +457,7 @@ def format_permutation(perm: Sequence[int]) -> str:
     try:
         return _separator(len(perm)).join(map(str, perm))
     except TypeError:
-        return _retry(format_permutation, ("permutation", perm))
+        return _retry(format_permutation, "permutation", perm)
 
 
 def _separator(n: int) -> str:

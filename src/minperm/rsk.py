@@ -16,19 +16,19 @@ a word is Knuth-equivalent to the word that keeps its first 2i letters and
 then lists the remaining even-position letters followed by the odd-position
 ones; the chain of elementary moves realizing this is produced explicitly.
 Its one schedule, _sweeps, yields (position, kind) pairs, which only
-knuth_chain wraps in KnuthMoves.  Moves are replayed once, in place on one
-list, each checked in O(1) by comparing the three letters of its triple.
+knuth_chain wraps in KnuthMoves, by tuple.__new__, as a scheduled pair needs
+no check.  Moves are replayed once, in place on one list, each checked in
+O(1) by comparing the three letters of its triple.
 
-tableaux and bijection are imported where they are used, by
-syt_to_minimal and knuth_chain, so that the rsk and knuth-chain commands
-load neither.
+tableaux and bijection are imported inside syt_to_minimal, their one user,
+so that knuth_chain and the rsk and knuth-chain commands load neither.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import _as_tuple, _check_int, _check_ints
 from .permutations import (check_permutation, decreasing_run_lengths,
@@ -211,20 +211,21 @@ def inverse_bump(rows: Iterable[Sequence[int]], corner: Cell) -> tuple[Rows, int
     return _frozen(tableau), x
 
 
-@dataclass(frozen=True)
-class KnuthMove:
+class KnuthMove(NamedTuple("KnuthMove", [("position", int), ("kind", str)])):
     """An elementary Knuth transformation acting on the triple that starts
     at the 1-indexed position.  kind names the triple's pattern before the
     move with letters a < b < c: "bac" sends b a c to b c a, "acb" sends
     a c b to c a b, and "bca"/"cab" are their inverses."""
 
-    position: int
-    kind: str
+    __slots__ = ()
+    # _replace builds through _make, so both validate too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        _check_int("position", self.position)
-        if not isinstance(self.kind, str) or self.kind not in _PATTERNS:
-            raise ValueError(f"unknown move kind {self.kind!r}")
+    def __new__(cls, position: int, kind: str):
+        _check_int("position", position)
+        if not isinstance(kind, str) or kind not in _PATTERNS:
+            raise ValueError(f"unknown move kind {kind!r}")
+        return tuple.__new__(cls, (position, kind))
 
     def inverse(self) -> "KnuthMove":
         # the pattern a move leaves, the inverse's kind, has letters 1 and 3 exchanged
@@ -331,14 +332,13 @@ def knuth_chain(perm: Sequence[int]) -> list[KnuthMove]:
     >>> [(m.position, m.kind) for m in knuth_chain((3, 2, 1, 5, 4))]
     [(2, 'bac')]
     """
-    from .tableaux import _built
     w = check_permutation(perm)
     n, i = double_descent_class(w)
     moves: list[KnuthMove] = []
     word = list(w)
     for t, kind in _sweeps(n, i):
         _knuth_swap(word, t, kind)
-        moves.append(_built(KnuthMove, position=t, kind=kind))
+        moves.append(tuple.__new__(KnuthMove, (t, kind)))
     if tuple(word) != even_odd_split(w):
         raise AssertionError(f"sweep schedule for {w} ended at {tuple(word)}")
     return moves

@@ -5,9 +5,11 @@ English convention throughout: row 1 is the top row, cells are addressed
 A partition is a weakly decreasing tuple of positive integers.
 
 Drawn column j of a skew shape is row j of shape.conjugated().  Public
-constructors and entry points validate their input; a value derived from
+constructors and entry points validate their input.  SkewShape and
+SkewTableau are NamedTuples whose __new__ is the one validating constructor,
+and _make, _replace and unpickling go through it; a value derived from
 validated ones (a conjugate, a run shape, a filling, a bijection image) is
-built through _built, which runs no check again.
+built by tuple.__new__(cls, fields), which runs no check again.
 
 Counting is exact and uses integers only.  The determinant route builds
 each matrix row integral and eliminates it, with no row swaps since every
@@ -27,20 +29,12 @@ that skew_standard_tableaux runs to list the fillings themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (CapExceededError, _check_int, _check_ints, _exact_div,
-                     _parse_int)
+from .errors import (CapExceededError, _as_tuple, _check_int, _check_ints,
+                     _exact_div, _parse_int)
 
 DEFAULT_MAX_CELLS = 16
-
-
-def _built(cls, **fields):
-    """The frozen dataclass cls holding fields, made without __post_init__."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -79,25 +73,25 @@ def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(conj)
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(NamedTuple("SkewShape", [("outer", tuple[int, ...]),
+                                         ("inner", tuple[int, ...])])):
     """A skew shape outer/inner, with inner stored zero-padded to the outer
     length."""
 
-    outer: tuple[int, ...]
-    inner: tuple[int, ...] = ()
+    __slots__ = ()
+    # _replace builds through _make, so both validate too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        outer = check_partition(self.outer)
-        inner = check_partition(self.inner)
+    def __new__(cls, outer: Sequence[int], inner: Sequence[int] = ()):
+        outer = check_partition(outer)
+        inner = check_partition(inner)
         if len(inner) > len(outer):
             raise ValueError(f"inner partition {inner} is longer than outer {outer}")
         padded = inner + (0,) * (len(outer) - len(inner))
         for mu, lam in zip(padded, outer):
             if mu > lam:
                 raise ValueError(f"inner partition {inner} is not contained in {outer}")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", padded)
+        return tuple.__new__(cls, (outer, padded))
 
     @property
     def size(self) -> int:
@@ -114,8 +108,7 @@ class SkewShape:
     def conjugated(self) -> "SkewShape":
         """The transposed shape."""
         outer, inner = _conjugate(self.outer), _conjugate(self.inner)
-        return _built(SkewShape, outer=outer,
-                      inner=inner + (0,) * (len(outer) - len(inner)))
+        return tuple.__new__(SkewShape, (outer, inner + (0,) * (len(outer) - len(inner))))
 
 
 def format_shape(shape: SkewShape) -> str:
@@ -150,20 +143,23 @@ def parse_shape(text: str) -> SkewShape:
     return SkewShape(parse_parts(head, "outer"), parse_parts(tail, "inner"))
 
 
-@dataclass(frozen=True)
-class SkewTableau:
+class SkewTableau(NamedTuple("SkewTableau", [("shape", SkewShape),
+                                             ("rows", tuple[tuple[int | None, ...], ...])])):
     """A filling of a skew shape.  rows[i] has length outer[i]; the first
     inner[i] entries are None, the rest are integers."""
 
-    shape: SkewShape
-    rows: tuple[tuple[int | None, ...], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        if len(rows) != self.shape.row_count:
-            raise ValueError(f"expected {self.shape.row_count} rows, got {len(rows)}")
+    def __new__(cls, shape: SkewShape, rows: Iterable[Iterable[int | None]]):
+        if not isinstance(shape, SkewShape):
+            raise ValueError(f"shape must be a SkewShape, got {shape!r}")
+        rows = tuple(_as_tuple(f"row {i}", r)
+                     for i, r in enumerate(_as_tuple("tableau rows", rows), start=1))
+        if len(rows) != shape.row_count:
+            raise ValueError(f"expected {shape.row_count} rows, got {len(rows)}")
         for i, row in enumerate(rows):
-            lam, mu = self.shape.outer[i], self.shape.inner[i]
+            lam, mu = shape.outer[i], shape.inner[i]
             if len(row) != lam:
                 raise ValueError(f"row {i + 1} must have {lam} entries, got {len(row)}")
             for c, x in enumerate(row, start=1):
@@ -172,7 +168,7 @@ class SkewTableau:
                         raise ValueError(f"cell ({i + 1},{c}) lies inside the inner shape")
                 elif type(x) is not int:
                     raise ValueError(f"cell ({i + 1},{c}) must hold an integer, got {x!r}")
-        object.__setattr__(self, "rows", rows)
+        return tuple.__new__(cls, (shape, rows))
 
     def entry(self, row: int, col: int) -> int:
         """1-indexed access; raises for cells outside the skew shape."""
@@ -240,7 +236,7 @@ def shape_from_runs(runs: Sequence[int]) -> SkewShape:
         suffix += a[i]
         lam[i] = suffix - 2 * (k - 1 - i)
     mu = [lam[i] - a[i] for i in range(k)]
-    return _built(SkewShape, outer=tuple(lam), inner=tuple(mu))
+    return tuple.__new__(SkewShape, (tuple(lam), tuple(mu)))
 
 
 def _product(values: Iterable[int]) -> int:
@@ -432,7 +428,7 @@ def skew_standard_tableaux(shape: SkewShape,
     [((1, 2), (3, 4)), ((1, 3), (2, 4))]
     """
     _check_cells_cap(shape, max_cells)
-    return (_built(SkewTableau, shape=shape, rows=tuple(map(tuple, g))) for g in _fillings(shape))
+    return (tuple.__new__(SkewTableau, (shape, tuple(map(tuple, g)))) for g in _fillings(shape))
 
 
 def count_standard_fillings(shape: SkewShape, max_cells: int | None = None) -> int:

@@ -23,8 +23,7 @@ import os
 import random
 import threading
 from collections import Counter
-from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .bijection import perm_to_tableau, tableau_to_perm
 from .counting import (_column_count, catalan, compositions_min2,
@@ -59,8 +58,7 @@ WORKED_TABLEAU_16_ROWS = (
 )
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -493,6 +491,5 @@ def run_suite(suite: str, max_n: int = 8) -> dict:
         "suite": suite,
         "max_n": max_n,
         "passed": all(c.passed for c in checks),
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in checks],
+        "checks": [c._asdict() for c in checks],
     }

@@ -14,7 +14,7 @@ import minperm.tableaux as tableaux
 from minperm.cli import main
 from minperm.verify import (WORKED_PERM_16, WORKED_TABLEAU_16_ROWS,
                             WORKED_TABLEAU_16_SHAPE, check_bijection_round_trip)
-from minperm.tableaux import _built, format_shape, parse_shape, shape_is_two_regular
+from minperm.tableaux import format_shape, parse_shape, shape_is_two_regular
 
 
 def perm_to_tableau_by_grid(w):
@@ -152,7 +152,7 @@ def test_cardinality_per_run_profile():
 
 
 def test_images_pass_full_validation():
-    # perm_to_tableau builds its image without __post_init__; the validating
+    # perm_to_tableau builds its image by tuple.__new__; the validating
     # constructors must accept it and give it back
     def revalidated(t):
         return SkewTableau(SkewShape(t.shape.outer, t.shape.inner), t.rows)
@@ -183,8 +183,8 @@ def decided_as_oracle(t, rng):
         changed[r1][c1] = rng.choice((0, len(cells) + 1, changed[r2][c2]))
         variants += [swapped, changed]
     for rows in variants:
-        # every entry is still an integer, so the tableau needs no new check
-        u = _built(SkewTableau, shape=t.shape, rows=tuple(map(tuple, rows)))
+        # every entry is still an integer, so the constructor accepts it
+        u = SkewTableau(t.shape, rows)
         word = bijection._column_word(u)
         assert (word is not None) == (is_standard(u) and is_two_regular(u)), u
         if word is not None:  # each column from its lowest cell upward
@@ -242,7 +242,7 @@ def test_round_trip_check_validates_each_value_once(monkeypatch):
         return wrapper
 
     for cls in (SkewShape, SkewTableau):
-        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(cls, "__new__", counted(cls.__name__, cls.__new__))
     monkeypatch.setattr(bijection, "is_standard", counted("is_standard", is_standard))
     monkeypatch.setattr(bijection, "_column_word",
                         counted("_column_word", bijection._column_word))

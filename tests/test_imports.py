@@ -35,13 +35,16 @@ def fresh(code: str) -> str:
 
 def loaded_by(*argv: str) -> set[str]:
     """The minperm submodules that the command argv loads, run through
-    main in a new interpreter, after checking that it exits 0."""
+    main in a new interpreter, after checking that it exits 0; plus
+    "dataclasses" if the standard library's dataclasses is loaded, which
+    imports inspect, ast, dis and tokenize and no command needs."""
     out = fresh(f"""
 import contextlib, io, json, sys
 from minperm.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main({list(argv)!r})
-print(json.dumps([code, [m for m in sys.modules if m.startswith("minperm.")]]))""")
+print(json.dumps([code, [m for m in sys.modules
+                         if m.startswith("minperm.") or m == "dataclasses"]]))""")
     code, modules = json.loads(out)
     assert code == 0
     return {m.removeprefix("minperm.") for m in modules}
@@ -62,7 +65,15 @@ def test_count_loads_only_counting(argv, modules):
 
 @pytest.mark.parametrize("argv", [("enumerate", "--n", "8"), ("enumerate", "--n", "8", "--d", "5")])
 def test_enumerate_loads_no_tableau_module(argv):
-    assert not loaded_by(*argv) & {"tableaux", "rsk", "bijection", "verify"}
+    assert not loaded_by(*argv) & {"tableaux", "rsk", "bijection", "verify", "dataclasses"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("bijection", "--perm", "2,1,4,3"),
+    ("bijection", "--tableau", '{"shape": "2,2", "rows": [[1, 3], [2, 4]]}'),
+])
+def test_bijection_loads_no_counting(argv):
+    assert loaded_by(*argv) == {"cli", "errors", "permutations", "tableaux", "bijection"}
 
 
 @pytest.mark.parametrize("argv", [("rsk", "--perm", "3,1,2"), ("knuth-chain", "--perm", "3,2,1")])
@@ -75,6 +86,15 @@ def test_rsk_commands_load_no_counting(argv):
 
 def test_verify_loads_every_module():
     assert loaded_by("verify", "--suite", "rsk", "--max-n", "4") == ALL
+
+
+def test_knuth_chain_loads_no_tableau_module():
+    # the chain's moves are built without the tableaux module
+    out = fresh("""
+import sys, minperm
+minperm.knuth_chain((3, 2, 1))
+print(sorted(m for m in sys.modules if m.startswith("minperm.") or m == "dataclasses"))""")
+    assert out == "['minperm.errors', 'minperm.permutations', 'minperm.rsk']\n"
 
 
 def test_names_resolve_to_their_home_objects():

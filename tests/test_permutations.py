@@ -566,11 +566,11 @@ class TestArguments:
 
     @pytest.mark.parametrize("fn, args", SEQUENCE_FUNCTIONS)
     def test_iterable_answers_unchanged(self, fn, args):
-        # the refusal runs only once a TypeError is raised: valid input
-        # answers as before, and entries that do not compare are refused
+        # valid input answers as before, and entries that do not compare
+        # are refused
         w = (3, 1, 4, 2)
         assert fn(*args(list(w))) == fn(*args(w))
-        if fn not in (format_permutation, contains_pattern):
+        if fn is not format_permutation:
             with pytest.raises(ValueError, match=r"must be integers: \(2, None, 1, 3\)$"):
                 fn(*args((2, None, 1, 3)))
 
@@ -593,6 +593,20 @@ class TestArguments:
         got = outcome(iter(entries))
         assert got == outcome(tuple(entries)) or \
             got is ValueError and not {int}.issuperset(map(type, entries))
+
+    @pytest.mark.parametrize("perm, pattern, message", [
+        # the first three once answered False, False and True, and the
+        # last named a word the caller never passed
+        ((1, 2), (None,), r"^pattern must be integers: \(None,\)$"),
+        ((1, 2), ("a", "b"), r"^pattern must be integers: \('a', 'b'\)$"),
+        ((1, 2), (1.0,), r"^pattern must be integers: \(1\.0,\)$"),
+        ((1, "a"), (1, 2), r"^permutation must be integers: \(1, 'a'\)$"),
+    ])
+    def test_contains_pattern_reads_both_arguments(self, perm, pattern, message):
+        with pytest.raises(ValueError, match=message):
+            contains_pattern(perm, pattern)
+        with pytest.raises(ValueError, match=message):
+            contains_pattern(iter(perm), iter(pattern))
 
     @given(value=NOT_ITERABLE)
     def test_duplicate_loss_keep(self, value):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_bijection import random_filling
+from test_tableaux import assert_value_type
 
 from minperm import (CapExceededError, KnuthMove, SkewShape, apply_knuth_move,
                      descent_set, double_descent_class, enumerate_minimal, even_odd_split,
@@ -380,6 +381,13 @@ class TestKnuthMoves:
     def test_unhashable_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown move kind"):
             KnuthMove(1, ["bac"])
+
+    def test_value_type(self):
+        assert_value_type(KnuthMove(2, "bac"), [2, "bac"], (2, "abc"),
+                          "^unknown move kind 'abc'$", "KnuthMove(position=2, kind='bac')")
+        assert_value_type(KnuthMove(-1, "cab"), (-1, "cab"), (True, "cab"),
+                          "^position must be an integer, got True$",
+                          "KnuthMove(position=-1, kind='cab')")
 
     def test_in_place_swap_matches_copying_oracle(self):
         # every ordering of a triple at every position of a length-5 word,

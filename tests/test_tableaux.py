@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -45,6 +47,35 @@ def skew_shapes(draw, max_cells=10):
         # resample rather than skewing the distribution with assume
         return draw(skew_shapes(max_cells=max_cells))
     return shape
+
+
+def assert_value_type(value, fields, bad, message, text):
+    """The contract of a value type whose __new__ is its one validating
+    constructor: every way of building one from fields gives a value equal
+    to value that hashes alike, every way of building one from bad raises
+    ValueError matching message, even from a value built by tuple.__new__
+    (the internal route, which runs no check), the repr is text, and
+    neither a field nor a new attribute can be assigned."""
+    cls = type(value)
+    protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    built = [cls(*fields), cls._make(fields), value._replace(**dict(zip(cls._fields, fields)))]
+    built += [copy.copy(value), copy.deepcopy(value)]
+    built += [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
+    for other in built:
+        assert type(other) is cls and other == value and hash(other) == hash(value), other
+    smuggled = tuple.__new__(cls, bad)
+    refused = [lambda: cls(*bad), lambda: cls._make(bad),
+               lambda: value._replace(**dict(zip(cls._fields, bad))),
+               lambda: copy.copy(smuggled), lambda: copy.deepcopy(smuggled)]
+    refused += [lambda p=protocol: pickle.loads(pickle.dumps(smuggled, p)) for protocol in protocols]
+    for build in refused:
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, cls._fields[0], value[0])
+    with pytest.raises(AttributeError):
+        value.note = None
 
 
 @st.composite
@@ -266,6 +297,25 @@ class TestSkewShape:
     def test_format_round_trip(self, shape):
         assert parse_shape(format_shape(shape)) == shape
 
+    def test_value_type(self):
+        # the fields given unpadded, as lists, or with trailing zeros
+        # read as the same shape
+        assert_value_type(SkewShape((3, 2), (1, 0)), ([3, 2, 0], [1]), ((2,), (3,)),
+                          r"^inner partition \(3,\) is not contained in \(2,\)$",
+                          "SkewShape(outer=(3, 2), inner=(1, 0))")
+        assert_value_type(SkewShape(()), ((), ()), ((1,), (1, 1)),
+                          r"^inner partition \(1, 1\) is longer than outer \(1,\)$",
+                          "SkewShape(outer=(), inner=())")
+
+    def test_tableau_value_type(self):
+        shape = SkewShape((2, 2), (1,))
+        assert_value_type(SkewTableau(shape, ((None, 1), (2, 3))),
+                          (SkewShape([2, 2], [1]), [[None, 1], [2, 3]]),
+                          (shape, ((None, 1), (2, None))),
+                          r"^cell \(2,2\) must hold an integer, got None$",
+                          "SkewTableau(shape=SkewShape(outer=(2, 2), inner=(1, 0)), "
+                          "rows=((None, 1), (2, 3)))")
+
 
 class TestShapeFromRuns:
     def test_all_twos_is_straight(self):
@@ -293,7 +343,7 @@ class TestShapeFromRuns:
             assert shape_is_two_regular(s.conjugated())
 
     def test_unchecked_shapes_pass_full_validation(self):
-        # shape_from_runs and conjugated() build without __post_init__; the
+        # shape_from_runs and conjugated() build by tuple.__new__; the
         # validating constructor must accept each shape and give it back
         rng = random.Random(23)
         profiles = [a for n in range(2, 17) for parts in range(1, n // 2 + 1)
@@ -365,6 +415,18 @@ class TestSkewTableau:
             SkewTableau(shape, ((1, 2), (3, 4)))
         with pytest.raises(ValueError):
             SkewTableau(shape, ((None, 1), (2,)))
+
+    @pytest.mark.parametrize("shape, rows, message", [
+        # each once raised AttributeError or TypeError
+        ("x", (), "^shape must be a SkewShape, got 'x'$"),
+        (((2,), (0,)), ((1, 2),), r"^shape must be a SkewShape, got \(\(2,\), \(0,\)\)$"),
+        (SkewShape((2,)), 5, "^expected an iterable for tableau rows, got 5$"),
+        (SkewShape((2,)), [5], "^expected an iterable for row 1, got 5$"),
+        (SkewShape((2, 1)), [(1, 2), None], "^expected an iterable for row 2, got None$"),
+    ])
+    def test_argument_types_refused(self, shape, rows, message):
+        with pytest.raises(ValueError, match=message):
+            SkewTableau(shape, rows)
 
     def test_is_standard(self):
         shape = SkewShape((2, 2))
@@ -506,7 +568,7 @@ class TestCounting:
 
     @given(skew_shapes(max_cells=8))
     def test_fillings_pass_full_validation(self, shape):
-        # the fillings are built without __post_init__; the validating
+        # the fillings are built by tuple.__new__; the validating
         # constructor must accept each one and give it back
         for t in skew_standard_tableaux(shape):
             assert t == SkewTableau(SkewShape(t.shape.outer, t.shape.inner), t.rows)
