@@ -18,8 +18,7 @@ from __future__ import annotations
 from itertools import zip_longest
 from typing import Sequence
 
-from .permutations import (check_permutation, decreasing_run_lengths,
-                           minimality_violation)
+from .permutations import _check_minimal
 from .tableaux import SkewShape, SkewTableau, is_standard
 
 
@@ -35,11 +34,7 @@ def perm_to_tableau(perm: Sequence[int]) -> SkewTableau:
     >>> perm_to_tableau((2, 1, 4, 3)).rows
     ((1, 3), (2, 4))
     """
-    w = check_permutation(perm)
-    reason = minimality_violation(w)
-    if reason is not None:
-        raise ValueError(f"permutation {w} is not minimal: {reason}")
-    runs = decreasing_run_lengths(w)
+    w, runs = _check_minimal(perm)
     k = len(runs)
     # drawn column j holds run j in a_j rows and shares its top two with
     # column j + 1 and its bottom two with column j - 1.  So top down, the

@@ -28,7 +28,7 @@ import sys
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DEFAULT_MAX_BRUTE_N, CapExceededError, _parse_int
+from .errors import DEFAULT_MAX_BRUTE_N, CapExceededError, _check_int, _parse_int
 
 OK, VERIFY_FAILURE, USAGE_ERROR, CAP_ERROR = 0, 1, 2, 3
 # 128 + SIGPIPE (13): what a shell reports for a process that SIGPIPE ended
@@ -165,10 +165,9 @@ def _cmd_count(args) -> int:
     from .counting import (_closed_form, minimal_count, minimal_count_band,
                            minimal_count_by_runs)
     n, d = args.n, args.d
-    if n < 1:
-        raise ValueError(f"--n must be >= 1, got {n}")
-    if d is not None and d < 0:
-        raise ValueError(f"--d must be >= 0, got {d}")
+    _check_int("--n", n, 1)
+    if d is not None:
+        _check_int("--d", d, 0)
     if args.ascents is not None and d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
     if args.ascents is not None:

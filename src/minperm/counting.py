@@ -33,9 +33,7 @@ def catalan(n: int) -> int:
     >>> [catalan(n) for n in range(6)]
     [1, 1, 2, 5, 14, 42]
     """
-    _check_int("n", n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_int("n", n, 0)
     return _exact_div(math.comb(2 * n, n), n + 1, lambda: f"Catalan number at n={n}")
 
 
@@ -49,9 +47,7 @@ def compositions_min2(n: int, k: int) -> Iterator[tuple[int, ...]]:
     []
     """
     _check_int("n", n)
-    _check_int("k", k)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_int("k", k, 0)
     if k == 0 or n < 2 * k:
         return iter([()] if n == k == 0 else [])
     # k - 1 cut points split n - k into k positive parts, in the order of the
@@ -219,9 +215,7 @@ def one_ascent_count(n: int) -> int:
     >>> one_ascent_count(5)
     10
     """
-    _check_int("n", n)
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
+    _check_int("n", n, 4)
     return 2 ** n - n * (n - 1) - 2
 
 
@@ -233,9 +227,7 @@ def two_ascent_count(n: int) -> int:
     >>> [two_ascent_count(n) for n in (5, 6, 7)]
     [0, 5, 84]
     """
-    _check_int("n", n)
-    if n < 5:
-        raise ValueError(f"n must be >= 5, got {n}")
+    _check_int("n", n, 5)
     poly = n ** 4 - 7 * n ** 3 + 19 * n ** 2 - 21 * n + 2
     half = _exact_div(poly, 2, lambda: f"half the polynomial part at n={n}")
     return 3 ** n - (n * n - 2 * n + 4) * 2 ** (n - 1) + half
@@ -249,9 +241,7 @@ def mansour_yan(n: int) -> int:
     >>> [mansour_yan(n) for n in (1, 2, 3, 4)]
     [1, 10, 84, 672]
     """
-    _check_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int("n", n, 1)
     return _exact_div(2 ** n * n * catalan(n + 1), 4, lambda: f"odd-length count at n={n}")
 
 
@@ -264,9 +254,7 @@ def double_descent_count(n: int, i: int) -> int:
     (5, 42)
     """
     _check_int("n", n)
-    _check_int("i", i)
-    if not 1 <= i <= n:
-        raise ValueError(f"i must be in 1..{n}, got {i}")
+    _check_int("i", i, 1, n)
     return math.comb(2 * n + 1, n - 1) * math.comb(n - 1, i - 1)
 
 
@@ -279,9 +267,7 @@ def three_row_syt_count(n: int, k: int) -> int:
     (21, 21, 168)
     """
     _check_int("n", n)
-    _check_int("k", k)
-    if not 1 <= k <= (n + 1) // 2:
-        raise ValueError(f"k must be in 1..{(n + 1) // 2}, got {k}")
+    _check_int("k", k, 1, (n + 1) // 2)
     base = math.comb(2 * n + 1, n - 1)
     if k == 1:
         return base

@@ -1,5 +1,7 @@
 """Errors, argument checks and limits shared by every module; it imports
-nothing from the package, so each command can load it without the rest."""
+nothing from the package, so each command can load it without the rest.
+Each argument rule lives here once: _check_int holds the bounds messages
+of every single-int argument, and _Validated the value types' contract."""
 
 from typing import Callable
 
@@ -12,9 +14,32 @@ class CapExceededError(RuntimeError):
     Knuth chain would exceed its size cap."""
 
 
-def _check_int(name: str, value) -> None:
+def _check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
+    """ValueError unless value is an int, not a bool or a float, in lo..hi;
+    either bound may be None, and hi is given only with lo."""
     if type(value) is not int:  # exact type: no bool, no float
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if hi is not None:
+        if not lo <= value <= hi:
+            raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
+    elif lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+
+
+class _Validated:
+    """Listed first among the bases of a NamedTuple subclass whose __new__
+    is its one validating constructor: _make, and so _replace, build
+    through it, and so do copy, deepcopy and unpickling at every protocol,
+    where below protocol 2 copyreg would call tuple.__new__ instead."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 def _as_tuple(name: str, values) -> tuple:

@@ -11,6 +11,10 @@ ascent at position i satisfies 2 <= i <= n-2 with the window of four
 elements around it of type 2143 or 3142.  Both the structural test and the
 definitional deletion oracle are provided; their agreement is a test, not
 an assumption.
+
+The predicates and formatters check an argument, through _check_ints, only
+once their fast path has raised TypeError (no len(), or entries that do not
+compare), so valid input pays nothing; on the ints it returns they retry once.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ def is_permutation(word: Sequence[int]) -> bool:
         n = len(word)
     except TypeError:
         try:
-            return _retry(is_permutation, "permutation", word)
+            return is_permutation(_check_ints("permutation", word))
         except ValueError:
             return False
     seen = [False] * (n + 1)
@@ -44,16 +48,6 @@ def is_permutation(word: Sequence[int]) -> bool:
             return False
         seen[x] = True
     return True
-
-
-def _retry(fn, name: str, value):
-    """fn's answer on value read once through _check_ints under name:
-    ValueError for a value that is not an iterable of ints.  The predicates
-    and formatters call this only once their fast path has raised
-    TypeError, on an iterator (it has no len()) or on entries that do not
-    compare, so that valid input pays nothing for it.  On tuples of ints
-    that path never raises TypeError, so fn runs at most once more."""
-    return fn(_check_ints(name, value))
 
 
 def check_permutation(word: Iterable[int]) -> tuple[int, ...]:
@@ -79,7 +73,7 @@ def standardize(word: Sequence[int]) -> tuple[int, ...]:
         n = len(word)
         rank = {v: r for r, v in enumerate(sorted(word), start=1)}
     except TypeError:
-        return _retry(standardize, "word", word)
+        return standardize(_check_ints("word", word))
     if len(rank) != n:
         raise ValueError(f"entries are not distinct: {tuple(word)}")
     return tuple(rank[v] for v in word)
@@ -94,7 +88,7 @@ def descent_set(perm: Sequence[int]) -> set[int]:
     try:
         return {i for i in range(1, len(perm)) if perm[i - 1] > perm[i]}
     except TypeError:
-        return _retry(descent_set, "permutation", perm)
+        return descent_set(_check_ints("permutation", perm))
 
 
 def ascent_set(perm: Sequence[int]) -> set[int]:
@@ -103,7 +97,7 @@ def ascent_set(perm: Sequence[int]) -> set[int]:
     try:
         return {i for i in range(1, len(perm)) if perm[i - 1] < perm[i]}
     except TypeError:
-        return _retry(ascent_set, "permutation", perm)
+        return ascent_set(_check_ints("permutation", perm))
 
 
 def descent_count(perm: Sequence[int]) -> int:
@@ -113,7 +107,7 @@ def descent_count(perm: Sequence[int]) -> int:
             if perm[i - 1] > perm[i]:
                 c += 1
     except TypeError:
-        return _retry(descent_count, "permutation", perm)
+        return descent_count(_check_ints("permutation", perm))
     return c
 
 
@@ -153,7 +147,7 @@ def decreasing_run_lengths(perm: Sequence[int]) -> tuple[int, ...]:
                 runs.append(length)
                 length = 1
     except TypeError:
-        return _retry(decreasing_run_lengths, "permutation", perm)
+        return decreasing_run_lengths(_check_ints("permutation", perm))
     runs.append(length)
     return tuple(runs)
 
@@ -201,7 +195,7 @@ def is_minimal(perm: Sequence[int]) -> bool:
     try:
         return _first_violation(perm) is None
     except TypeError:
-        return _retry(is_minimal, "permutation", perm)
+        return is_minimal(_check_ints("permutation", perm))
 
 
 def minimality_violation(perm: Sequence[int]) -> str | None:
@@ -210,7 +204,7 @@ def minimality_violation(perm: Sequence[int]) -> str | None:
     try:
         pos = _first_violation(perm)
     except TypeError:
-        return _retry(minimality_violation, "permutation", perm)
+        return minimality_violation(_check_ints("permutation", perm))
     if pos is None:
         return None
     if pos == 0:
@@ -220,6 +214,16 @@ def minimality_violation(perm: Sequence[int]) -> str | None:
     window = tuple(perm[pos - 2:pos + 2])
     return (f"ascent at position {pos}: window {window} is of type "
             f"{''.join(map(str, standardize(window)))}, not 2143 or 3142")
+
+
+def _check_minimal(perm: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """perm as a tuple, checked to be a minimal permutation, and its
+    decreasing run lengths; ValueError naming the first rule it breaks."""
+    w = check_permutation(perm)
+    reason = minimality_violation(w)
+    if reason is not None:
+        raise ValueError(f"permutation {w} is not minimal: {reason}")
+    return w, decreasing_run_lengths(w)
 
 
 def is_minimal_by_deletion(perm: Sequence[int]) -> bool:
@@ -251,7 +255,7 @@ def is_minimal_by_deletion(perm: Sequence[int]) -> bool:
             if (p > x) + (x > s) <= (p > s):
                 return False
     except TypeError:
-        return _retry(is_minimal_by_deletion, "permutation", perm)
+        return is_minimal_by_deletion(_check_ints("permutation", perm))
     return True
 
 
@@ -295,9 +299,7 @@ def max_brute_n(override: int | None = None) -> int:
     """Resolve the brute-force size cap: an explicit override wins, else the
     default of 11.  An override must be an int of at least 1."""
     value = DEFAULT_MAX_BRUTE_N if override is None else override
-    _check_int("brute-force cap", value)
-    if value < 1:
-        raise ValueError(f"brute-force cap must be >= 1, got {value}")
+    _check_int("brute-force cap", value, 1)
     return value
 
 
@@ -329,13 +331,9 @@ def enumerate_minimal(n: int, d: int | None = None,
     >>> list(enumerate_minimal(4, d=2))
     [(2, 1, 4, 3), (3, 1, 4, 2)]
     """
-    _check_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int("n", n, 1)
     if d is not None:
-        _check_int("d", d)
-        if d < 0:
-            raise ValueError(f"d must be >= 0, got {d}")
+        _check_int("d", d, 0)
     cap = max_brute_n(max_n)
     if n > cap:
         raise CapExceededError(
@@ -346,9 +344,7 @@ def enumerate_minimal(n: int, d: int | None = None,
         raise ValueError(f"run lengths {wanted} do not sum to {n}")
     j = double_descent_at
     if j is not None:
-        _check_int("double-descent position", j)
-        if not 1 <= j <= n - 2:
-            raise ValueError(f"double-descent position must be in 1..{n - 2}, got {j}")
+        _check_int("double-descent position", j, 1, n - 2)
     if wanted is None and d is None:
         steps = ["D"] * n + [None, None]
         steps[2:n - 1] = ["F"] * (n - 3)
@@ -457,7 +453,7 @@ def format_permutation(perm: Sequence[int]) -> str:
     try:
         return _separator(len(perm)).join(map(str, perm))
     except TypeError:
-        return _retry(format_permutation, "permutation", perm)
+        return format_permutation(_check_ints("permutation", perm))
 
 
 def _separator(n: int) -> str:

@@ -30,9 +30,8 @@ import bisect
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
-from .errors import _as_tuple, _check_int, _check_ints
-from .permutations import (check_permutation, decreasing_run_lengths,
-                           minimality_violation, standardize)
+from .errors import _Validated, _as_tuple, _check_int, _check_ints
+from .permutations import _check_minimal, check_permutation, standardize
 
 Rows = tuple[tuple[int, ...], ...]
 Cell = tuple[int, int]
@@ -211,15 +210,13 @@ def inverse_bump(rows: Iterable[Sequence[int]], corner: Cell) -> tuple[Rows, int
     return _frozen(tableau), x
 
 
-class KnuthMove(NamedTuple("KnuthMove", [("position", int), ("kind", str)])):
+class KnuthMove(_Validated, NamedTuple("KnuthMove", [("position", int), ("kind", str)])):
     """An elementary Knuth transformation acting on the triple that starts
     at the 1-indexed position.  kind names the triple's pattern before the
     move with letters a < b < c: "bac" sends b a c to b c a, "acb" sends
     a c b to c a b, and "bca"/"cab" are their inverses."""
 
     __slots__ = ()
-    # _replace builds through _make, so both validate too
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, position: int, kind: str):
         _check_int("position", position)
@@ -284,14 +281,10 @@ def double_descent_class(perm: Sequence[int]) -> tuple[int, int]:
     Minimality makes every decreasing run at least 2 long, so the n runs
     that n+1 descents leave in 2n+1 letters are one 3 and n-1 2s.  The 3
     is run i: it starts at position 2i-1 and holds the descents 2i-1, 2i."""
-    w = check_permutation(perm)
-    reason = minimality_violation(w)
-    if reason is not None:
-        raise ValueError(f"{w} is not minimal: {reason}")
+    w, runs = _check_minimal(perm)
     if len(w) % 2 == 0:
         raise ValueError(f"length must be odd, got {len(w)}")
     n = (len(w) - 1) // 2
-    runs = decreasing_run_lengths(w)
     if len(runs) != n:
         raise ValueError(f"{w} has {len(w) - len(runs)} descents, expected {n + 1}")
     return n, runs.index(3) + 1

@@ -5,11 +5,13 @@ English convention throughout: row 1 is the top row, cells are addressed
 A partition is a weakly decreasing tuple of positive integers.
 
 Drawn column j of a skew shape is row j of shape.conjugated().  Public
-constructors and entry points validate their input.  SkewShape and
-SkewTableau are NamedTuples whose __new__ is the one validating constructor,
-and _make, _replace and unpickling go through it; a value derived from
-validated ones (a conjugate, a run shape, a filling, a bijection image) is
-built by tuple.__new__(cls, fields), which runs no check again.
+constructors and entry points validate their input, an int's bounds through
+errors._check_int.  SkewShape and SkewTableau are NamedTuples whose __new__
+is the one validating constructor, and errors._Validated sends _make,
+_replace, copies and unpickling at every protocol through it; a value
+derived from validated ones (a conjugate, a run shape, a filling, a
+bijection image) is built by tuple.__new__(cls, fields), which runs no
+check again.
 
 Counting is exact and uses integers only.  The determinant route builds
 each matrix row integral and eliminates it, with no row swaps since every
@@ -31,8 +33,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (CapExceededError, _as_tuple, _check_int, _check_ints,
-                     _exact_div, _parse_int)
+from .errors import (CapExceededError, _Validated, _as_tuple, _check_int,
+                     _check_ints, _exact_div, _parse_int)
 
 DEFAULT_MAX_CELLS = 16
 
@@ -73,14 +75,12 @@ def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(conj)
 
 
-class SkewShape(NamedTuple("SkewShape", [("outer", tuple[int, ...]),
-                                         ("inner", tuple[int, ...])])):
+class SkewShape(_Validated, NamedTuple("SkewShape", [("outer", tuple[int, ...]),
+                                                     ("inner", tuple[int, ...])])):
     """A skew shape outer/inner, with inner stored zero-padded to the outer
     length."""
 
     __slots__ = ()
-    # _replace builds through _make, so both validate too
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, outer: Sequence[int], inner: Sequence[int] = ()):
         outer = check_partition(outer)
@@ -143,13 +143,12 @@ def parse_shape(text: str) -> SkewShape:
     return SkewShape(parse_parts(head, "outer"), parse_parts(tail, "inner"))
 
 
-class SkewTableau(NamedTuple("SkewTableau", [("shape", SkewShape),
-                                             ("rows", tuple[tuple[int | None, ...], ...])])):
+class SkewTableau(_Validated, NamedTuple("SkewTableau", [
+        ("shape", SkewShape), ("rows", tuple[tuple[int | None, ...], ...])])):
     """A filling of a skew shape.  rows[i] has length outer[i]; the first
     inner[i] entries are None, the rest are integers."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, shape: SkewShape, rows: Iterable[Iterable[int | None]]):
         if not isinstance(shape, SkewShape):
@@ -369,9 +368,7 @@ def hook_count(parts: Sequence[int]) -> int:
 
 def _check_cells_cap(shape: SkewShape, max_cells: int | None) -> None:
     limit = DEFAULT_MAX_CELLS if max_cells is None else max_cells
-    _check_int("max_cells", limit)
-    if limit < 0:
-        raise ValueError(f"max_cells must be >= 0, got {limit}")
+    _check_int("max_cells", limit, 0)
     if shape.size > limit:
         raise CapExceededError(
             f"shape {format_shape(shape)} has {shape.size} cells, above the "
@@ -469,8 +466,7 @@ def tableau_to_json(t: SkewTableau) -> dict:
 
 def tableau_from_json(data: dict) -> SkewTableau:
     try:
-        text = data["shape"]
-        rows = tuple(tuple(row) for row in data["rows"])
+        text, rows = data["shape"], data["rows"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"tableau JSON needs 'shape' and 'rows': {exc}") from None
     if type(text) is not str:

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import itertools
 import os
+import pickle
 import random
+import signal
 import threading
 from collections import Counter
 from typing import NamedTuple, NoReturn
@@ -412,7 +414,6 @@ def _run_share(functions, max_n: int) -> tuple[list[Check], Exception | None]:
 def _report_share(functions, max_n: int, write_end: int) -> NoReturn:
     """In a forked child: write _run_share's result, pickled, to the pipe
     and exit, with status 0 only if all of it was written."""
-    import pickle
     status = 1
     try:
         data = pickle.dumps(_run_share(functions, max_n))
@@ -430,10 +431,6 @@ def _run_checks(functions: list, max_n: int) -> list[Check]:
     k = min(len(functions), _usable_cpus())
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(max_n) for fn in functions]
-    # imported here, not with the module: at the top they added about
-    # 0.5 MB to the peak RSS of every minperm command
-    import pickle
-    import signal
     pids: list[int] = []  # children not yet reaped, in share order
     pipes = []            # the read end of each child's pipe, in share order
     try:
@@ -480,9 +477,7 @@ def run_suite(suite: str, max_n: int = 8) -> dict:
         functions = list(SUITES[suite])
     else:
         raise ValueError(f"unknown suite {suite!r}; choose all, " + ", ".join(SUITES))
-    _check_int("max_n", max_n)
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    _check_int("max_n", max_n, 1)
     cap = max_brute_n()
     if max_n > cap:
         raise CapExceededError(f"max_n {max_n} exceeds the brute-force cap {cap}")

@@ -499,6 +499,12 @@ class TestKnuthChain:
         code, _, err = run(capsys, "knuth-chain", "--perm", "2 1 4 3")
         assert code == 2 and "odd" in err
 
+    def test_non_minimal_rejected(self, capsys):
+        # worded as bijection words it: both read the word through one check
+        assert run(capsys, "knuth-chain", "--perm", "3,1,2") == (
+            2, "", "error: permutation (3, 1, 2) is not minimal: "
+                   "position 2 is an ascent, not a descent\n")
+
     def test_staircase_member(self, capsys):
         # 3,2,1,5,4,...,301,300 is the class (150, 1): 149 * 150 / 2 moves
         code, out, _ = run(capsys, "knuth-chain", "--perm", ",".join(map(str, staircase(150))))

@@ -1,12 +1,25 @@
 """The exact-int rule for many values, errors._check_ints: every entry is
 an int, not a bool, a float or anything else.  Each site names what it
-checks and shows the values it read as a tuple."""
+checks and shows the values it read as a tuple.  And the bounds of one
+int, errors._check_int: each site's refusal, word for word."""
 
 import pytest
 
-from minperm import (KnuthMove, apply_knuth_move, conjugate, enumerate_minimal,
-                     hook_length, insertion_tableau, inverse_bump, legal_knuth_moves,
-                     row_insert, rsk, rsk_trace, shape_from_runs)
+from minperm import (KnuthMove, SkewShape, apply_knuth_move, catalan,
+                     compositions_min2, conjugate, count_standard_fillings,
+                     double_descent_count, enumerate_minimal, hook_length,
+                     insertion_tableau, inverse_bump, legal_knuth_moves,
+                     mansour_yan, max_brute_n, one_ascent_count, row_insert,
+                     rsk, rsk_trace, run_suite, shape_from_runs,
+                     three_row_syt_count, two_ascent_count)
+from minperm.cli import _build_parser
+
+
+def count_command(*argv):
+    """Run `minperm count` on argv past the parser, so that its ValueError
+    propagates."""
+    args = _build_parser().parse_args(["count", *argv])
+    return args.handler(args)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -34,6 +47,36 @@ from minperm import (KnuthMove, apply_knuth_move, conjugate, enumerate_minimal,
                  "cell coordinates must be integers: (1, '2')", id="hook_length"),
 ])
 def test_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: count_command("--n", "0"), "--n must be >= 1, got 0", id="count --n"),
+    pytest.param(lambda: count_command("--n", "5", "--d", "-1"), "--d must be >= 0, got -1",
+                 id="count --d"),
+    pytest.param(lambda: catalan(-1), "n must be >= 0, got -1", id="catalan"),
+    pytest.param(lambda: compositions_min2(3, -1), "k must be >= 0, got -1",
+                 id="compositions_min2"),
+    pytest.param(lambda: one_ascent_count(3), "n must be >= 4, got 3", id="one_ascent_count"),
+    pytest.param(lambda: two_ascent_count(4), "n must be >= 5, got 4", id="two_ascent_count"),
+    pytest.param(lambda: mansour_yan(0), "n must be >= 1, got 0", id="mansour_yan"),
+    pytest.param(lambda: double_descent_count(3, 4), "i must be in 1..3, got 4",
+                 id="double_descent_count"),
+    pytest.param(lambda: three_row_syt_count(3, 3), "k must be in 1..2, got 3",
+                 id="three_row_syt_count"),
+    pytest.param(lambda: max_brute_n(0), "brute-force cap must be >= 1, got 0", id="max_brute_n"),
+    pytest.param(lambda: enumerate_minimal(0), "n must be >= 1, got 0", id="enumerate_minimal n"),
+    pytest.param(lambda: enumerate_minimal(5, d=-1), "d must be >= 0, got -1",
+                 id="enumerate_minimal d"),
+    pytest.param(lambda: enumerate_minimal(5, double_descent_at=4),
+                 "double-descent position must be in 1..3, got 4", id="enumerate_minimal j"),
+    pytest.param(lambda: count_standard_fillings(SkewShape((2,)), max_cells=-1),
+                 "max_cells must be >= 0, got -1", id="max_cells"),
+    pytest.param(lambda: run_suite("all", 0), "max_n must be >= 1, got 0", id="run_suite"),
+])
+def test_bound_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message

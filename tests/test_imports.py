@@ -149,5 +149,23 @@ def test_no_environment_reads():
             or isinstance(node, ast.alias) and node.name in names] == []
 
 
+def test_argument_rules_live_in_errors():
+    # a value type takes _make and __reduce__ from errors._Validated, and one
+    # int's bounds message comes from errors._check_int; shape_from_runs'
+    # rule for a whole tuple of run lengths is not one int's
+    defined = [(path, node.lineno) for path, node in SOURCE_NODES if path != "errors.py"
+               and {"_make", "__reduce__"} & (
+                   {node.name} if isinstance(node, ast.FunctionDef) else
+                   {getattr(t, "id", None) for t in node.targets}
+                   if isinstance(node, ast.Assign) else set())]
+    worded = [(path, node.lineno) for path, node in SOURCE_NODES
+              if path != "errors.py" and isinstance(node, ast.Raise)
+              for part in ast.walk(node)
+              if isinstance(part, ast.Constant) and isinstance(part.value, str)
+              and ("must be >= " in part.value or "must be in " in part.value)
+              and part.value != "every run length must be >= 2, got "]
+    assert (defined, worded) == ([], [])
+
+
 def test_suite_names_match_verify():
     assert cli.SUITE_NAMES == tuple(verify.SUITES)

@@ -38,7 +38,7 @@ def double_descent_class_by_pairs(perm):
     w = tuple(perm)
     reason = minimality_violation(w)
     if reason is not None:
-        raise ValueError(f"{w} is not minimal: {reason}")
+        raise ValueError(f"permutation {w} is not minimal: {reason}")
     if len(w) % 2 == 0:
         raise ValueError(f"length must be odd, got {len(w)}")
     n = (len(w) - 1) // 2

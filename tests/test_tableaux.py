@@ -54,10 +54,11 @@ def assert_value_type(value, fields, bad, message, text):
     constructor: every way of building one from fields gives a value equal
     to value that hashes alike, every way of building one from bad raises
     ValueError matching message, even from a value built by tuple.__new__
-    (the internal route, which runs no check), the repr is text, and
-    neither a field nor a new attribute can be assigned."""
+    (the internal route, which runs no check) and at every pickle protocol,
+    the repr is text, and neither a field nor a new attribute can be
+    assigned."""
     cls = type(value)
-    protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
     built = [cls(*fields), cls._make(fields), value._replace(**dict(zip(cls._fields, fields)))]
     built += [copy.copy(value), copy.deepcopy(value)]
     built += [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
@@ -443,6 +444,11 @@ class TestSkewTableau:
         assert tableau_from_json(data) == t
         with pytest.raises(ValueError):
             tableau_from_json({"rows": [[1]]})
+        # the rows go to SkewTableau as they are, which reads them once
+        with pytest.raises(ValueError, match="^expected an iterable for tableau rows, got 5$"):
+            tableau_from_json({"shape": "2", "rows": 5})
+        with pytest.raises(ValueError, match="^expected an iterable for row 1, got 5$"):
+            tableau_from_json({"shape": "2", "rows": [5]})
 
 
 class TestCounting:
