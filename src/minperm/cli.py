@@ -37,12 +37,12 @@ BROKEN_PIPE = 141
 # profile with more parts than MAX_ASCENT_PARTS or more cells than
 # MAX_ASCENT_CELLS; a profile's cost grows with its cells as well as its
 # parts.  Measured on a shared 2-core x86-64 machine under Python 3.11,
-# whose speed varied by up to 1.7x between runs: the full band took
-# 22 s at n = 150, 20-29 s at n = 160, 26-45 s at n = 170 and 44-53 s at
-# n = 180 (the column program grows about as n^5).  At 500 parts and 1,500
-# cells the slowest profiles found, a block of big parts followed by 2s
-# such as (12,)*50 + (2,)*450, took 15 s, and the largest took 200 MB; at
-# 600 parts and 1,800 cells they took 30 s and 340 MB.
+# whose speed varied by up to 1.7x between runs: the full band took 1.2 s
+# at n = 100 and 10.9 s at n = 160 (the column program grows about as
+# n^4.5).  At 500 parts and 1,500 cells the slowest profiles found, a
+# block of big parts followed by 2s such as (12,)*50 + (2,)*450, took
+# 15 s, and the largest took 200 MB; at 600 parts and 1,800 cells they
+# took 30 s and 340 MB.
 # knuth-chain prints one word per move, Theta(n^3) characters in all.  It
 # writes them WRITE_BATCH at a time, so its memory follows one batch of
 # words, but its time and output follow all of them: it refuses a chain whose
@@ -56,11 +56,10 @@ BROKEN_PIPE = 141
 # limit off; exit 2 after 0.7 s under the default limit of 4,300 digits),
 # and the Catalan form alone took 2.2 s at n = 400,000; the band took 11.6 s
 # at n = 1,000,000.
-# enumerate refuses an input whose predicted line count is above
-# MAX_ENUMERATE_LINES: minimal_count for --d, minimal_count_by_runs for
-# --ascents, the band's total for neither, and with --double-descent-at
-# that count as an upper bound.  Each line costs about 10 us, a little more
-# for longer words: on the machine above, writing to a file, n = 13, d = 8
+# enumerate refuses an input whose line count, the exact total of the table
+# that the search walks, is above MAX_ENUMERATE_LINES, as count --method brute
+# does a walk.  Each line costs about 10 us, a little more for longer
+# words: on the machine above, writing to a file, n = 13, d = 8
 # (4,576,000 lines) took 47 s, n = 22, d = 20 (4,193,840 lines) 46 s,
 # n = 14, d = 11 (3,385,265 lines) 32 s and the whole of n = 12 (1,722,174
 # lines) 15 s.  The lines are written WRITE_BATCH at a time: to a
@@ -76,9 +75,17 @@ MAX_CHAIN_CHARS = 250_000_000
 MAX_CLOSED_N = 200_000
 MAX_ENUMERATE_LINES = 5_000_000
 WRITE_BATCH = 64
+BRUTE_WALK = "count --method brute would walk {} permutations"
 # the names of verify.SUITES, spelled out so that building the parser does
 # not load verify
 SUITE_NAMES = ("counts", "bijection", "rsk")
+
+
+def _int_arg(text: str) -> int:
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _ascents_arg(text: str) -> tuple[int, ...]:
@@ -96,23 +103,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser("count", help="count minimal permutations")
-    count.add_argument("--n", type=int, required=True, help="permutation length")
-    count.add_argument("--d", type=int, help="descent count (default: every d in the band)")
+    count.add_argument("--n", type=_int_arg, required=True, help="permutation length")
+    count.add_argument("--d", type=_int_arg, help="descent count (default: every d in the band)")
     count.add_argument("--ascents", type=_ascents_arg, metavar="a1,a2,...",
                        help="fix the decreasing-run lengths instead of --d")
     count.add_argument("--method", choices=("det", "closed", "brute"), default="det")
     count.add_argument("--format", choices=("csv", "json"), default="csv")
-    count.add_argument("--max-brute-n", type=int, default=None,
+    count.add_argument("--max-brute-n", type=_int_arg, default=None,
                        help=f"override the brute-force cap (default {DEFAULT_MAX_BRUTE_N})")
     count.set_defaults(handler=_cmd_count)
 
     enum = sub.add_parser("enumerate", help="list minimal permutations")
-    enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--d", type=int)
+    enum.add_argument("--n", type=_int_arg, required=True)
+    enum.add_argument("--d", type=_int_arg)
     enum.add_argument("--ascents", type=_ascents_arg, metavar="a1,a2,...")
-    enum.add_argument("--double-descent-at", type=int, metavar="J",
+    enum.add_argument("--double-descent-at", type=_int_arg, metavar="J",
                       help="require descents at both positions J and J+1")
-    enum.add_argument("--max-brute-n", type=int, default=None)
+    enum.add_argument("--max-brute-n", type=_int_arg, default=None)
     enum.set_defaults(handler=_cmd_enumerate)
 
     bij = sub.add_parser("bijection", help="map between permutations and tableaux")
@@ -130,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chain.set_defaults(handler=_cmd_knuth_chain)
 
     verify = sub.add_parser("verify", help="run the cross-verification suites")
-    verify.add_argument("--max-n", type=int, default=8,
+    verify.add_argument("--max-n", type=_int_arg, default=8,
                         help="cap for the brute-force sweeps (default 8)")
     verify.add_argument("--suite", choices=("all", *SUITE_NAMES), default="all")
     verify.set_defaults(handler=_cmd_verify)
@@ -138,16 +145,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _brute_force(n: int, max_n: int | None, **constraints) -> Iterator[tuple[int, ...]]:
-    """enumerate_minimal(n, max_n=max_n, ...), whose cap error names the
-    --max-brute-n flag instead of the library's max_n argument.  Like
-    enumerate_minimal, it checks its arguments on the call."""
-    from .permutations import enumerate_minimal, max_brute_n
-    try:
-        return enumerate_minimal(n, max_n=max_n, **constraints)
-    except CapExceededError:
-        raise CapExceededError(f"enumeration over S_{n} exceeds the brute-force cap "
-                               f"{max_brute_n(max_n)}; raise it via --max-brute-n") from None
+def _brute_force(n: int, max_n: int | None, what: str, **constraints) -> Iterator[tuple[int, ...]]:
+    """enumerate_minimal(n, max_n=max_n, ...) naming --max-brute-n in its cap error, refused
+    as what.format(its length) if it would yield more than MAX_ENUMERATE_LINES words."""
+    from .permutations import _minimal_search
+    words, stream = _minimal_search(n, max_n=max_n, cap_flag="--max-brute-n", **constraints)
+    if words > MAX_ENUMERATE_LINES:
+        raise CapExceededError(f"{what.format(words)}, above the cap of {MAX_ENUMERATE_LINES}")
+    return stream
 
 
 def _emit_rows(rows: Sequence[tuple[int, int, int]], fmt: str) -> None:
@@ -178,7 +183,7 @@ def _cmd_count(args) -> int:
         if args.method == "closed":
             raise ValueError("no closed form is available for a fixed ascent sequence")
         if args.method == "brute":
-            value = sum(1 for _ in _brute_force(n, args.max_brute_n, runs=runs))
+            value = sum(1 for _ in _brute_force(n, args.max_brute_n, BRUTE_WALK, runs=runs))
         else:
             if len(runs) > MAX_ASCENT_PARTS or n > MAX_ASCENT_CELLS:
                 raise CapExceededError(
@@ -195,7 +200,7 @@ def _cmd_count(args) -> int:
     band = range((n + 1) // 2, n) if d is None else (d,)
     if args.method == "brute":
         from .permutations import descent_count
-        tally = Counter(map(descent_count, _brute_force(n, args.max_brute_n)))
+        tally = Counter(map(descent_count, _brute_force(n, args.max_brute_n, BRUTE_WALK)))
         counts = {k: tally[k] for k in band}
     elif args.method == "det":
         counts = minimal_count_band(n) if d is None else {d: minimal_count(n, d)}
@@ -209,24 +214,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .counting import minimal_count, minimal_count_band, minimal_count_by_runs
     from .permutations import format_permutation
-    n, d, runs, j = args.n, args.d, args.ascents, args.double_descent_at
-    if runs is not None and d is not None:
+    if args.ascents is not None and args.d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
-    stream = _brute_force(n, args.max_brute_n, d=d, runs=runs, double_descent_at=j)
-    # the count of the lines asked for, an upper bound with --double-descent-at
-    if runs is not None:
-        lines = minimal_count_by_runs(runs) if min(runs) >= 2 else 0
-    elif d is not None:
-        lines = minimal_count(n, d)
-    else:
-        lines = sum(minimal_count_band(n).values())
-    if lines > MAX_ENUMERATE_LINES:
-        raise CapExceededError(
-            f"enumerate would print {'up to ' if j is not None else ''}{lines} lines, "
-            f"above the cap of {MAX_ENUMERATE_LINES}")
-    texts = map(format_permutation, stream)
+    texts = map(format_permutation, _brute_force(
+        args.n, args.max_brute_n, "enumerate would print {} lines", d=args.d,
+        runs=args.ascents, j=args.double_descent_at))
     while batch := list(itertools.islice(texts, WRITE_BATCH)):
         sys.stdout.write("\n".join(batch) + "\n")
     return OK

@@ -9,8 +9,9 @@ permutation with exactly d descents occurs in it as a pattern.  Structurally
 this holds exactly when the word starts and ends with a descent and every
 ascent at position i satisfies 2 <= i <= n-2 with the window of four
 elements around it of type 2143 or 3142.  Both the structural test and the
-definitional deletion oracle are provided; their agreement is a test, not
-an assumption.
+definitional deletion oracle are provided, and agree by test, not by
+assumption; enumerate_minimal applies the structural test position by
+position, through a table of completion counts.
 
 The predicates and formatters check an argument, through _check_ints, only
 once their fast path has raised TypeError (no len(), or entries that do not
@@ -179,11 +180,10 @@ def is_minimal(perm: Sequence[int]) -> bool:
     """Structural minimality test: starts and ends with a descent, and every
     ascent is interior with its four-element window of type 2143 or 3142.
 
-    It compares entries only and does not check that perm is a permutation
-    (it runs on every search leaf); callers holding untrusted input run
-    check_permutation first.  A perm that is not an iterable of ints raises
-    ValueError, checked only once reading it has raised TypeError, so
-    that the search's leaves pay nothing for it.
+    It compares entries only and does not check that perm is a permutation;
+    callers holding untrusted input run check_permutation first.  A perm
+    that is not an iterable of ints raises ValueError, checked only once
+    reading it has raised TypeError, so that valid input pays nothing.
 
     >>> is_minimal((3, 2, 1))
     True
@@ -303,6 +303,11 @@ def max_brute_n(override: int | None = None) -> int:
     return value
 
 
+# the most entries a completion-count table may hold: on a 2-core x86-64 machine
+# (Python 3.11) the whole table at n = 126, 992,373 entries, took 0.15 s and 66 MB
+MAX_TABLE_ENTRIES = 1_000_000
+
+
 def enumerate_minimal(n: int, d: int | None = None,
                       runs: Sequence[int] | None = None,
                       double_descent_at: int | None = None,
@@ -311,25 +316,38 @@ def enumerate_minimal(n: int, d: int | None = None,
     optionally restricted to descent count d, to decreasing-run lengths
     runs, or to descents at both positions j and j+1 (double_descent_at=j).
 
-    Each search is a depth-first walk of the prefix tree that knows, for
-    every step, whether it must descend, must ascend or is free.  A run
-    profile fixes every step: its ascents fall at the prefix sums of all
-    runs but the last, and every other step descends.  Descent count d is
-    the union of its profiles, the compositions of n into n - d parts of
-    at least 2: their searches yield disjoint streams, each in
-    lexicographic order, which heapq.merge interleaves in that order.
-    With neither, the first and last steps descend and the others are
-    free.  j makes steps j and j+1 descend, and drops every profile that
-    ascends there.  The constraints are pruned during the walk, so each
-    completed word meets them; every one is still validated with
-    is_minimal, so correctness never rests on the pruning.  Arguments are
-    checked on the call, not on the first next().  Refuses n above the
-    brute-force cap.
+    One walk of the prefix tree serves every constraint, entering only the
+    prefixes that a table of completion counts, built on the call after the
+    argument checks, shows to have one (see _minimal_search).  Refuses n
+    above the brute-force cap, then a table above MAX_TABLE_ENTRIES.
 
     >>> list(enumerate_minimal(3))
     [(3, 2, 1)]
     >>> list(enumerate_minimal(4, d=2))
     [(2, 1, 4, 3), (3, 1, 4, 2)]
+    """
+    return _minimal_search(n, d, runs, double_descent_at, max_n)[1]
+
+
+def _minimal_search(n: int, d: int | None = None, runs: Sequence[int] | None = None,
+                    j: int | None = None, max_n: int | None = None,
+                    cap_flag: str = "the max_n argument") -> tuple[int, Iterator[tuple[int, ...]]]:
+    """(count, stream): how many words enumerate_minimal's arguments select,
+    and those words in order; cap_flag says how to raise the n cap.
+
+    The structural test is local, so the completions of a prefix depend
+    only on the ranks of its last two letters among the m unused values,
+    the ascents owed and the steps left (Niven 1968; de Bruijn 1970).  Step
+    s places letter s+1 (step 0 the first, below a sentinel), if up[s] and
+    down[s] let it ascend or descend.  After a descent a prefix is in state
+    D(x, y): x and y unused values lie below its last and previous letter,
+    and the next goes below the last or above the previous.  After an
+    ascent it is in state A(x, y): x and y lie below the ascent's low and
+    high letter, and the next goes between (a 2143 or 3142 window).
+    table[m][k], for m values unused and k ascents owed (0 without d), is
+    (drows, arows): drows[y][x] sums D(x', y) over x' < x, arows[x][y] sums
+    A(x, y') over y' < y; drows repeats one row unless rise[m], and arows
+    is None unless rise[m + 1], the next or the step before may ascend.
     """
     _check_int("n", n, 1)
     if d is not None:
@@ -337,110 +355,98 @@ def enumerate_minimal(n: int, d: int | None = None,
     cap = max_brute_n(max_n)
     if n > cap:
         raise CapExceededError(
-            f"enumeration over S_{n} exceeds the brute-force cap {cap}; raise it "
-            "via the max_n argument")
+            f"enumeration over S_{n} exceeds the brute-force cap {cap}; raise it via {cap_flag}")
     wanted = None if runs is None else _check_ints("run lengths", runs)
     if wanted is not None and sum(wanted) != n:
         raise ValueError(f"run lengths {wanted} do not sum to {n}")
-    j = double_descent_at
     if j is not None:
         _check_int("double-descent position", j, 1, n - 2)
-    if wanted is None and d is None:
-        steps = ["D"] * n + [None, None]
-        steps[2:n - 1] = ["F"] * (n - 3)
+    # owed: the ascents d asks for; a minimal permutation has at most (n-2)//2
+    owed, dk = (0, 0) if d is None or wanted is not None else (n - 1 - d, 1)
+    if not 0 <= owed <= (n - 2) // 2 or wanted is not None and (
+            min(wanted) < 2 or d not in (None, n - len(wanted))):
+        return 0, iter(())
+    # each m holds a row of m + 2 entries or more, so a large n is refused unsized
+    entries = n * (n + 3) // 2
+    if entries <= MAX_TABLE_ENTRIES:
+        tops = None if wanted is None else set(itertools.accumulate(wanted[:-1]))
+        up = [1 < s < n - 1 if tops is None else s in tops for s in range(n)]
+        down = [tops is None or s not in tops for s in range(n)]
         if j is not None:
-            steps[j] = steps[j + 1] = "D"
-        return _search_minimal(n, steps)
-    # heapq and counting are imported here, not with this module: only the
-    # searches by run profile need them, and at the top they raised the peak RSS
-    import heapq
-    from .counting import compositions_min2
-    if wanted is not None:
-        profiles = [wanted] if min(wanted) >= 2 and d in (None, n - len(wanted)) else []
-    else:
-        profiles = compositions_min2(n, n - d) if d < n else []
-    searches = []
-    for profile in profiles:
-        tops = set(itertools.accumulate(profile[:-1]))
-        steps = ["A" if s in tops else "D" for s in range(n)] + [None, None]
-        if j is None or steps[j] == steps[j + 1] == "D":
-            searches.append(_search_minimal(n, steps))
-    return heapq.merge(*searches)
+            up[j] = up[j + 1] = False
+        # ks[m]: the ascents owed with m values unused, taken one step in two at most
+        ks = [range(max(0, owed - dk * ((n - m - 1) // 2)), min(owed, m // 2) + 1)
+              for m in range(n)]
+        rise = [0 < m < n and up[n - m] and ks[m].stop > dk for m in range(n + 1)]
+        entries = sum(len(ks[m]) * (((m + 1) * (m + 4) // 2 if rise[m] else m + 2)
+                                    + ((m + 1) * (m + 2) if rise[m + 1] else 0)) for m in range(n))
+    if entries > MAX_TABLE_ENTRIES:
+        raise CapExceededError(f"enumeration over S_{n} needs a completion-count table of at "
+                               f"least {entries} entries, above the cap of {MAX_TABLE_ENTRIES}")
+    accumulate = itertools.accumulate
+    table = [{k: ([[0, 1]], None) for k in ks[0]}]
+    for m in range(1, n):
+        below, layer = table[-1], {}
+        for k in ks[m]:
+            pd = below[k][0] if k in below and down[n - m] else None
+            pa = below[k - dk][1] if rise[m] and k - dk in below else None
+            # desc[x]: D(x, y)'s completions by a descent; pa adds its ascents
+            desc = [0] + [pd[x - 1][x] for x in range(1, m + 1)] if pd else [0] * (m + 1)
+            drows = [list(accumulate([desc[x] + (pa[x][m] - pa[x][y] if pa and x < m else 0)
+                                      for x in range(y + 1)], initial=0)) for y in range(m + 1)] \
+                if rise[m] else [list(accumulate(desc, initial=0))] * (m + 1)
+            arows = [list(accumulate([pd[y - 1][y] - pd[y - 1][x] if pd and y > x else 0
+                                      for y in range(m + 1)], initial=0)) for x in range(m + 1)] \
+                if rise[m + 1] else None
+            layer[k] = drows, arows
+        table.append(layer)
+    total = table[-1][owed][0][n - 1][n] if owed in table[-1] else 0
+    return total, _walk(n, table, owed, dk, down, rise) if total else iter(())
 
 
-def _search_minimal(n: int, steps: Sequence[str | None]) -> Iterator[tuple[int, ...]]:
-    """Minimal permutations of length n in lexicographic order whose step
-    s, from 0-indexed position s-1 to s, descends if steps[s] is "D",
-    ascends if it is "A", and may do either if it is "F".  steps holds
-    n + 2 entries: steps[0], steps[1] and steps[n-1] are "D", every "A"
-    lies between two "D", and steps[n] and steps[n+1] are None.
-
-    Each node lists, on entry, the unused values its prefix may take next:
-    the structural test read one step at a time.  A descent that follows
-    an ascent lands strictly between the ascent's ends.  An ascent must
-    exceed the value before the descent that precedes it and leave an
-    unused value between its ends, which the value after it must take (a
-    window of type 2143 or 3142).  A value also needs as many unused
-    values below and above it as there are later positions that every
-    output puts below and above it.  Below, those are the positions that
-    the "D" steps after it reach in a row.  Above, an "A" step s puts
-    positions s and s+1 above position s-1, and position s above s-2, and
-    with them every later position above s+1 or s respectively.  Once
-    every later step descends, the values left can only go in in
-    decreasing order: they are placed at once, after one check of the
-    step into the largest and of the window of an ascent there.
-    """
-    if n < 2:
-        return
-    # fall[i] / rise[i]: how many later positions every output puts below /
-    # above position i, so the value there needs that many unused values
-    # below / above it
-    fall = [0] * (n + 2)
-    rise = [0] * (n + 2)
-    for i in range(n - 1, -1, -1):
-        if steps[i + 1] == "D":
-            fall[i] = fall[i + 1] + 1
-        if steps[i + 1] == "A":
-            rise[i] = 2 + rise[i + 2]
-        elif steps[i + 2] == "A":
-            rise[i] = 1 + rise[i + 2]
-    word = [n + 2, n + 1]  # two sentinels, so position 0 follows a descent
+def _walk(n: int, table: list, k: int, dk: int, down: list,
+          rise: list) -> Iterator[tuple[int, ...]]:
+    """The words _minimal_search's table counts, in order, by a depth-first
+    walk from D(n, n) with k ascents owed.  A node (lo, top, y, k) enters
+    D(r, top) for r in lo..top and, if y is not None, A(top+1, r) for r >= y,
+    where that state counts a completion; bisections of prefix sums find the
+    first and last such r.  stack holds (untried children, depth) per fork."""
+    bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
     free = list(range(1, n + 1))  # the unused values, in increasing order
-    pending = []  # pending[i]: the untried values for position i
+    word, ranks, stack = [], [], []  # ranks[i]: the index in free word[i] had
+    lo, top, y = 0, n - 1, n
     while True:
-        i = len(word) - 2  # the position the next value takes, by step i
-        p, a = word[-2], word[-1]
-        step = steps[i]
-        if fall[i] == len(free) - 1:
-            # every later step descends, so the values left go in in
-            # decreasing order: y must follow a as step i allows, and if it
-            # ascends, its window's ends must hold p and x between them
-            x, y = free[-2:]
-            if y < a and step != "A" and (p > a or y > p) or \
-                    y > a and (step == "A" or step == "F" and p > a) and y > p and x > a:
-                candidate = (*word[2:], *reversed(free))
-                if is_minimal(candidate):
-                    yield candidate
-            bisect.insort(free, word.pop())
+        m = len(free)
+        layer = table[m - 1]
+        nexts = []
+        if lo <= top and down[n - m] and k in layer:
+            row = layer[k][0][top]
+            i = bisect_right(row, row[lo], lo, top + 2) - 1
+            j = bisect_left(row, row[top + 1], i, top + 2)
+            nexts = [(r, 0, r - 1, top, k) for r in range(i, j) if row[r + 1] > row[r]]
+        if y is not None and rise[m] and top + 1 < m and k - dk in layer:
+            row, x = layer[k - dk][1][top + 1], top + 1
+            i = bisect_right(row, row[y], y, m + 1) - 1
+            j = bisect_left(row, row[m], i, m + 1)
+            nexts += [(r, x, r - 1, None, k - dk) for r in range(i, j) if row[r + 1] > row[r]]
+        if m > 2 and len(nexts) == 1:  # a node of one child goes on to it
+            child = nexts[0]
         else:
-            below = bisect.bisect(free, a)  # free[:below] lie below a
-            lo, hi = fall[i], len(free) - rise[i]  # free[k] has k unused values below it
-            nexts = []
-            if step != "A":
-                nexts = free[max(bisect.bisect(free, p) if p < a else 0, lo):min(below, hi)]
-            if step == "A" or step == "F" and p > a:
-                nexts += free[max(bisect.bisect(free, p), below + 1, lo):hi]
-            pending.append(iter(nexts))
-        while pending:
-            v = next(pending[-1], 0)
-            if v:
-                break
-            pending.pop()
-            bisect.insort(free, word.pop())
-        else:
-            return
-        word.append(v)
-        free.remove(v)
+            if m == 2:  # each child leaves one value, which is its one completion
+                a, b = free
+                for child in nexts:
+                    yield (*word, b, a) if child[0] else (*word, a, b)
+            else:
+                stack.append((iter(nexts), n - m))
+            while stack and not (child := next(stack[-1][0], None)):
+                stack.pop()
+            if not stack:
+                return
+            while len(word) > stack[-1][1]:  # back up to the node child leaves
+                free.insert(ranks.pop(), word.pop())
+        r, lo, top, y, k = child
+        ranks.append(r)
+        word.append(free.pop(r))
 
 
 def format_permutation(perm: Sequence[int]) -> str:

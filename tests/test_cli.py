@@ -183,6 +183,20 @@ class TestCount:
             code, out, err = run(capsys, "count", *argv)
             assert (code, out) == (2, ""), argv
             assert "must be" in err
+        # every integer option takes ASCII digits only, where int() also
+        # reads other scripts' digits and underscores
+        for argv, option, text in (
+                (("count", "--n", "٩"), "--n", "٩"),
+                (("count", "--n", "1_0", "--d", "5"), "--n", "1_0"),
+                (("count", "--n", "5", "--d", "３"), "--d", "３"),
+                (("count", "--n", "5", "--method", "brute", "--max-brute-n", "1_1"),
+                 "--max-brute-n", "1_1"),
+                (("enumerate", "--n", "٥"), "--n", "٥"),
+                (("enumerate", "--n", "5", "--double-descent-at", "١"), "--double-descent-at", "١"),
+                (("verify", "--max-n", "٤"), "--max-n", "٤")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "count", "--n", "12", "--method", "brute")
@@ -282,6 +296,26 @@ class TestCount:
         code, out, err = run(capsys, "enumerate", "--n", "8", "--max-brute-n", "7")
         assert (code, out) == (3, "") and "cap 7; raise it via --max-brute-n" in err
 
+    def test_brute_walk_cap(self, capsys, monkeypatch):
+        # brute force walks every minimal permutation of length n, and is
+        # refused before the walk if they are more than the enumerate cap
+        code, out, err = run(capsys, "count", "--n", "20", "--method", "brute",
+                             "--max-brute-n", "20")
+        assert (code, out) == (3, "")
+        assert err == ("error: count --method brute would walk 235784450363818 permutations, "
+                       f"above the cap of {cli.MAX_ENUMERATE_LINES}\n")
+        # at n = 7 the band has 169 words, and the profile 2,2,3 21 of them
+        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 169)
+        assert run(capsys, "count", "--n", "7", "--d", "4", "--method", "brute") == \
+            (0, "n,d,count\n7,4,84\n", "")
+        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 168)
+        assert run(capsys, "count", "--n", "7", "--ascents", "2,2,3", "--method", "brute") == \
+            (0, "n,d,count\n7,4,21\n", "")
+        for argv in (("--n", "7", "--d", "4"), ("--n", "7")):
+            assert run(capsys, "count", *argv, "--method", "brute") == (
+                3, "", "error: count --method brute would walk 169 permutations, "
+                       "above the cap of 168\n"), argv
+
     def test_cap_env_override(self, capsys, monkeypatch):
         # only --max-brute-n sets the cap; a stray variable changes nothing
         monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "5")
@@ -324,13 +358,14 @@ class TestEnumerate:
 
     def test_line_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 62)
-        # a predicted count at the cap is listed; one above it is refused
-        # before any search, with --d, --ascents or neither
+        # a count at the cap is listed; one above it is refused before any
+        # search, with --d, --ascents, --double-descent-at or none, and the
+        # count is exact under each
         code, out, _ = run(capsys, "enumerate", "--n", "8", "--ascents", "4,4")
         assert code == 0 and len(out.splitlines()) == 62
         for argv, lines in ((("--n", "7", "--d", "4"), "84"),
                             (("--n", "7"), "169"),
-                            (("--n", "7", "--d", "5", "--double-descent-at", "1"), "up to 84"),
+                            (("--n", "7", "--d", "5", "--double-descent-at", "1"), "70"),
                             (("--n", "10", "--ascents", "5,5"), "242")):
             code, out, err = run(capsys, "enumerate", *argv)
             assert (code, out) == (3, ""), argv
@@ -346,6 +381,26 @@ class TestEnumerate:
                        f"{cli.MAX_ENUMERATE_LINES}\n")
         code, out, err = run(capsys, "enumerate", "--n", "30", "--d", "15")
         assert (code, out) == (3, "") and "raise it via --max-brute-n" in err
+
+    def test_table_cap(self, capsys):
+        # past the n cap, the completion-count table is sized before it is
+        # built, and refused before the line cap is asked; a huge n is
+        # refused by the row of m + 2 entries or more that each m holds
+        code, out, err = run(capsys, "enumerate", "--n", "200", "--max-brute-n", "200")
+        assert (code, out) == (3, "")
+        assert err == ("error: enumeration over S_200 needs a completion-count table of "
+                       "at least 3980197 entries, above the cap of 1000000\n")
+        huge = "99999999999"
+        assert run(capsys, "enumerate", "--n", huge, "--max-brute-n", huge) == (
+            3, "", f"error: enumeration over S_{huge} needs a completion-count table of at "
+                   "least 5000000000049999999999 entries, above the cap of 1000000\n")
+        # more ascents than a minimal permutation has are answered at once
+        assert run(capsys, "enumerate", "--n", huge, "--d", "3", "--max-brute-n", huge) == \
+            (0, "", "")
+        # one run keeps the table small: about n^2 / 2 entries
+        code, out, _ = run(capsys, "enumerate", "--n", "1000", "--d", "999",
+                           "--max-brute-n", "1000")
+        assert (code, out) == (0, ",".join(map(str, range(1000, 0, -1))) + "\n")
 
     def test_ten_runs_of_two(self):
         # ten runs of 2 list all Catalan(10) = 16,796 words in well under a

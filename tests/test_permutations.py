@@ -12,11 +12,13 @@ import minperm.permutations as permutations_module
 from minperm import (CapExceededError, ascent_set, check_permutation,
                      compositions_min2, contains_pattern,
                      decreasing_run_lengths, descent_count, descent_set,
-                     duplicate_loss, enumerate_minimal, format_permutation,
-                     is_minimal, is_minimal_by_deletion, is_permutation,
-                     max_brute_n, minimal_count_by_runs, minimality_violation,
+                     double_descent_count, duplicate_loss, enumerate_minimal,
+                     format_permutation, is_minimal, is_minimal_by_deletion,
+                     is_permutation, max_brute_n, minimal_count,
+                     minimal_count_by_runs, minimality_violation,
                      parse_permutation, perm_to_tableau, shape_from_runs,
                      standardize, tableau_to_perm)
+from minperm.permutations import _minimal_search
 from test_bijection import random_filling
 
 perms = lambda n: st.permutations(list(range(1, n + 1)))
@@ -346,19 +348,29 @@ class TestConstrainedSearch:
                                         double_descent_at=case.get("j"))
                 assert list(got) == leaf_filter(rows, **case), (n, case)
 
-    def test_leaves_equal_outputs(self, monkeypatch):
-        leaves = []
+    def test_every_node_lies_on_an_output(self, monkeypatch):
+        # the walk reads its table once per node it enters, and enters the
+        # prefixes of length up to n - 2 (a node two letters short yields
+        # its outputs itself); so it reads it once per distinct such prefix
+        # of an output exactly when it enters no prefix that has no output
+        # and none twice
+        reads = []
 
-        def counting(w):
-            leaves.append(w)
-            return is_minimal(w)
+        class Table(list):
+            def __getitem__(self, m):
+                reads.append(m)
+                return list.__getitem__(self, m)
 
-        monkeypatch.setattr(permutations_module, "is_minimal", counting)
-        for constraints in ({}, {"d": 5}, {"runs": (2, 2, 2, 3)},
-                            {"d": 5, "double_descent_at": 3}):
-            leaves.clear()
-            out = list(enumerate_minimal(9, **constraints))
-            assert out and len(leaves) == len(out), constraints
+        walk = permutations_module._walk
+        monkeypatch.setattr(permutations_module, "_walk",
+                            lambda n, table, *rest: walk(n, Table(table), *rest))
+        for n, constraints in ((9, {}), (9, {"d": 5}), (9, {"runs": (2, 2, 2, 3)}),
+                               (9, {"d": 5, "double_descent_at": 3}), (11, {"d": 6}),
+                               (10, {"double_descent_at": 4}), (12, {"runs": (3, 2, 4, 3)})):
+            reads.clear()
+            out = list(enumerate_minimal(n, **constraints, max_n=n))
+            assert out and all(map(is_minimal, out)), constraints
+            assert len(reads) == len({w[:i] for w in out for i in range(n - 1)}), constraints
 
 
 def search_by_budget(n, d=None, runs=None):
@@ -480,6 +492,44 @@ class TestPastTheCap:
                                for w in words), runs
                     checked += 1
         assert checked == 84
+
+
+class TestCompletionCounts:
+    """The search's table counts its outputs with no determinant; its
+    totals against the counting layer, past the brute-force caps."""
+
+    def test_every_descent_count_to_n30(self):
+        for n in range(1, 31):
+            for d in range(n + 1):
+                assert _minimal_search(n, d=d, max_n=n)[0] == minimal_count(n, d), (n, d)
+
+    def test_double_descents_to_length_21(self):
+        # length 2m+1 with m+1 descents has one double descent, at an odd j
+        for m in range(1, 11):
+            n = 2 * m + 1
+            for j in range(1, n - 1):
+                want = double_descent_count(m, (j + 1) // 2) if j % 2 else 0
+                got = _minimal_search(n, d=m + 1, j=j, max_n=n)[0]
+                assert got == want, (m, j)
+
+    def test_seeded_profiles(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            runs = tuple(rng.choice((2, 2, 2, 3, 4)) for _ in range(rng.randint(10, 25)))
+            n = sum(runs)
+            assert _minimal_search(n, runs=runs, max_n=n)[0] == minimal_count_by_runs(runs), runs
+
+    def test_table_cap(self, monkeypatch):
+        # the table is sized before it is built, after the cap on n
+        with pytest.raises(CapExceededError, match="needs a completion-count table of at "
+                                                   r"least \d+ entries, above the cap of 1000000"):
+            enumerate_minimal(200, max_n=200)
+        with pytest.raises(CapExceededError, match="brute-force cap 199"):
+            enumerate_minimal(200, max_n=199)
+        monkeypatch.setattr(permutations_module, "MAX_TABLE_ENTRIES", 65)
+        assert len(list(enumerate_minimal(5))) == 11
+        with pytest.raises(CapExceededError, match="table of at least 9[0-9] entries, above the cap"):
+            enumerate_minimal(6)
 
 
 class TestSerialization:
