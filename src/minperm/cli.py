@@ -58,14 +58,15 @@ BROKEN_PIPE = 141
 # at n = 1,000,000.
 # enumerate refuses an input whose line count, the exact total of the table
 # that the search walks, is above MAX_ENUMERATE_LINES, as count --method brute
-# does a walk.  Each line costs about 10 us, a little more for longer
-# words: on the machine above, writing to a file, n = 13, d = 8
-# (4,576,000 lines) took 47 s, n = 22, d = 20 (4,193,840 lines) 46 s,
-# n = 14, d = 11 (3,385,265 lines) 32 s and the whole of n = 12 (1,722,174
-# lines) 15 s.  The lines are written WRITE_BATCH at a time: to a
-# file on an unbuffered stdout (PYTHONUNBUFFERED), the 31,914 lines of
-# n = 10 took 0.06 s printed one at a time and 0.002 s in batches of 64,
-# and batches of 256 raised the peak RSS by about 36 kB more.  The arrays
+# does a walk.  Each line costs about 1 us, more where a word has a long
+# forced stretch before the last letters the walk's memo places: on the
+# machine above, writing to a file, n = 13, d = 8 (4,576,000 lines) took
+# 4.8 s, n = 22, d = 20 (4,193,840 lines) 28 s, n = 14, d = 11 (3,385,265
+# lines) 5.7 s and the whole of n = 12 (1,722,174 lines) 1.5 s.  The
+# lines are written WRITE_BATCH at a time: to a file on an unbuffered
+# stdout (PYTHONUNBUFFERED), the 31,914 lines of n = 10 took 0.06 s
+# printed one at a time and 0.002 s in batches of 64, and batches of 256
+# raised the peak RSS by about 36 kB more.  The arrays
 # of rsk's paths and knuth-chain's moves and words are written in batches
 # of as many elements.
 MAX_DET_N = 160
@@ -200,7 +201,7 @@ def _cmd_count(args) -> int:
     band = range((n + 1) // 2, n) if d is None else (d,)
     if args.method == "brute":
         from .permutations import descent_count
-        tally = Counter(map(descent_count, _brute_force(n, args.max_brute_n, BRUTE_WALK)))
+        tally = Counter(map(descent_count, _brute_force(n, args.max_brute_n, BRUTE_WALK, d=d)))
         counts = {k: tally[k] for k in band}
     elif args.method == "det":
         counts = minimal_count_band(n) if d is None else {d: minimal_count(n, d)}
@@ -214,14 +215,15 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .permutations import format_permutation
+    from .permutations import _separator
     if args.ascents is not None and args.d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
-    texts = map(format_permutation, _brute_force(
-        args.n, args.max_brute_n, "enumerate would print {} lines", d=args.d,
-        runs=args.ascents, j=args.double_descent_at))
-    while batch := list(itertools.islice(texts, WRITE_BATCH)):
-        sys.stdout.write("\n".join(batch) + "\n")
+    words = _brute_force(args.n, args.max_brute_n, "enumerate would print {} lines", d=args.d,
+                         runs=args.ascents, j=args.double_descent_at)
+    template = None  # one "%d" per letter, built once there is a line to print
+    while batch := list(itertools.islice(words, WRITE_BATCH)):
+        template = template or _separator(args.n).join(["%d"] * args.n) + "\n"
+        sys.stdout.write("".join(map(template.__mod__, batch)))
     return OK
 
 

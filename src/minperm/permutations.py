@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (DEFAULT_MAX_BRUTE_N, CapExceededError, _as_tuple,
@@ -306,6 +307,11 @@ def max_brute_n(override: int | None = None) -> int:
 # the most entries a completion-count table may hold: on a 2-core x86-64 machine
 # (Python 3.11) the whole table at n = 126, 992,373 entries, took 0.15 s and 66 MB
 MAX_TABLE_ENTRIES = 1_000_000
+# the walk places the last MEMO_DEPTH letters of each word from a memo of
+# each state's completions, whose size the depth bounds, not n: walking
+# the whole band at n = 10 peaked at about 70 kB (tracemalloc) at 5, and
+# at 300 kB at 6, which saved about 3 of the 63 ms of `enumerate --n 10`
+MEMO_DEPTH = 5
 
 
 def enumerate_minimal(n: int, d: int | None = None,
@@ -348,6 +354,9 @@ def _minimal_search(n: int, d: int | None = None, runs: Sequence[int] | None = N
     (drows, arows): drows[y][x] sums D(x', y) over x' < x, arows[x][y] sums
     A(x, y') over y' < y; drows repeats one row unless rise[m], and arows
     is None unless rise[m + 1], the next or the step before may ascend.
+    The stream is _walk's: it expands one node per output prefix while more
+    than MEMO_DEPTH values are unused, and places the rest of each word
+    from a memo of each state's completions, which the same walk fills.
     """
     _check_int("n", n, 1)
     if d is not None:
@@ -401,43 +410,55 @@ def _minimal_search(n: int, d: int | None = None, runs: Sequence[int] | None = N
             layer[k] = drows, arows
         table.append(layer)
     total = table[-1][owed][0][n - 1][n] if owed in table[-1] else 0
-    return total, _walk(n, table, owed, dk, down, rise) if total else iter(())
+    return total, _walk(n, table, owed, dk, down, rise, list(range(1, n + 1)),
+                        (0, n - 1, n), {}) if total else iter(())
 
 
-def _walk(n: int, table: list, k: int, dk: int, down: list,
-          rise: list) -> Iterator[tuple[int, ...]]:
+def _walk(n: int, table: list, k: int, dk: int, down: list, rise: list, free: list,
+          node: tuple, memo: dict) -> Iterator[tuple[int, ...]]:
     """The words _minimal_search's table counts, in order, by a depth-first
-    walk from D(n, n) with k ascents owed.  A node (lo, top, y, k) enters
-    D(r, top) for r in lo..top and, if y is not None, A(top+1, r) for r >= y,
-    where that state counts a completion; bisections of prefix sums find the
-    first and last such r.  stack holds (untried children, depth) per fork."""
+    walk from node = (lo, top, y) with k ascents owed, over the unused
+    values free in increasing order.  A node (lo, top, y, k) with m values
+    unused enters D(r, top) for r in lo..top and, if y is not None,
+    A(top+1, r) for r >= y, where that state counts a completion; those r
+    form one interval, which two bisections of prefix sums find.  stack
+    holds (untried children, depth) per fork.  A node below the first with
+    at most MEMO_DEPTH values unused takes its completions from memo, keyed
+    by its state (m, lo, top, y, k): one itemgetter over its unused values
+    per completion, filled on first use by this same walk from that node
+    over free = [0, ..., m - 1]."""
     bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
-    free = list(range(1, n + 1))  # the unused values, in increasing order
     word, ranks, stack = [], [], []  # ranks[i]: the index in free word[i] had
-    lo, top, y = 0, n - 1, n
+    lo, top, y = node
     while True:
         m = len(free)
-        layer = table[m - 1]
         nexts = []
-        if lo <= top and down[n - m] and k in layer:
-            row = layer[k][0][top]
-            i = bisect_right(row, row[lo], lo, top + 2) - 1
-            j = bisect_left(row, row[top + 1], i, top + 2)
-            nexts = [(r, 0, r - 1, top, k) for r in range(i, j) if row[r + 1] > row[r]]
-        if y is not None and rise[m] and top + 1 < m and k - dk in layer:
-            row, x = layer[k - dk][1][top + 1], top + 1
-            i = bisect_right(row, row[y], y, m + 1) - 1
-            j = bisect_left(row, row[m], i, m + 1)
-            nexts += [(r, x, r - 1, None, k - dk) for r in range(i, j) if row[r + 1] > row[r]]
-        if m > 2 and len(nexts) == 1:  # a node of one child goes on to it
+        if m == 1:  # a node with one value left has one completion
+            yield (*word, *free)
+        elif word and m <= MEMO_DEPTH:
+            state = m, lo, top, y, k
+            if state not in memo:
+                memo[state] = [*itertools.starmap(operator.itemgetter, _walk(
+                    n, table, k, dk, down, rise, list(range(m)), (lo, top, y), memo))]
+            prefix = tuple(word)
+            for g in memo[state]:
+                yield prefix + g(free)
+        else:
+            layer = table[m - 1]
+            if lo <= top and down[n - m] and k in layer:
+                row = layer[k][0][top]
+                i = bisect_right(row, row[lo], lo, top + 2) - 1
+                j = bisect_left(row, row[top + 1], i, top + 2)
+                nexts = [(r, 0, r - 1, top, k) for r in range(i, j)]
+            if y is not None and rise[m] and top + 1 < m and k - dk in layer:
+                row, x = layer[k - dk][1][top + 1], top + 1
+                i = bisect_right(row, row[y], y, m + 1) - 1
+                j = bisect_left(row, row[m], i, m + 1)
+                nexts += [(r, x, r - 1, None, k - dk) for r in range(i, j)]
+        if len(nexts) == 1:  # a node of one child goes on to it
             child = nexts[0]
         else:
-            if m == 2:  # each child leaves one value, which is its one completion
-                a, b = free
-                for child in nexts:
-                    yield (*word, b, a) if child[0] else (*word, a, b)
-            else:
-                stack.append((iter(nexts), n - m))
+            stack.append((iter(nexts), len(word)))
             while stack and not (child := next(stack[-1][0], None)):
                 stack.pop()
             if not stack:

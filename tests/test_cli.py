@@ -304,17 +304,22 @@ class TestCount:
         assert (code, out) == (3, "")
         assert err == ("error: count --method brute would walk 235784450363818 permutations, "
                        f"above the cap of {cli.MAX_ENUMERATE_LINES}\n")
-        # at n = 7 the band has 169 words, and the profile 2,2,3 21 of them
-        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 169)
+        # at n = 7 the band has 169 words, d = 4 84 of them and the profile
+        # 2,2,3 21; --d walks only its own words
+        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 84)
         assert run(capsys, "count", "--n", "7", "--d", "4", "--method", "brute") == \
             (0, "n,d,count\n7,4,84\n", "")
-        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 168)
+        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 83)
         assert run(capsys, "count", "--n", "7", "--ascents", "2,2,3", "--method", "brute") == \
             (0, "n,d,count\n7,4,21\n", "")
-        for argv in (("--n", "7", "--d", "4"), ("--n", "7")):
+        for argv, words in ((("--n", "7", "--d", "4"), 84), (("--n", "7"), 169)):
             assert run(capsys, "count", *argv, "--method", "brute") == (
-                3, "", "error: count --method brute would walk 169 permutations, "
-                       "above the cap of 168\n"), argv
+                3, "", f"error: count --method brute would walk {words} permutations, "
+                       "above the cap of 83\n"), argv
+        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 168)
+        assert run(capsys, "count", "--n", "7", "--method", "brute") == (
+            3, "", "error: count --method brute would walk 169 permutations, "
+                   "above the cap of 168\n")
 
     def test_cap_env_override(self, capsys, monkeypatch):
         # only --max-brute-n sets the cap; a stray variable changes nothing

@@ -8,6 +8,7 @@ Regenerate the files (only when an output is meant to change) with
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -54,6 +55,14 @@ INVOCATIONS = {
     "verify_counts_8": ["verify", "--suite", "counts", "--max-n", "8"],
     # the benchmark's verify invocation: every check, S_1..S_9 brute force
     "verify_all_9": ["verify", "--suite", "all", "--max-n", "9"],
+}
+
+# outputs past the goldens, in the comma format, pinned by their sha256 and
+# line count
+DIGESTS = {
+    "enumerate --n 10": ("1919468fa4319123939646ea0a9eacb1db8d25707680c523f951ecdd4feb30ab", 31914),
+    "enumerate --n 11 --d 6":
+        ("306c4b7154f8ac7c44d793d9a5842bf4b064601330579a08d7df23758a2cf0a5", 5280),
 }
 
 
@@ -130,6 +139,14 @@ def test_stdout_matches_golden(name):
     case = replay(INVOCATIONS[name])
     assert case["exit"] == 0
     assert case["stdout"].encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_stdout_matches_digest(command):
+    case = replay(command.split())
+    stdout = case["stdout"].encode()
+    assert case["exit"] == 0
+    assert (hashlib.sha256(stdout).hexdigest(), stdout.count(b"\n")) == DIGESTS[command]
 
 
 def test_count_matrix_replays():

@@ -2,6 +2,8 @@ import bisect
 import itertools
 import random
 import re
+import tracemalloc
+from collections import Counter
 from enum import IntEnum
 
 import pytest
@@ -349,28 +351,74 @@ class TestConstrainedSearch:
                 assert list(got) == leaf_filter(rows, **case), (n, case)
 
     def test_every_node_lies_on_an_output(self, monkeypatch):
-        # the walk reads its table once per node it enters, and enters the
-        # prefixes of length up to n - 2 (a node two letters short yields
-        # its outputs itself); so it reads it once per distinct such prefix
-        # of an output exactly when it enters no prefix that has no output
-        # and none twice
+        # the walk reads its table once per expansion: once per node it
+        # enters with more than MEMO_DEPTH values unused, and once per
+        # state it puts in its memo, down to two values unused (a state
+        # with one has one completion); so it reads layer m - 1 once per
+        # distinct output prefix with m values unused above the memo, and
+        # once per distinct state of such a prefix within it, exactly when
+        # it expands no prefix without an output and no state twice
         reads = []
 
         class Table(list):
             def __getitem__(self, m):
-                reads.append(m)
+                reads.append(m + 1)
                 return list.__getitem__(self, m)
+
+        def state(prefix, n, d):
+            # (m, kind, ranks of the last two letters among the unused
+            # values, ascents made), one to one with the walk's keys;
+            # ascents only matter under d, and a sentinel n + 1 stands
+            # before the first letter
+            free = sorted(set(range(1, n + 1)) - set(prefix))
+            a, b = ((n + 1, n + 1) + prefix)[-2:]
+            ascents = sum(x < y for x, y in zip(prefix, prefix[1:])) if d is not None else 0
+            return len(free), a < b, bisect.bisect(free, a), bisect.bisect(free, b), ascents
 
         walk = permutations_module._walk
         monkeypatch.setattr(permutations_module, "_walk",
                             lambda n, table, *rest: walk(n, Table(table), *rest))
+        depth = permutations_module.MEMO_DEPTH
         for n, constraints in ((9, {}), (9, {"d": 5}), (9, {"runs": (2, 2, 2, 3)}),
                                (9, {"d": 5, "double_descent_at": 3}), (11, {"d": 6}),
                                (10, {"double_descent_at": 4}), (12, {"runs": (3, 2, 4, 3)})):
             reads.clear()
             out = list(enumerate_minimal(n, **constraints, max_n=n))
             assert out and all(map(is_minimal, out)), constraints
-            assert len(reads) == len({w[:i] for w in out for i in range(n - 1)}), constraints
+            nodes = {m: {w[:n - m] if m > depth else state(w[:n - m], n, constraints.get("d"))
+                         for w in out} for m in range(2, n + 1)}
+            assert Counter(reads) == {m: len(seen) for m, seen in nodes.items()}, constraints
+
+    def test_memo_matches_the_walk(self):
+        # the default walk against one that expands every node down to two
+        # values unused, as the walk did without its memo
+        def both(n, **constraints):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(permutations_module, "MEMO_DEPTH", 2)
+                shallow = list(enumerate_minimal(n, **constraints, max_n=n))
+            return shallow, list(enumerate_minimal(n, **constraints, max_n=n))
+
+        cases = [(n, {"d": d}) for n in range(1, 11) for d in (None, *range(n + 1))]
+        cases += [(n, {"runs": runs}) for n in range(2, 10) for k in range(1, n // 2 + 1)
+                  for runs in compositions_min2(n, k)]
+        cases += [(n, {"double_descent_at": j}) for n in range(3, 11) for j in range(1, n - 1)]
+        cases += [(11, {"d": d}) for d in range(12)]
+        for n, constraints in cases:
+            shallow, deep = both(n, **constraints)
+            assert shallow == deep, (n, constraints)
+
+    def test_memo_stays_small(self):
+        # the memo's entries are bounded by its depth, not by n: walking
+        # the whole band at n = 10 peaks at about 70 kB
+        stream = enumerate_minimal(10)
+        tracemalloc.start()
+        try:
+            for _ in stream:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150_000
 
 
 def search_by_budget(n, d=None, runs=None):
@@ -518,6 +566,29 @@ class TestCompletionCounts:
             runs = tuple(rng.choice((2, 2, 2, 3, 4)) for _ in range(rng.randint(10, 25)))
             n = sum(runs)
             assert _minimal_search(n, runs=runs, max_n=n)[0] == minimal_count_by_runs(runs), runs
+
+    def test_positive_counts_form_one_interval(self, monkeypatch):
+        # the walk enters every r between the first and the last positive
+        # count of a row, which is right when the positive counts of every
+        # row form one interval: on every table for each d and each double
+        # descent to n = 14, and on seeded run profiles
+        tables = []
+        monkeypatch.setattr(permutations_module, "_walk",
+                            lambda n, table, *rest: tables.append(table))
+        for n in range(2, 15):
+            for d in (None, *range(n)):
+                for j in (None, *range(1, n - 1)):
+                    _minimal_search(n, d=d, j=j, max_n=n)
+        rng = random.Random(32)
+        for _ in range(100):
+            runs = tuple(rng.choice((2, 2, 3, 4, 5)) for _ in range(rng.randint(2, 12)))
+            _minimal_search(sum(runs), runs=runs, j=rng.randint(1, sum(runs) - 2), max_n=sum(runs))
+        rows = [row for table in tables for layer in table for drows, arows in layer.values()
+                for row in (*drows, *(arows or ()))]
+        for row in rows:
+            positive = [r for r in range(len(row) - 1) if row[r + 1] > row[r]]
+            assert not positive or positive[-1] - positive[0] == len(positive) - 1, row
+        assert len(tables) > 500
 
     def test_table_cap(self, monkeypatch):
         # the table is sized before it is built, after the cap on n
