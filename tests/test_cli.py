@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from minperm.cli import (MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_CLOSED_N, MAX_D
 from minperm.counting import _closed_form, _column_count
 from minperm.permutations import _separator
 from minperm.rsk import _knuth_swap
-from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13, check_catalan_law,
+from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13,
+                            check_bijection_round_trip, check_catalan_law,
                             check_double_descent_refinement,
                             check_odd_length_formula, check_rsk_refinement)
 
@@ -406,6 +408,19 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--n", "1000", "--d", "999",
                            "--max-brute-n", "1000")
         assert (code, out) == (0, ",".join(map(str, range(1000, 0, -1))) + "\n")
+
+    def test_three_ascents_refused_on_the_table_size(self):
+        # no closed form counts (1000, 996), and the column program took 45 s
+        # on it; the table's size, found first, refuses the run at once
+        start = time.perf_counter()
+        proc = subprocess.run([*CHILD, "enumerate", "--n", "1000", "--d", "996",
+                               "--max-brute-n", "1000"], env=CHILD_ENV,
+                              capture_output=True, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr == (b"error: enumeration over S_1000 needs a completion-count "
+                               b"table of at least 1987541173 entries, above the cap of "
+                               b"1000000\n")
 
     def test_ten_runs_of_two(self):
         # ten runs of 2 list all Catalan(10) = 16,796 words in well under a
@@ -839,6 +854,11 @@ class TestVerify:
         assert check_rsk_refinement(1).detail == "no class at max_n=1"
         assert check_rsk_refinement(3).detail == \
             "all classes through length 3, with explicit inverses"
+        # the bijection check maps words of length 2 and up
+        assert check_bijection_round_trip(1).detail == \
+            "no enumeration at max_n=1, plus the 16-cell example"
+        assert check_bijection_round_trip(2).detail == \
+            "both directions for n <= 2, plus the 16-cell example"
 
     def test_byte_identical_reports(self, capsys):
         first = run(capsys, "verify", "--suite", "rsk", "--max-n", "5")

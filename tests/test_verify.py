@@ -13,13 +13,17 @@ from pathlib import Path
 import pytest
 
 import minperm.verify as verify
+from minperm.bijection import perm_to_tableau, tableau_to_perm
 from minperm.cli import main
 from minperm.counting import _column_count
-from minperm.tableaux import skew_syt_count
-from minperm.verify import (Check, check_catalan_law,
+from minperm.rsk import (apply_knuth_move, insertion_tableau, knuth_chain,
+                         syt_to_minimal)
+from minperm.tableaux import (SkewShape, count_standard_fillings, shape_from_runs,
+                              skew_standard_tableaux, skew_syt_count)
+from minperm.verify import (Check, check_bijection_round_trip, check_catalan_law,
                             check_determinant_vs_enumeration,
                             check_odd_length_formula,
-                            check_one_ascent_closed_form,
+                            check_one_ascent_closed_form, check_rsk_refinement,
                             check_two_ascent_closed_form, run_suite)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -191,3 +195,52 @@ def test_closed_form_checks_read_the_column_program(monkeypatch, check):
     result = check(4)
     assert not result.passed, result
     assert result.detail.startswith("closed form and determinant sum differ"), result
+
+
+def assert_fails(check, detail):
+    assert (check.passed, check.detail) == (False, detail), check
+
+
+def test_short_profile_fails(monkeypatch):
+    # one more filling than the runs (2, 2) have words
+    drawn = shape_from_runs((2, 2)).conjugated()
+    monkeypatch.setattr(verify, "count_standard_fillings",
+                        lambda shape: count_standard_fillings(shape) + (shape == drawn))
+    assert_fails(check_bijection_round_trip(4),
+                 "cardinality mismatch for runs (2, 2): 3 tableaux vs 2 permutations")
+
+
+def test_misread_image_fails(monkeypatch):
+    image = perm_to_tableau((2, 1))
+    monkeypatch.setattr(verify, "tableau_to_perm",
+                        lambda t: (1, 2) if t == image else tableau_to_perm(t))
+    assert_fails(check_bijection_round_trip(4), "round trip failed for (2, 1)")
+
+
+def test_inverse_to_another_member_fails(monkeypatch):
+    # (3, 2, 1, 5, 4) and (4, 2, 1, 5, 3) are both in the class (m=2, i=1)
+    def inverse(p, i):
+        w = syt_to_minimal(p, i)
+        return (4, 2, 1, 5, 3) if w == (3, 2, 1, 5, 4) else w
+
+    monkeypatch.setattr(verify, "syt_to_minimal", inverse)
+    assert_fails(check_rsk_refinement(5), "inverse reconstruction of (3, 2, 1, 5, 4) "
+                                          "in class (m=2, i=1) gives (4, 2, 1, 5, 3)")
+
+
+def test_tableau_changed_along_a_chain_fails(monkeypatch):
+    w = (3, 2, 1, 5, 4)
+    [move] = knuth_chain(w)
+    moved = apply_knuth_move(w, move)
+    monkeypatch.setattr(verify, "insertion_tableau", lambda word: (
+        ((0,),) if word == moved else insertion_tableau(word)))
+    assert_fails(check_rsk_refinement(5),
+                 "insertion tableau changed along the chain of (3, 2, 1, 5, 4)")
+
+
+def test_missing_three_row_tableau_fails(monkeypatch):
+    dropped = SkewShape((2, 2, 1))
+    monkeypatch.setattr(verify, "skew_standard_tableaux", lambda shape: (
+        list(skew_standard_tableaux(shape))[shape == dropped:]))
+    assert_fails(check_rsk_refinement(5), "image of class (m=2, i=1) is not the full "
+                                          "union of three-row tableaux")
