@@ -6,12 +6,14 @@ cap exceeded, 141 the reader closed stdout before the output ended (128 +
 SIGPIPE, as a shell reports a process that signal ended; nothing is
 printed to stderr).
 Counts print as CSV (header n,d,count) or JSON lines with big integers
-rendered as decimal strings.  The long JSON outputs of rsk and knuth-chain
-are written in pieces, in order, byte for byte as json.dumps prints them.
-Each costs a fixed number of interpreted steps per path or per move: rsk
-fills a path's text from one %-template of (row, column) cells with the
-path's columns, and knuth-chain keeps the word's text in one buffer, in
-which each move rewrites only the two tokens it swaps.
+rendered as decimal strings.  The long JSON outputs of rsk, bijection and
+knuth-chain are written in pieces, in order, byte for byte as json.dumps
+prints them, and each command holds only what it must before it writes:
+rsk keeps every insertion path's columns in one array of 4 bytes a cell and,
+once P and Q are written, fills a batch of paths per % call from one
+template of (row, column) cells; bijection writes the tableau row by row;
+knuth-chain keeps the word's text in one buffer, in which each move
+rewrites only the two tokens it swaps.
 
 Only the standard library and errors load with this module: each command
 imports the modules it runs when it runs, so that count loads counting
@@ -67,8 +69,8 @@ BROKEN_PIPE = 141
 # stdout (PYTHONUNBUFFERED), the 31,914 lines of n = 10 took 0.06 s
 # printed one at a time and 0.002 s in batches of 64, and batches of 256
 # raised the peak RSS by about 36 kB more.  The arrays
-# of rsk's paths and knuth-chain's moves and words are written in batches
-# of as many elements.
+# of rsk's paths, bijection's tableau rows and knuth-chain's moves and words
+# are written in batches of as many elements.
 MAX_DET_N = 160
 MAX_ASCENT_PARTS = 500
 MAX_ASCENT_CELLS = 1500
@@ -230,75 +232,93 @@ def _cmd_enumerate(args) -> int:
 def _cmd_bijection(args) -> int:
     from .bijection import perm_to_tableau, tableau_to_perm
     from .permutations import format_permutation, parse_permutation
-    from .tableaux import tableau_from_json, tableau_to_json
+    from .tableaux import format_shape, tableau_from_json
     if (args.perm is None) == (args.tableau is None):
         raise ValueError("provide exactly one of --perm or --tableau")
     if args.perm is not None:
         w = parse_permutation(args.perm)
         t = perm_to_tableau(w)
         ok = tableau_to_perm(t) == w
-        print(json.dumps({"perm": format_permutation(w),
-                          "tableau": tableau_to_json(t),
-                          "round_trip": "ok" if ok else "FAILED"}))
     else:
         try:
             data = json.loads(args.tableau)
         except RecursionError:
             raise ValueError("--tableau is nested too deeply to read") from None
         t = tableau_from_json(data)
+        del data  # t holds the rows; the maps below need no second copy
         w = tableau_to_perm(t)
         ok = perm_to_tableau(w) == t
-        print(json.dumps({"tableau": tableau_to_json(t),
-                          "perm": format_permutation(w),
-                          "round_trip": "ok" if ok else "FAILED"}))
+    # both maps have run, so every refusal is raised above.  The object is
+    # written field by field, "perm" first or after the tableau as the input
+    # came, and the tableau's rows as its array; json.dumps escapes the
+    # shape's empty-set sign as \u2205
+    perm = f'"perm": {json.dumps(format_permutation(w))}, '
+    head, tail = (perm, "") if args.perm is not None else ("", perm)
+    out = sys.stdout
+    out.write(f'{{{head}"tableau": {{"shape": {json.dumps(format_shape(t.shape))}, "rows": ')
+    _write_array(out, map(json.dumps, t.rows))
+    out.write(f'}}, {tail}"round_trip": "{"ok" if ok else "FAILED"}"}}\n')
     return OK if ok else VERIFY_FAILURE
 
 
-def _write_array(out, texts: Iterable[str]) -> None:
+def _write_array(out, texts: Iterable[str], per_write: int = WRITE_BATCH) -> None:
     """Write the JSON array of the given element texts, separated as
-    json.dumps separates them, WRITE_BATCH elements to a write.  Should
+    json.dumps separates them, per_write elements to a write.  Should
     texts raise, the elements it gave before are written first, so the
-    output stops where one write per element would have stopped it."""
+    output stops where one write per element would have stopped it.  An
+    element text may hold several elements joined by ", "."""
     texts = iter(texts)
     out.write("[")
     sep = ""
     while True:
         batch: list[str] = []
         try:
-            for text in itertools.islice(texts, WRITE_BATCH):
-                batch.append(text)
+            # list.extend keeps the elements it took before texts raised
+            batch.extend(itertools.islice(texts, per_write))
         finally:
             if batch:
                 out.write(sep + ", ".join(batch))
                 sep = ", "
-        if len(batch) < WRITE_BATCH:
+        if len(batch) < per_write:
             break
     out.write("]")
 
 
 def _cmd_rsk(args) -> int:
+    from array import array
     from .permutations import format_permutation, parse_permutation
     from .rsk import _rsk_steps
     w = parse_permutation(args.perm)
     p: list[list[int]] = []
     q: list[list[int]] = []
-    # each path is kept only as its JSON text, which fills the first k cells
-    # of one template "[1, %d], [2, %d], ..." with its k columns; the
-    # template grows to the longest path so far, and end[k] is where its
-    # k-th cell ends
-    template, end = "", [0]
-    paths = []
-    for cols in _rsk_steps(w, p, q):
-        k = len(cols)
-        while k >= len(end):
-            template += f", [{len(end)}, %d]" if template else "[1, %d]"
-            end.append(len(template))
-        paths.append("[" + template[:end[k]] % tuple(cols) + "]")
+    # every path runs down rows 1..k, so it is kept as its k columns alone:
+    # all of them in one flat array, beside an array of the lengths k
+    cols, lengths = array("I"), array("I")
+    for path in _rsk_steps(w, p, q):
+        cols.fromlist(path)
+        lengths.append(len(path))
     out = sys.stdout
     out.write(f'{{"perm": {json.dumps(format_permutation(w))}, '
               f'"shape": {json.dumps([len(row) for row in p])}, '
               f'"P": {json.dumps(p)}, "Q": {json.dumps(q)}, "paths": ')
-    _write_array(out, paths)
+    # a path of length k fills the first k cells of one template
+    # "[1, %d], [2, %d], ..." as long as P's rows; end[k] is where its k-th
+    # cell ends
+    cells = [f"[{r}, %d]" for r in range(1, len(p) + 1)]
+    template = ", ".join(cells)
+    end = list(itertools.accumulate((len(cell) + 2 for cell in cells), initial=-2))
+
+    def batches() -> Iterator[str]:
+        # WRITE_BATCH paths, joined, for each % call
+        start = 0
+        for i in range(0, len(lengths), WRITE_BATCH):
+            ks = lengths[i:i + WRITE_BATCH]
+            stop = start + sum(ks)
+            yield ("[" + "], [".join([template[:end[k]] for k in ks]) + "]") \
+                % tuple(cols[start:stop])
+            start = stop
+
+    _write_array(out, batches(), 1)
     out.write("}\n")
     return OK
 

@@ -461,7 +461,7 @@ def run_suite(suite: str, max_n: int = 8) -> dict:
     the brute-force sweeps; formula-only ranges are fixed and cheap."""
     if suite == "all":
         functions = [fn for fns in SUITES.values() for fn in fns]
-    elif suite in SUITES:
+    elif isinstance(suite, str) and suite in SUITES:
         functions = list(SUITES[suite])
     else:
         raise ValueError(f"unknown suite {suite!r}; choose all, " + ", ".join(SUITES))

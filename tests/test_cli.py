@@ -13,13 +13,14 @@ from pathlib import Path
 
 import pytest
 from test_bijection import random_filling
+from test_golden import minimal_1000_runs
 
 import minperm.verify as verify
 from minperm import (SkewShape, SkewTableau, catalan, decreasing_run_lengths,
                      enumerate_minimal, even_odd_split, format_permutation,
                      insertion_tableau, knuth_chain, one_ascent_count,
                      perm_to_tableau, rsk_inverse, rsk_trace, shape_from_runs,
-                     tableau_to_perm, two_ascent_count)
+                     tableau_to_json, tableau_to_perm, two_ascent_count)
 import minperm.cli as cli
 from minperm.cli import (MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_CLOSED_N, MAX_DET_N,
                          main)
@@ -59,6 +60,19 @@ def rsk_stdout_by_dumps(w):
         "shape": [len(row) for row in p],
         "P": p, "Q": q, "paths": paths,
     }) + "\n"
+
+
+def bijection_stdout_by_dumps(w=None, t=None):
+    """Oracle for `bijection --perm w`, or `--tableau t`: the whole object,
+    its keys in the order of the direction taken, printed through one
+    json.dumps."""
+    if t is None:
+        t = perm_to_tableau(w)
+        payload = {"perm": format_permutation(w), "tableau": tableau_to_json(t)}
+    else:
+        w = tableau_to_perm(t)
+        payload = {"tableau": tableau_to_json(t), "perm": format_permutation(w)}
+    return json.dumps({**payload, "round_trip": "ok"}) + "\n"
 
 
 def knuth_chain_stdout_by_dumps(w):
@@ -496,6 +510,33 @@ class TestBijection:
             assert (code, out) == (2, "")
             assert f"'shape' must be a string, got {shape!r}" in err
 
+    def test_stdout_matches_dumps(self, capsys):
+        # one run of 3 prints its shape 1,1,1/∅ with the sign escaped
+        words = [(3, 2, 1), (2, 1, 4, 3), (2, 1, 5, 4, 3)]
+        words += random.Random(7).sample(list(enumerate_minimal(8)), 20)
+        words += [minimal_1000_runs()]
+        for w in words:
+            t = perm_to_tableau(w)
+            for argv, want in (
+                    (["--perm", format_permutation(w)], bijection_stdout_by_dumps(w=w)),
+                    (["--tableau", json.dumps(tableau_to_json(t))],
+                     bijection_stdout_by_dumps(t=t))):
+                assert run(capsys, "bijection", *argv) == (0, want, ""), w
+        code, out, _ = run(capsys, "bijection", "--perm", "3 2 1")
+        assert code == 0 and '"shape": "1,1,1/\\u2205"' in out
+
+    def test_traced_memory(self):
+        # printed through one json.dumps, with the tableau copied into lists,
+        # the 1000-run word peaked at 7.2 MiB and its tableau, read back, at
+        # 9.3 MiB; written row by row they peak at 3.2 and 4.3 MiB, the
+        # second while the parsed JSON and the tableau built from it coexist
+        w = minimal_1000_runs()
+        code, peak = traced_peak(["bijection", "--perm", format_permutation(w)])
+        assert code == 0 and peak < 5 * 2**20, peak
+        tableau = json.dumps(tableau_to_json(perm_to_tableau(w)))
+        code, peak = traced_peak(["bijection", "--tableau", tableau])
+        assert code == 0 and peak < 6 * 2**20, peak
+
     def test_deep_nesting_rejected(self, capsys):
         # json.loads raised RecursionError, a traceback and exit 1; 50,000
         # levels are above the nesting json.loads reads on Python 3.10-3.13
@@ -540,17 +581,20 @@ class TestRsk:
 
     def test_traced_memory(self):
         # the paths of a length-8000 word took 29 MB when held as tuples and
-        # printed through one json.dumps; kept as text, the run peaks near 5 MB
+        # printed through one json.dumps, and 5.0 MiB held as one text per
+        # path; kept as columns in one array of 4 bytes a cell, the run
+        # peaks at 2.7 MiB
         w = random.Random(1).sample(range(1, 8001), 8000)
         code, peak = traced_peak(["rsk", "--perm", ",".join(map(str, w))])
-        assert code == 0 and peak < 8 * 2**20, peak
+        assert code == 0 and peak < 4 * 2**20, peak
 
     def test_traced_memory_every_path_length(self):
         # the decreasing word of length 1000 has paths of every length
-        # 1..1000, 500,500 cells: one template grown to the longest path
-        # peaked at 7.2 MB, where a template cached per path length took 12.4 MB
+        # 1..1000, 500,500 cells: held as one text per path they peaked at
+        # 6.1 MiB, and as columns in one array at 4.0 MiB, a third of it
+        # the last batch's text
         code, peak = traced_peak(["rsk", "--perm", ",".join(map(str, range(1000, 0, -1)))])
-        assert code == 0 and peak < 8 * 2**20, peak
+        assert code == 0 and peak < 5 * 2**20, peak
 
     @pytest.mark.parametrize("case", ["not a permutation", "a repeated letter"])
     def test_refusal_prints_nothing(self, capsys, case):
@@ -735,14 +779,17 @@ class TestWriteArray:
     def test_commands_write_in_batches(self, monkeypatch):
         # written one element at a time, the staircase's chain took 44,705
         # writes and rsk on a length-8000 word 16,003, each a system call on
-        # an unbuffered stdout
+        # an unbuffered stdout.  The tableau of the 1000-run word has 509 rows
         batches = -(-11175 // cli.WRITE_BATCH)
         w = random.Random(1).sample(range(1, 8001), 8000)
+        runs_1000 = minimal_1000_runs()
         for argv, want, writes in [
                 (["knuth-chain", "--perm", ",".join(map(str, staircase(150)))],
                  knuth_chain_stdout_by_dumps(staircase(150)), 3 + 2 * (2 + batches)),
                 (["rsk", "--perm", ",".join(map(str, w))],
-                 rsk_stdout_by_dumps(w), 4 + 8000 // cli.WRITE_BATCH)]:
+                 rsk_stdout_by_dumps(w), 4 + 8000 // cli.WRITE_BATCH),
+                (["bijection", "--perm", format_permutation(runs_1000)],
+                 bijection_stdout_by_dumps(w=runs_1000), 4 + -(-509 // cli.WRITE_BATCH))]:
             out = Writes()
             monkeypatch.setattr(sys, "stdout", out)
             assert main(argv) == 0

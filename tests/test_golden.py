@@ -8,6 +8,7 @@ Regenerate the files (only when an output is meant to change) with
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -19,7 +20,9 @@ import pytest
 
 from minperm.cli import (MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_CLOSED_N, MAX_DET_N,
                          main)
+from minperm.bijection import tableau_to_perm
 from minperm.permutations import DEFAULT_MAX_BRUTE_N, format_permutation
+from minperm.tableaux import shape_from_runs
 from minperm.verify import WORKED_PERM_13, WORKED_PERM_16
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -57,12 +60,36 @@ INVOCATIONS = {
     "verify_all_9": ["verify", "--suite", "all", "--max-n", "9"],
 }
 
+
+
+@functools.cache
+def minimal_1000_runs():
+    """A seeded minimal permutation of 1000 decreasing runs of 2 and 3
+    letters (2,507 letters): the column reading of a standard filling of its
+    drawn shape, whose padded rows hold 260,882 cells."""
+    from test_bijection import random_filling
+    rng = random.Random(1000)
+    runs = tuple(rng.choice((2, 3)) for _ in range(1000))
+    return tableau_to_perm(random_filling(shape_from_runs(runs).conjugated(), rng))
+
+
+# the long arguments that DIGESTS names in capitals, made when a test runs
+LONG_ARGS = {
+    "WORD_8000": lambda: format_permutation(random.Random(1).sample(range(1, 8001), 8000)),
+    "RUNS_1000": lambda: format_permutation(minimal_1000_runs()),
+}
+
 # outputs past the goldens, in the comma format, pinned by their sha256 and
 # line count
 DIGESTS = {
     "enumerate --n 10": ("1919468fa4319123939646ea0a9eacb1db8d25707680c523f951ecdd4feb30ab", 31914),
     "enumerate --n 11 --d 6":
         ("306c4b7154f8ac7c44d793d9a5842bf4b064601330579a08d7df23758a2cf0a5", 5280),
+    # the maps workload's rsk length, and a tableau of the bijection's size
+    "rsk --perm WORD_8000":
+        ("dcaa212b4a8dd05c333d0e1c32f4e774e2453f4e5e303f9e7cb5e0b2c1ac3172", 1),
+    "bijection --perm RUNS_1000":
+        ("613c0735fa85c3f595f1f857dfc3ce005f8e3a6b730d3a88dfc1be81f5b91953", 1),
 }
 
 
@@ -143,7 +170,7 @@ def test_stdout_matches_golden(name):
 
 @pytest.mark.parametrize("command", sorted(DIGESTS))
 def test_stdout_matches_digest(command):
-    case = replay(command.split())
+    case = replay([LONG_ARGS[arg]() if arg in LONG_ARGS else arg for arg in command.split()])
     stdout = case["stdout"].encode()
     assert case["exit"] == 0
     assert (hashlib.sha256(stdout).hexdigest(), stdout.count(b"\n")) == DIGESTS[command]

@@ -4,6 +4,7 @@ run at any share count, with no child left behind.  Each check must fail
 when the route it checks is broken."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -176,6 +177,14 @@ def test_non_int_max_n_rejected(max_n):
     # 2.0 once raised TypeError from deep inside a check
     with pytest.raises(ValueError, match="^max_n must be an integer, got "):
         run_suite("rsk", max_n)
+
+
+@pytest.mark.parametrize("suite", [["all"], {"a": 1}, 5, "All"], ids=repr)
+def test_unknown_suite_rejected(suite):
+    # a list or a dict raised TypeError (unhashable type) from `suite in SUITES`
+    message = f"unknown suite {suite!r}; choose all, counts, bijection, rsk"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite(suite)
 
 
 def test_transpose_mismatch_fails(monkeypatch):
