@@ -591,8 +591,8 @@ class TestRsk:
     def test_traced_memory_every_path_length(self):
         # the decreasing word of length 1000 has paths of every length
         # 1..1000, 500,500 cells: held as one text per path they peaked at
-        # 6.1 MiB, and as columns in one array at 4.0 MiB, a third of it
-        # the last batch's text
+        # 6.1 MiB, and as columns in one array at 4.0 MiB, 1.65 MiB of it
+        # for formatting 64 of these long paths per % call
         code, peak = traced_peak(["rsk", "--perm", ",".join(map(str, range(1000, 0, -1)))])
         assert code == 0 and peak < 5 * 2**20, peak
 
@@ -917,7 +917,9 @@ class TestBrokenPipe:
     @pytest.mark.parametrize("argv", [
         ("enumerate", "--n", "10"),
         ("knuth-chain", "--perm", ",".join(map(str, staircase(150)))),
-    ], ids=["enumerate", "knuth-chain"])
+        ("rsk", "--perm", ",".join(map(str, random.Random(1).sample(range(1, 8001), 8000)))),
+        ("bijection", "--perm", format_permutation(minimal_1000_runs())),
+    ], ids=["enumerate", "knuth-chain", "rsk", "bijection"])
     def test_closed_pipe_is_quiet(self, argv):
         # the reader takes 10 bytes of a much longer output and closes the pipe
         with subprocess.Popen([*CHILD, *argv], env=CHILD_ENV,

@@ -61,7 +61,6 @@ INVOCATIONS = {
 }
 
 
-
 @functools.cache
 def minimal_1000_runs():
     """A seeded minimal permutation of 1000 decreasing runs of 2 and 3
