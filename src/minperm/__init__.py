@@ -23,7 +23,7 @@ _EXPORTS = {
                      "decreasing_run_lengths", "descent_count", "descent_set",
                      "duplicate_loss", "enumerate_minimal",
                      "format_permutation", "is_minimal",
-                     "is_minimal_by_deletion", "is_permutation", "max_brute_n",
+                     "is_minimal_by_deletion", "is_permutation",
                      "minimality_violation", "parse_permutation",
                      "standardize"),
     "rsk": ("KnuthMove", "apply_knuth_move", "double_descent_class",

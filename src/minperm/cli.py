@@ -30,7 +30,7 @@ import sys
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DEFAULT_MAX_BRUTE_N, CapExceededError, _check_int, _parse_int
+from .errors import CapExceededError, _check_int, _parse_int
 
 OK, VERIFY_FAILURE, USAGE_ERROR, CAP_ERROR = 0, 1, 2, 3
 # 128 + SIGPIPE (13): what a shell reports for a process that SIGPIPE ended
@@ -112,8 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fix the decreasing-run lengths instead of --d")
     count.add_argument("--method", choices=("det", "closed", "brute"), default="det")
     count.add_argument("--format", choices=("csv", "json"), default="csv")
-    count.add_argument("--max-brute-n", type=_int_arg, default=None,
-                       help=f"override the brute-force cap (default {DEFAULT_MAX_BRUTE_N})")
     count.set_defaults(handler=_cmd_count)
 
     enum = sub.add_parser("enumerate", help="list minimal permutations")
@@ -122,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--ascents", type=_ascents_arg, metavar="a1,a2,...")
     enum.add_argument("--double-descent-at", type=_int_arg, metavar="J",
                       help="require descents at both positions J and J+1")
-    enum.add_argument("--max-brute-n", type=_int_arg, default=None)
     enum.set_defaults(handler=_cmd_enumerate)
 
     bij = sub.add_parser("bijection", help="map between permutations and tableaux")
@@ -141,18 +138,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the cross-verification suites")
     verify.add_argument("--max-n", type=_int_arg, default=8,
-                        help="cap for the brute-force sweeps (default 8)")
+                        help="longest permutations the exhaustive sweeps enumerate; "
+                             "each check also stops at 9 or 10 (default 8)")
     verify.add_argument("--suite", choices=("all", *SUITE_NAMES), default="all")
     verify.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
-def _brute_force(n: int, max_n: int | None, what: str, **constraints) -> Iterator[tuple[int, ...]]:
-    """enumerate_minimal(n, max_n=max_n, ...) naming --max-brute-n in its cap error, refused
-    as what.format(its length) if it would yield more than MAX_ENUMERATE_LINES words."""
+def _brute_force(n: int, what: str, **constraints) -> Iterator[tuple[int, ...]]:
+    """enumerate_minimal(n, ...), refused as what.format(its length) if it
+    would yield more than MAX_ENUMERATE_LINES words."""
     from .permutations import _minimal_search
-    words, stream = _minimal_search(n, max_n=max_n, cap_flag="--max-brute-n", **constraints)
+    words, stream = _minimal_search(n, **constraints)
     if words > MAX_ENUMERATE_LINES:
         raise CapExceededError(f"{what.format(words)}, above the cap of {MAX_ENUMERATE_LINES}")
     return stream
@@ -186,7 +184,7 @@ def _cmd_count(args) -> int:
         if args.method == "closed":
             raise ValueError("no closed form is available for a fixed ascent sequence")
         if args.method == "brute":
-            value = sum(1 for _ in _brute_force(n, args.max_brute_n, BRUTE_WALK, runs=runs))
+            value = sum(1 for _ in _brute_force(n, BRUTE_WALK, runs=runs))
         else:
             if len(runs) > MAX_ASCENT_PARTS or n > MAX_ASCENT_CELLS:
                 raise CapExceededError(
@@ -203,7 +201,7 @@ def _cmd_count(args) -> int:
     band = range((n + 1) // 2, n) if d is None else (d,)
     if args.method == "brute":
         from .permutations import descent_count
-        tally = Counter(map(descent_count, _brute_force(n, args.max_brute_n, BRUTE_WALK, d=d)))
+        tally = Counter(map(descent_count, _brute_force(n, BRUTE_WALK, d=d)))
         counts = {k: tally[k] for k in band}
     elif args.method == "det":
         counts = minimal_count_band(n) if d is None else {d: minimal_count(n, d)}
@@ -220,7 +218,7 @@ def _cmd_enumerate(args) -> int:
     from .permutations import _separator
     if args.ascents is not None and args.d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
-    words = _brute_force(args.n, args.max_brute_n, "enumerate would print {} lines", d=args.d,
+    words = _brute_force(args.n, "enumerate would print {} lines", d=args.d,
                          runs=args.ascents, j=args.double_descent_at)
     template = None  # one "%d" per letter, built once there is a line to print
     while batch := list(itertools.islice(words, WRITE_BATCH)):

@@ -1,12 +1,9 @@
-"""Errors, argument checks and limits shared by every module; it imports
-nothing from the package, so each command can load it without the rest.
-Each argument rule lives here once: _check_int holds the bounds messages
-of every single-int argument, and _Validated the value types' contract."""
+"""Errors and argument checks shared by every module; it imports nothing
+from the package, so each command can load it without the rest.  Each
+argument rule lives here once: _check_int holds the bounds messages of
+every single-int argument, and _Validated the value types' contract."""
 
 from typing import Callable
-
-# enumerate_minimal's brute-force cap on n, unless its max_n is given
-DEFAULT_MAX_BRUTE_N = 11
 
 
 class CapExceededError(RuntimeError):
@@ -16,10 +13,13 @@ class CapExceededError(RuntimeError):
 
 def _check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
     """ValueError unless value is an int, not a bool or a float, in lo..hi;
-    either bound may be None, and hi is given only with lo."""
+    either bound may be None, and hi is given only with lo.  An empty
+    range, hi < lo, refuses every value."""
     if type(value) is not int:  # exact type: no bool, no float
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if hi is not None:
+        if hi < lo:
+            raise ValueError(f"no {name} is valid here ({lo}..{hi} is empty), got {value}")
         if not lo <= value <= hi:
             raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
     elif lo is not None and value < lo:

@@ -25,8 +25,8 @@ import itertools
 import operator
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (DEFAULT_MAX_BRUTE_N, CapExceededError, _as_tuple,
-                     _check_int, _check_ints, _parse_int)
+from .errors import (CapExceededError, _as_tuple, _check_int, _check_ints,
+                     _parse_int)
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -296,14 +296,6 @@ def duplicate_loss(perm: Sequence[int], start: int, stop: int,
     return tuple(x for idx, x in enumerate(duplicated) if idx not in drop)
 
 
-def max_brute_n(override: int | None = None) -> int:
-    """Resolve the brute-force size cap: an explicit override wins, else the
-    default of 11.  An override must be an int of at least 1."""
-    value = DEFAULT_MAX_BRUTE_N if override is None else override
-    _check_int("brute-force cap", value, 1)
-    return value
-
-
 # the most entries a completion-count table may hold: on a 2-core x86-64 machine
 # (Python 3.11) the whole table at n = 126, 992,373 entries, took 0.15 s and 66 MB
 MAX_TABLE_ENTRIES = 1_000_000
@@ -316,30 +308,29 @@ MEMO_DEPTH = 5
 
 def enumerate_minimal(n: int, d: int | None = None,
                       runs: Sequence[int] | None = None,
-                      double_descent_at: int | None = None,
-                      max_n: int | None = None) -> Iterator[tuple[int, ...]]:
+                      double_descent_at: int | None = None) -> Iterator[tuple[int, ...]]:
     """All minimal permutations of length n in lexicographic order,
     optionally restricted to descent count d, to decreasing-run lengths
     runs, or to descents at both positions j and j+1 (double_descent_at=j).
 
     One walk of the prefix tree serves every constraint, entering only the
     prefixes that a table of completion counts, built on the call after the
-    argument checks, shows to have one (see _minimal_search).  Refuses n
-    above the brute-force cap, then a table above MAX_TABLE_ENTRIES.
+    argument checks, shows to have one (see _minimal_search).  Refuses a
+    table above MAX_TABLE_ENTRIES, sized before it is built.
 
     >>> list(enumerate_minimal(3))
     [(3, 2, 1)]
     >>> list(enumerate_minimal(4, d=2))
     [(2, 1, 4, 3), (3, 1, 4, 2)]
     """
-    return _minimal_search(n, d, runs, double_descent_at, max_n)[1]
+    return _minimal_search(n, d, runs, double_descent_at)[1]
 
 
 def _minimal_search(n: int, d: int | None = None, runs: Sequence[int] | None = None,
-                    j: int | None = None, max_n: int | None = None,
-                    cap_flag: str = "the max_n argument") -> tuple[int, Iterator[tuple[int, ...]]]:
+                    j: int | None = None) -> tuple[int, Iterator[tuple[int, ...]]]:
     """(count, stream): how many words enumerate_minimal's arguments select,
-    and those words in order; cap_flag says how to raise the n cap.
+    and those words in order; the count is exact, so a caller can refuse
+    the stream on it before any word is made.
 
     The structural test is local, so the completions of a prefix depend
     only on the ranks of its last two letters among the m unused values,
@@ -361,10 +352,6 @@ def _minimal_search(n: int, d: int | None = None, runs: Sequence[int] | None = N
     _check_int("n", n, 1)
     if d is not None:
         _check_int("d", d, 0)
-    cap = max_brute_n(max_n)
-    if n > cap:
-        raise CapExceededError(
-            f"enumeration over S_{n} exceeds the brute-force cap {cap}; raise it via {cap_flag}")
     wanted = None if runs is None else _check_ints("run lengths", runs)
     if wanted is not None and sum(wanted) != n:
         raise ValueError(f"run lengths {wanted} do not sum to {n}")

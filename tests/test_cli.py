@@ -205,8 +205,6 @@ class TestCount:
                 (("count", "--n", "٩"), "--n", "٩"),
                 (("count", "--n", "1_0", "--d", "5"), "--n", "1_0"),
                 (("count", "--n", "5", "--d", "３"), "--d", "３"),
-                (("count", "--n", "5", "--method", "brute", "--max-brute-n", "1_1"),
-                 "--max-brute-n", "1_1"),
                 (("enumerate", "--n", "٥"), "--n", "٥"),
                 (("enumerate", "--n", "5", "--double-descent-at", "١"), "--double-descent-at", "١"),
                 (("verify", "--max-n", "٤"), "--max-n", "٤")):
@@ -215,8 +213,10 @@ class TestCount:
             assert err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
 
     def test_cap_exceeded(self, capsys):
-        code, _, err = run(capsys, "count", "--n", "12", "--method", "brute")
-        assert code == 3 and "cap" in err
+        # the 14,207,779 minimal permutations of length 13 are refused
+        # before the walk, by the table's exact total
+        code, _, err = run(capsys, "count", "--n", "13", "--method", "brute")
+        assert code == 3 and "would walk 14207779 permutations, above the cap" in err
 
     def test_det_profile_cap(self, capsys):
         # the band at n = 40 sums 63 million run profiles, and answers
@@ -243,8 +243,8 @@ class TestCount:
         # listing the band of this n first died with a MemoryError traceback
         n = "99999999999"
         det = f"error: n={n} is above the cap {MAX_DET_N} for --method det\n"
-        brute = (f"error: enumeration over S_{n} exceeds the brute-force cap 11; "
-                 "raise it via --max-brute-n\n")
+        brute = (f"error: enumeration over S_{n} needs a completion-count table of at least "
+                 "5000000000049999999999 entries, above the cap of 1000000\n")
         closed = f"error: n={n} is above the cap {MAX_CLOSED_N} for --method closed\n"
         for argv, err in [((), det), (("--method", "det"), det), (("--method", "brute"), brute),
                           (("--method", "brute", "--format", "json"), brute),
@@ -303,20 +303,21 @@ class TestCount:
             assert (code, out) == (3, "") and "above the cap" in err
 
     def test_brute_cap_names_flag(self, capsys):
-        # the CLI user raises the cap with --max-brute-n, not the library's max_n
-        for argv in (("enumerate", "--n", "12"), ("count", "--n", "12", "--method", "brute")):
-            code, out, err = run(capsys, *argv)
-            assert (code, out) == (3, ""), argv
-            assert err == ("error: enumeration over S_12 exceeds the brute-force cap 11; "
-                           "raise it via --max-brute-n\n")
-        code, out, err = run(capsys, "enumerate", "--n", "8", "--max-brute-n", "7")
-        assert (code, out) == (3, "") and "cap 7; raise it via --max-brute-n" in err
+        # no cap on n is left to raise: --max-brute-n is an unknown option,
+        # and n = 14 answers within the table, line and walk caps
+        for argv in (("enumerate", "--n", "8"), ("count", "--n", "8", "--method", "brute")):
+            code, out, err = run(capsys, *argv, "--max-brute-n", "7")
+            assert (code, out) == (2, ""), argv
+            assert "--max-brute-n" in err, argv
+        code, out, _ = run(capsys, "enumerate", "--n", "14", "--d", "12")
+        assert code == 0 and len(out.splitlines()) == one_ascent_count(14) == 16200
+        assert run(capsys, "count", "--n", "14", "--d", "12", "--method", "brute") == \
+            (0, "n,d,count\n14,12,16200\n", "")
 
     def test_brute_walk_cap(self, capsys, monkeypatch):
         # brute force walks every minimal permutation of length n, and is
         # refused before the walk if they are more than the enumerate cap
-        code, out, err = run(capsys, "count", "--n", "20", "--method", "brute",
-                             "--max-brute-n", "20")
+        code, out, err = run(capsys, "count", "--n", "20", "--method", "brute")
         assert (code, out) == (3, "")
         assert err == ("error: count --method brute would walk 235784450363818 permutations, "
                        f"above the cap of {cli.MAX_ENUMERATE_LINES}\n")
@@ -338,13 +339,10 @@ class TestCount:
                    "above the cap of 168\n")
 
     def test_cap_env_override(self, capsys, monkeypatch):
-        # only --max-brute-n sets the cap; a stray variable changes nothing
+        # no cap is read from the environment: a stray variable changes nothing
         monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "5")
-        assert run(capsys, "count", "--n", "7", "--method", "brute")[0] == 0
-        assert run(capsys, "count", "--n", "8", "--method", "brute",
-                   "--max-brute-n", "7")[0] == 3
-        assert run(capsys, "count", "--n", "7", "--method", "brute",
-                   "--max-brute-n", "7")[0] == 0
+        assert run(capsys, "count", "--n", "7", "--method", "brute") == \
+            (0, "n,d,count\n7,4,84\n7,5,84\n7,6,1\n", "")
 
 
 class TestEnumerate:
@@ -393,42 +391,36 @@ class TestEnumerate:
             assert err == f"error: enumerate would print {lines} lines, above the cap of 62\n"
 
     def test_line_cap_past_the_brute_force_cap(self, capsys):
-        # Catalan(15) lines; a raised --max-brute-n lets the line cap refuse
-        # it, and the n cap still answers first
-        code, out, err = run(capsys, "enumerate", "--n", "30", "--d", "15",
-                             "--max-brute-n", "30")
-        assert (code, out) == (3, "")
-        assert err == (f"error: enumerate would print 9694845 lines, above the cap of "
-                       f"{cli.MAX_ENUMERATE_LINES}\n")
-        code, out, err = run(capsys, "enumerate", "--n", "30", "--d", "15")
-        assert (code, out) == (3, "") and "raise it via --max-brute-n" in err
+        # Catalan(15) lines, and the 14,207,779 of n = 13, are refused by
+        # the line cap alone
+        for argv, lines in ((("--n", "30", "--d", "15"), 9694845), (("--n", "13"), 14207779)):
+            assert run(capsys, "enumerate", *argv) == (
+                3, "", f"error: enumerate would print {lines} lines, above the cap of "
+                       f"{cli.MAX_ENUMERATE_LINES}\n"), argv
 
     def test_table_cap(self, capsys):
-        # past the n cap, the completion-count table is sized before it is
-        # built, and refused before the line cap is asked; a huge n is
-        # refused by the row of m + 2 entries or more that each m holds
-        code, out, err = run(capsys, "enumerate", "--n", "200", "--max-brute-n", "200")
+        # the completion-count table is sized before it is built, and
+        # refused before the line cap is asked; a huge n is refused by the
+        # row of m + 2 entries or more that each m holds
+        code, out, err = run(capsys, "enumerate", "--n", "200")
         assert (code, out) == (3, "")
         assert err == ("error: enumeration over S_200 needs a completion-count table of "
                        "at least 3980197 entries, above the cap of 1000000\n")
         huge = "99999999999"
-        assert run(capsys, "enumerate", "--n", huge, "--max-brute-n", huge) == (
+        assert run(capsys, "enumerate", "--n", huge) == (
             3, "", f"error: enumeration over S_{huge} needs a completion-count table of at "
                    "least 5000000000049999999999 entries, above the cap of 1000000\n")
         # more ascents than a minimal permutation has are answered at once
-        assert run(capsys, "enumerate", "--n", huge, "--d", "3", "--max-brute-n", huge) == \
-            (0, "", "")
+        assert run(capsys, "enumerate", "--n", huge, "--d", "3") == (0, "", "")
         # one run keeps the table small: about n^2 / 2 entries
-        code, out, _ = run(capsys, "enumerate", "--n", "1000", "--d", "999",
-                           "--max-brute-n", "1000")
+        code, out, _ = run(capsys, "enumerate", "--n", "1000", "--d", "999")
         assert (code, out) == (0, ",".join(map(str, range(1000, 0, -1))) + "\n")
 
     def test_three_ascents_refused_on_the_table_size(self):
         # no closed form counts (1000, 996), and the column program took 45 s
         # on it; the table's size, found first, refuses the run at once
         start = time.perf_counter()
-        proc = subprocess.run([*CHILD, "enumerate", "--n", "1000", "--d", "996",
-                               "--max-brute-n", "1000"], env=CHILD_ENV,
+        proc = subprocess.run([*CHILD, "enumerate", "--n", "1000", "--d", "996"], env=CHILD_ENV,
                               capture_output=True, timeout=60)
         assert time.perf_counter() - start < 2
         assert (proc.returncode, proc.stdout) == (3, b"")
@@ -439,9 +431,8 @@ class TestEnumerate:
     def test_ten_runs_of_two(self):
         # ten runs of 2 list all Catalan(10) = 16,796 words in well under a
         # second; a walk that only counted ascents took 16 s already at n = 18
-        out = subprocess.run([*CHILD, "enumerate", "--n", "20", "--ascents", ",".join(["2"] * 10),
-                              "--max-brute-n", "20"], env=CHILD_ENV, stdout=subprocess.PIPE,
-                             check=True, timeout=20).stdout
+        out = subprocess.run([*CHILD, "enumerate", "--n", "20", "--ascents", ",".join(["2"] * 10)],
+                             env=CHILD_ENV, stdout=subprocess.PIPE, check=True, timeout=20).stdout
         assert out.count(b"\n") == 16796
 
     def test_batches_match_lines(self, capsys, monkeypatch):
@@ -451,6 +442,14 @@ class TestEnumerate:
         assert (code, out) == (0, "".join(format_permutation(w) + "\n"
                                            for w in enumerate_minimal(10)))
         assert run(capsys, "enumerate", "--n", "10") == (0, out, "")
+
+    def test_empty_double_descent_range(self, capsys):
+        # below length 3 no position can hold a double descent; the message
+        # said "must be in 1..0" as if that range held values
+        for n, empty in (("2", "1..0"), ("1", "1..-1")):
+            assert run(capsys, "enumerate", "--n", n, "--double-descent-at", "1") == (
+                2, "", f"error: no double-descent position is valid here ({empty} is empty), "
+                       "got 1\n"), n
 
     def test_non_ascii_ascents_rejected(self, capsys):
         # int() also reads other scripts' digits and underscores
@@ -876,8 +875,15 @@ class TestVerify:
         assert code == 2 and "--inject-fault" in err
 
     def test_cap_guard(self, capsys):
-        code, _, err = run(capsys, "verify", "--max-n", "12")
-        assert code == 3 and "cap" in err
+        # --max-n asks only for an int of at least 1: each check bounds its
+        # own sweep, so 12 and a huge n run the checks of 11
+        reports = {}
+        for max_n in ("11", "12", "9" * 30):
+            code, out, err = run(capsys, "verify", "--suite", "rsk", "--max-n", max_n)
+            assert (code, err) == (0, ""), max_n
+            reports[max_n] = json.loads(out)
+            assert reports[max_n]["max_n"] == int(max_n)
+        assert reports["12"]["checks"] == reports["11"]["checks"] == reports["9" * 30]["checks"]
 
     def test_max_n_below_one_rejected(self, capsys):
         for max_n in ("0", "-5"):

@@ -9,7 +9,7 @@ from minperm import (KnuthMove, SkewShape, apply_knuth_move, catalan,
                      compositions_min2, conjugate, count_standard_fillings,
                      double_descent_count, enumerate_minimal, hook_length,
                      insertion_tableau, inverse_bump, legal_knuth_moves,
-                     mansour_yan, max_brute_n, one_ascent_count, row_insert,
+                     mansour_yan, one_ascent_count, row_insert,
                      rsk, rsk_trace, run_suite, shape_from_runs,
                      three_row_syt_count, two_ascent_count)
 from minperm.cli import _build_parser
@@ -66,12 +66,19 @@ def test_message(call, message):
                  id="double_descent_count"),
     pytest.param(lambda: three_row_syt_count(3, 3), "k must be in 1..2, got 3",
                  id="three_row_syt_count"),
-    pytest.param(lambda: max_brute_n(0), "brute-force cap must be >= 1, got 0", id="max_brute_n"),
     pytest.param(lambda: enumerate_minimal(0), "n must be >= 1, got 0", id="enumerate_minimal n"),
     pytest.param(lambda: enumerate_minimal(5, d=-1), "d must be >= 0, got -1",
                  id="enumerate_minimal d"),
     pytest.param(lambda: enumerate_minimal(5, double_descent_at=4),
                  "double-descent position must be in 1..3, got 4", id="enumerate_minimal j"),
+    # an empty range is worded as empty, not as a range that holds values
+    pytest.param(lambda: double_descent_count(0, 1), "no i is valid here (1..0 is empty), got 1",
+                 id="double_descent_count empty"),
+    pytest.param(lambda: three_row_syt_count(0, 1), "no k is valid here (1..0 is empty), got 1",
+                 id="three_row_syt_count empty"),
+    pytest.param(lambda: enumerate_minimal(1, double_descent_at=1),
+                 "no double-descent position is valid here (1..-1 is empty), got 1",
+                 id="enumerate_minimal j empty"),
     pytest.param(lambda: count_standard_fillings(SkewShape((2,)), max_cells=-1),
                  "max_cells must be >= 0, got -1", id="max_cells"),
     pytest.param(lambda: run_suite("all", 0), "max_n must be >= 1, got 0", id="run_suite"),

@@ -1,21 +1,34 @@
-"""Seeded fuzz of the `bijection` command.
+"""Seeded fuzz of the `bijection` command, and of `enumerate` and
+`count --method brute`.
 
-Each argv is drawn from adversarial tokens with a fixed seed and a fixed
-count: malformed, deeply nested and non-object JSON, cells that are not
-ints (bools, floats, NaN, strings, huge ints), bad shapes, non-permutations
-and non-minimal words, beside valid inputs.  main must return 0, 2 or 3 and
-raise nothing; a refusal prints nothing to stdout and one `error:` line to
-stderr, and an answer reports a round trip that holds.
+Each bijection argv is drawn from adversarial tokens with a fixed seed and
+a fixed count: malformed, deeply nested and non-object JSON, cells that are
+not ints (bools, floats, NaN, strings, huge ints), bad shapes,
+non-permutations and non-minimal words, beside valid inputs.  main must
+return 0, 2 or 3 and raise nothing; a refusal prints nothing to stdout and
+one `error:` line to stderr, and an answer reports a round trip that holds.
+
+The search commands have no cap on n: the completion-count table's size
+and its exact line or walk total are their only refusals.  Their argvs
+draw n up to 40 and far past the table cap, with --d, --ascents and
+--double-descent-at around their bounds, and each call must end within a
+time budget, which shows that no input hangs.
 """
 
 import contextlib
 import io
 import json
 import random
+import signal
 from collections import Counter
 
-from minperm import enumerate_minimal, perm_to_tableau, tableau_to_json
+import pytest
+
+import minperm.cli as cli
+from minperm import (enumerate_minimal, minimal_count, minimal_count_by_runs,
+                     perm_to_tableau, tableau_to_json)
 from minperm.cli import main
+from minperm.permutations import _minimal_search
 
 SEED = 20101029
 CASES = 400
@@ -147,3 +160,102 @@ def test_bijection_fuzz():
             assert json.loads(out)["round_trip"] == "ok" and err == "", shown
     # the draws reach both answers and refusals
     assert codes[0] >= CASES // 20 and codes[2] >= CASES // 2, codes
+
+
+SEARCH_SEED = 1010_6261
+SEARCH_CASES = 400
+# the line and walk cap while the search fuzz runs, so that an answer stays
+# cheap to print and to check
+SEARCH_LINES = 2000
+# seconds for one call; the slowest draw takes a few hundredths
+BUDGET = 2.0
+# each is past the table cap, whose rows of m + 2 entries or more refuse
+# any n above 1412 unsized
+HUGE = (1413, 5000, 99_999_999_999, 10 ** 30)
+
+
+def parts(rng, total):
+    """A few run lengths summing to total: small ones, and the rest in one."""
+    small = [rng.choice((2, 2, 3, 4)) for _ in range(rng.randrange(6))]
+    runs = [total - sum(small), *small]
+    rng.shuffle(runs)
+    return runs
+
+
+def search_argv(rng):
+    """An argv of enumerate or count --method brute, and the n, d, run
+    lengths and double-descent position it asks for (None where unset)."""
+    n = rng.randint(1, 40) if rng.random() < 0.85 else rng.choice((-1, 0, *HUGE))
+    d = runs = j = None
+    if rng.random() < 0.5:
+        d = rng.choice((-1, 0, (n + 1) // 2 - 1, (n + 1) // 2, n - 2, n - 1, n, n + 1,
+                        rng.randint(0, max(n, 0))))
+    if rng.random() < (0.5 if d is None else 0.1):
+        kind = rng.randrange(4)
+        runs = (parts(rng, n) if kind < 2 else parts(rng, n + rng.choice((-1, 1))) if kind == 2
+                else [n])
+        if rng.random() < 0.2:
+            runs[rng.randrange(len(runs))] = rng.choice((0, 1))
+    command = rng.choice(("enumerate", "count"))
+    if command == "enumerate" and rng.random() < 0.3:
+        j = rng.choice((0, 1, n - 3, n - 2, n - 1, rng.randint(1, max(n, 1))))
+    # option=value, so that argparse reads a leading minus as part of it
+    argv = [command, f"--n={n}"]
+    if command == "count":
+        argv += ["--method=brute", f"--format={rng.choice(('csv', 'json'))}"]
+    for option, value in (("--d", d), ("--double-descent-at", j)):
+        if value is not None:
+            argv.append(f"{option}={value}")
+    if runs is not None:
+        argv.append(f"--ascents={','.join(map(str, runs))}")
+    return argv, n, d, runs, j
+
+
+class Hang(Exception):
+    """Raised by the timer when a call outruns BUDGET."""
+
+
+def _hang(signum, frame):
+    raise Hang
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+def test_search_fuzz(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", SEARCH_LINES)
+    rng = random.Random(SEARCH_SEED)
+    codes = Counter()
+    old = signal.signal(signal.SIGALRM, _hang)
+    try:
+        for _ in range(SEARCH_CASES):
+            argv, n, d, runs, j = search_argv(rng)
+            signal.setitimer(signal.ITIMER_REAL, BUDGET)
+            try:
+                code, out, err = run(argv)
+            except Hang:
+                pytest.fail(f"{argv} ran past {BUDGET} s")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            codes[code] += 1
+            assert code in (0, 1, 2, 3), argv
+            if code:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+                continue
+            assert err == "", argv
+            if argv[0] == "enumerate":
+                assert out.count("\n") == _minimal_search(n, d, runs, j)[0], argv
+                continue
+            if "--format=json" in argv:
+                rows = [(int(row["n"]), int(row["d"]), int(row["count"]))
+                        for row in map(json.loads, out.splitlines())]
+            else:
+                rows = [tuple(map(int, line.split(","))) for line in out.splitlines()[1:]]
+            if runs is not None:  # brute force finds no word with a run below 2
+                want = [(n, n - len(runs), minimal_count_by_runs(runs) if min(runs) > 1 else 0)]
+            else:
+                want = [(n, k, minimal_count(n, k))
+                        for k in (range((n + 1) // 2, n) if d is None else (d,))]
+            assert rows == want, argv
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    # the draws reach answers, usage errors and each cap
+    assert min(codes[0], codes[2], codes[3]) >= SEARCH_CASES // 10, codes

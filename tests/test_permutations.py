@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import minperm
 import minperm.permutations as permutations_module
 from minperm import (CapExceededError, ascent_set, check_permutation,
                      compositions_min2, contains_pattern,
                      decreasing_run_lengths, descent_count, descent_set,
                      double_descent_count, duplicate_loss, enumerate_minimal,
                      format_permutation, is_minimal, is_minimal_by_deletion,
-                     is_permutation, max_brute_n, minimal_count,
+                     is_permutation, minimal_count,
                      minimal_count_by_runs, minimality_violation,
                      parse_permutation, perm_to_tableau, shape_from_runs,
                      standardize, tableau_to_perm)
@@ -264,19 +265,21 @@ class TestEnumerateMinimal:
         assert total == 21
 
     def test_cap_refusal(self):
-        with pytest.raises(CapExceededError):
-            list(enumerate_minimal(12))
+        # with no cap on n, the table's size refuses a huge n on the call,
+        # from its row lengths alone
+        with pytest.raises(CapExceededError, match=r"^enumeration over S_10{30} needs a "
+                                                   "completion-count table of at least"):
+            enumerate_minimal(10 ** 30)
 
     def test_cap_env_override(self, monkeypatch):
-        # only the max_n argument sets the cap; a stray variable changes nothing
+        # no cap is read from the environment, and none is left on n: n = 12
+        # gets its generator on the call, and max_n is no argument
         monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "5")
-        assert max_brute_n() == 11
-        assert list(enumerate_minimal(6))
-        with pytest.raises(CapExceededError):
-            enumerate_minimal(12)
-        with pytest.raises(CapExceededError):  # explicit overrides move it both ways
-            enumerate_minimal(6, max_n=5)
-        assert list(enumerate_minimal(6, max_n=6))
+        assert len(list(enumerate_minimal(6))) == 38
+        assert next(enumerate_minimal(12)) == (2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11)
+        with pytest.raises(TypeError):
+            enumerate_minimal(6, max_n=6)
+        assert not hasattr(minperm, "max_brute_n")
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -309,13 +312,6 @@ class TestEnumerateMinimal:
             enumerate_minimal(3.0)
         with pytest.raises(ValueError, match="n must be an integer, got True"):
             enumerate_minimal(True)
-
-    def test_non_integer_cap_rejected(self):
-        with pytest.raises(ValueError, match=r"brute-force cap must be an integer, got 11\.9"):
-            max_brute_n(11.9)
-        with pytest.raises(ValueError, match="brute-force cap must be an integer, got True"):
-            enumerate_minimal(1, max_n=True)
-        assert max_brute_n() == 11 and max_brute_n(9) == 9
 
     def test_short_runs_yield_nothing(self):
         for runs in ((1, 4), (3, 1, 1), (5, 0), (6, -1), (1,) * 5):
@@ -383,7 +379,7 @@ class TestConstrainedSearch:
                                (9, {"d": 5, "double_descent_at": 3}), (11, {"d": 6}),
                                (10, {"double_descent_at": 4}), (12, {"runs": (3, 2, 4, 3)})):
             reads.clear()
-            out = list(enumerate_minimal(n, **constraints, max_n=n))
+            out = list(enumerate_minimal(n, **constraints))
             assert out and all(map(is_minimal, out)), constraints
             nodes = {m: {w[:n - m] if m > depth else state(w[:n - m], n, constraints.get("d"))
                          for w in out} for m in range(2, n + 1)}
@@ -395,8 +391,8 @@ class TestConstrainedSearch:
         def both(n, **constraints):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(permutations_module, "MEMO_DEPTH", 2)
-                shallow = list(enumerate_minimal(n, **constraints, max_n=n))
-            return shallow, list(enumerate_minimal(n, **constraints, max_n=n))
+                shallow = list(enumerate_minimal(n, **constraints))
+            return shallow, list(enumerate_minimal(n, **constraints))
 
         cases = [(n, {"d": d}) for n in range(1, 11) for d in (None, *range(n + 1))]
         cases += [(n, {"runs": runs}) for n in range(2, 10) for k in range(1, n // 2 + 1)
@@ -534,7 +530,7 @@ class TestPastTheCap:
                     count = minimal_count_by_runs(runs)
                     if count > 5000:
                         continue
-                    words = list(enumerate_minimal(n, runs=runs, max_n=n))
+                    words = list(enumerate_minimal(n, runs=runs))
                     assert len(words) == count, runs
                     assert all(decreasing_run_lengths(w) == runs and is_minimal_by_deletion(w)
                                for w in words), runs
@@ -544,12 +540,15 @@ class TestPastTheCap:
 
 class TestCompletionCounts:
     """The search's table counts its outputs with no determinant; its
-    totals against the counting layer, past the brute-force caps."""
+    totals against the counting layer, far past brute force."""
 
-    def test_every_descent_count_to_n30(self):
-        for n in range(1, 31):
+    def test_every_descent_count_to_n38(self):
+        # minimal_count through its chooser: a closed form where one covers
+        # (n, d), else the column program.  n <= 40 took 3.9 s against 3.0 s
+        # for n <= 38 (2-core x86-64, Python 3.11)
+        for n in range(1, 39):
             for d in range(n + 1):
-                assert _minimal_search(n, d=d, max_n=n)[0] == minimal_count(n, d), (n, d)
+                assert _minimal_search(n, d=d)[0] == minimal_count(n, d), (n, d)
 
     def test_double_descents_to_length_21(self):
         # length 2m+1 with m+1 descents has one double descent, at an odd j
@@ -557,7 +556,7 @@ class TestCompletionCounts:
             n = 2 * m + 1
             for j in range(1, n - 1):
                 want = double_descent_count(m, (j + 1) // 2) if j % 2 else 0
-                got = _minimal_search(n, d=m + 1, j=j, max_n=n)[0]
+                got = _minimal_search(n, d=m + 1, j=j)[0]
                 assert got == want, (m, j)
 
     def test_seeded_profiles(self):
@@ -565,7 +564,7 @@ class TestCompletionCounts:
         for _ in range(20):
             runs = tuple(rng.choice((2, 2, 2, 3, 4)) for _ in range(rng.randint(10, 25)))
             n = sum(runs)
-            assert _minimal_search(n, runs=runs, max_n=n)[0] == minimal_count_by_runs(runs), runs
+            assert _minimal_search(n, runs=runs)[0] == minimal_count_by_runs(runs), runs
 
     def test_positive_counts_form_one_interval(self, monkeypatch):
         # the walk enters every r between the first and the last positive
@@ -578,11 +577,11 @@ class TestCompletionCounts:
         for n in range(2, 15):
             for d in (None, *range(n)):
                 for j in (None, *range(1, n - 1)):
-                    _minimal_search(n, d=d, j=j, max_n=n)
+                    _minimal_search(n, d=d, j=j)
         rng = random.Random(32)
         for _ in range(100):
             runs = tuple(rng.choice((2, 2, 3, 4, 5)) for _ in range(rng.randint(2, 12)))
-            _minimal_search(sum(runs), runs=runs, j=rng.randint(1, sum(runs) - 2), max_n=sum(runs))
+            _minimal_search(sum(runs), runs=runs, j=rng.randint(1, sum(runs) - 2))
         rows = [row for table in tables for layer in table for drows, arows in layer.values()
                 for row in (*drows, *(arows or ()))]
         for row in rows:
@@ -591,12 +590,10 @@ class TestCompletionCounts:
         assert len(tables) > 500
 
     def test_table_cap(self, monkeypatch):
-        # the table is sized before it is built, after the cap on n
+        # the table is sized before it is built
         with pytest.raises(CapExceededError, match="needs a completion-count table of at "
                                                    r"least \d+ entries, above the cap of 1000000"):
-            enumerate_minimal(200, max_n=200)
-        with pytest.raises(CapExceededError, match="brute-force cap 199"):
-            enumerate_minimal(200, max_n=199)
+            enumerate_minimal(200)
         monkeypatch.setattr(permutations_module, "MAX_TABLE_ENTRIES", 65)
         assert len(list(enumerate_minimal(5))) == 11
         with pytest.raises(CapExceededError, match="table of at least 9[0-9] entries, above the cap"):

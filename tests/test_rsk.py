@@ -541,6 +541,8 @@ class TestClassMaps:
             syt_to_minimal(((1, 4), (2, 5), (3,)), 3)  # k=1 needs i <= n
         with pytest.raises(ValueError):
             syt_to_minimal(((1, 2), (3, 4)), 1)
+        with pytest.raises(ValueError, match=r"^expected shape \(n, n\+1-k, k\), got \(3, 1, 1\)$"):
+            syt_to_minimal(((1, 2, 3), (4,), (5,)), 1)
         # rows that are not a tableau are refused before any unbumping
         with pytest.raises(ValueError, match="does not lie strictly below row 1"):
             syt_to_minimal(((5, 6), (1, 2), (3,)), 1)

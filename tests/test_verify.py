@@ -16,16 +16,18 @@ import pytest
 import minperm.verify as verify
 from minperm.bijection import perm_to_tableau, tableau_to_perm
 from minperm.cli import main
-from minperm.counting import _column_count
+from minperm.counting import _column_count, double_descent_count
 from minperm.rsk import (apply_knuth_move, insertion_tableau, knuth_chain,
-                         syt_to_minimal)
+                         row_insert, syt_to_minimal)
 from minperm.tableaux import (SkewShape, count_standard_fillings, shape_from_runs,
                               skew_standard_tableaux, skew_syt_count)
 from minperm.verify import (Check, check_bijection_round_trip, check_catalan_law,
                             check_determinant_vs_enumeration,
-                            check_odd_length_formula,
+                            check_double_descent_refinement,
+                            check_insertion_paths, check_odd_length_formula,
                             check_one_ascent_closed_form, check_rsk_refinement,
-                            check_two_ascent_closed_form, run_suite)
+                            check_three_way_counts, check_two_ascent_closed_form,
+                            check_worked_chain, run_suite)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = GOLDEN.parent.parent / "src"
@@ -253,3 +255,82 @@ def test_missing_three_row_tableau_fails(monkeypatch):
         list(skew_standard_tableaux(shape))[shape == dropped:]))
     assert_fails(check_rsk_refinement(5), "image of class (m=2, i=1) is not the full "
                                           "union of three-row tableaux")
+
+
+def paths_of(fake_path):
+    """row_insert with the tableau it makes, but the path fake_path(p, x, path)."""
+    def insert(p, x):
+        q, path = row_insert(p, x)
+        return q, fake_path(p, x, path)
+    return insert
+
+
+# one failure branch of each check per case, reached by one name of
+# minperm.verify patched: (check, max_n, name, stand-in, expected detail);
+# max_n is the least that reaches the branch
+FAILURE_BRANCHES = [
+    pytest.param(check_three_way_counts, 2, "is_minimal_by_deletion", lambda w: False,
+                 "oracles disagree at (2, 1)", id="oracles"),
+    pytest.param(check_catalan_law, 2, "enumerate_minimal", lambda *args, **kwargs: iter(()),
+                 "brute count at (n=2, d=1) is 0, expected 1", id="closed-form brute"),
+    pytest.param(check_double_descent_refinement, 3, "enumerate_minimal",
+                 lambda *args, **kwargs: iter(()),
+                 "enumeration at (m=1, i=1) gives 0, expected 1", id="double-descent class"),
+    pytest.param(check_double_descent_refinement, 1, "three_row_syt_count", lambda m, k: 0,
+                 "tableau-count sum differs at (m=1, i=1)", id="three-row sum"),
+    # the upper half of each refinement one too large
+    pytest.param(check_double_descent_refinement, 1, "double_descent_count",
+                 lambda m, i: double_descent_count(m, i) + (2 * i > m + 1),
+                 "symmetry fails at (m=2, i=1)", id="symmetry"),
+    pytest.param(check_double_descent_refinement, 1, "mansour_yan", lambda m: 0,
+                 "refinement does not sum to the total at m=1", id="refinement total"),
+    pytest.param(check_double_descent_refinement, 1, "hook_count", lambda shape: 0,
+                 "three-row formula differs from hooks at (m=1, k=1)", id="three-row hooks"),
+    pytest.param(check_double_descent_refinement, 1, "skew_syt_count", lambda shape: 0,
+                 "skew determinant differs at (m=1, i=1)", id="double-descent determinant"),
+    pytest.param(check_determinant_vs_enumeration, 1, "minimal_count_by_runs", lambda runs: 0,
+                 "runs (2,): determinant=0 path count=1", id="profile determinant"),
+    # a shape and its conjugate agree, and both differ from the path count
+    pytest.param(check_determinant_vs_enumeration, 1, "skew_syt_count", lambda shape: 0,
+                 "random shape 4/1: determinant 0 differs from the path count",
+                 id="random shape"),
+    pytest.param(check_determinant_vs_enumeration, 1, "hook_count", lambda shape: 0,
+                 "hooks and determinant differ on (15,)", id="hooks"),
+    pytest.param(check_bijection_round_trip, 1, "WORKED_TABLEAU_16_ROWS", (),
+                 "16-cell worked example does not reproduce the known tableau",
+                 id="worked tableau"),
+    pytest.param(check_bijection_round_trip, 1, "tableau_to_perm", lambda t: (),
+                 "16-cell worked example does not invert", id="worked inverse"),
+    pytest.param(check_rsk_refinement, 3, "even_odd_split", lambda w: (),
+                 "chain of (3, 2, 1) ends at (3, 2, 1), not the split form", id="chain end"),
+    pytest.param(check_rsk_refinement, 3, "insertion_tableau", lambda w: (),
+                 "the first 2 letters of the split form of (3, 2, 1) insert to shape (), "
+                 "not (1, 1)", id="split prefix"),
+    pytest.param(check_insertion_paths, 1, "row_insert",
+                 paths_of(lambda p, x, path: tuple((r + 1, c) for r, c in path)),
+                 "path ((2, 1),) skips rows", id="rows skipped"),
+    pytest.param(check_insertion_paths, 1, "row_insert",
+                 paths_of(lambda p, x, path: (*path, (len(path) + 1, path[-1][1] + 1))),
+                 "path ((1, 1), (2, 2)) moves right going down", id="path moves right"),
+    # one cell down column 1 for each entry of p below x
+    pytest.param(check_insertion_paths, 1, "row_insert",
+                 paths_of(lambda p, x, path: tuple(
+                     (r, 1) for r in range(1, 2 + sum(y < x for row in p for y in row)))),
+                 "second path longer: ((1, 1),) then ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1))",
+                 id="second path longer"),
+    pytest.param(check_insertion_paths, 1, "row_insert", paths_of(lambda p, x, path: ((1, 1),)),
+                 "paths not strictly separated: ((1, 1),) then ((1, 1),)", id="paths meet"),
+    pytest.param(check_worked_chain, 1, "apply_knuth_move", lambda word, move: word,
+                 "chain ends at (6, 3, 7, 4, 1, 5, 2, 9, 8, 11, 10, 13, 12)",
+                 id="worked chain end"),
+    pytest.param(check_worked_chain, 1, "even_odd_split", lambda w: (),
+                 "split form differs from the known terminal word", id="worked split"),
+    pytest.param(check_worked_chain, 1, "insertion_tableau", lambda w: w,
+                 "insertion tableau is not preserved", id="worked tableau kept"),
+]
+
+
+@pytest.mark.parametrize("check, max_n, name, stand_in, detail", FAILURE_BRANCHES)
+def test_failure_branch(monkeypatch, check, max_n, name, stand_in, detail):
+    monkeypatch.setattr(verify, name, stand_in)
+    assert_fails(check(max_n), detail)
