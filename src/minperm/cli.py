@@ -9,11 +9,14 @@ Counts print as CSV (header n,d,count) or JSON lines with big integers
 rendered as decimal strings.  The long JSON outputs of rsk, bijection and
 knuth-chain are written in pieces, in order, byte for byte as json.dumps
 prints them, and each command holds only what it must before it writes:
-rsk keeps every insertion path's columns in one array of 4 bytes a cell and,
-once P and Q are written, fills a batch of paths per % call from one
-template of (row, column) cells; bijection writes the tableau row by row;
-knuth-chain keeps the word's text in one buffer, in which each move
-rewrites only the two tokens it swaps.
+rsk keeps every insertion path's columns in one array of 1 byte a cell
+(4 once a column passes 255) and, once P and Q are written, fills whole
+paths of about WRITE_CHARS // 8 cells per % call from one template of
+(row, column) cells; bijection writes the tableau row by row; knuth-chain
+keeps the word's text in one buffer, in which each move rewrites only the
+two tokens it swaps.  Their arrays are written about WRITE_CHARS
+characters at a time, so what they hold is bounded by size, not by the
+number of elements.
 
 Only the standard library and errors load with this module: each command
 imports the modules it runs when it runs, so that count loads counting
@@ -46,12 +49,12 @@ BROKEN_PIPE = 141
 # 15 s, and the largest took 200 MB; at 600 parts and 1,800 cells they
 # took 30 s and 340 MB.
 # knuth-chain prints one word per move, Theta(n^3) characters in all.  It
-# writes them WRITE_BATCH at a time, so its memory follows one batch of
-# words, but its time and output follow all of them: it refuses a chain whose
-# words would take more than MAX_CHAIN_CHARS characters.  Just under the
-# cap, writing to a file, length 801 with i = 1 (79,800 words of 3,095
-# characters) took 1.3-2 s and 16.7 MB, and length 1001 with i = 143 1.8 s
-# and 16.6 MB: start-up memory.
+# writes them WRITE_CHARS characters at a time, so its memory follows one
+# write of words, but its time and output follow all of them: it refuses a
+# chain whose words would take more than MAX_CHAIN_CHARS characters.  Just
+# under the cap, writing to a file, length 801 with i = 1 (79,800 words of
+# 3,095 characters) took 1.3-2 s and 16.7 MB, and length 1001 with i = 143
+# 1.8 s and 16.6 MB: start-up memory.
 # count --method closed refuses an in-band n above MAX_CLOSED_N.  Its
 # slowest form is Catalan(n // 2), whose binomial grows about as n^2: the
 # full band took 1.0 s at n = 200,000 (216 kB printed with the int-to-text
@@ -68,9 +71,19 @@ BROKEN_PIPE = 141
 # lines are written WRITE_BATCH at a time: to a file on an unbuffered
 # stdout (PYTHONUNBUFFERED), the 31,914 lines of n = 10 took 0.06 s
 # printed one at a time and 0.002 s in batches of 64, and batches of 256
-# raised the peak RSS by about 36 kB more.  The arrays
-# of rsk's paths, bijection's tableau rows and knuth-chain's moves and words
-# are written in batches of as many elements.
+# raised the peak RSS by about 36 kB more.
+# The JSON arrays of rsk's paths, bijection's tableau rows and knuth-chain's
+# moves and words are cut by size instead, since their elements run from a
+# few characters to tens of kB: each write holds WRITE_CHARS characters or
+# more, and less than that plus one element.  rsk formats whole paths of
+# about WRITE_CHARS // 8 cells per % call; a cell and its separator take 8
+# characters or more, so each call fills a write.  On a 2-CPU x86-64
+# machine under Python 3.11: with 64 elements to a write, rsk on the
+# decreasing word of length 1000 held 1.65 MiB of batch text at once and
+# peaked at 3.97 MiB traced, 0.93 MiB by size; rsk on a random word of
+# 8,000 letters, as in the maps workload, peaked at 19.2 MB of RSS at 4
+# bytes a cell and 64 paths per call, and at 17.8 MB at a byte a cell and
+# 16 KiB; 1,024 cells per call, or an 8 KiB budget, read 0.3 MB lower.
 MAX_DET_N = 160
 MAX_ASCENT_PARTS = 500
 MAX_ASCENT_CELLS = 1500
@@ -78,6 +91,7 @@ MAX_CHAIN_CHARS = 250_000_000
 MAX_CLOSED_N = 200_000
 MAX_ENUMERATE_LINES = 5_000_000
 WRITE_BATCH = 64
+WRITE_CHARS = 16 * 1024
 BRUTE_WALK = "count --method brute would walk {} permutations"
 # the names of verify.SUITES, spelled out so that building the parser does
 # not load verify
@@ -185,6 +199,10 @@ def _cmd_count(args) -> int:
             raise ValueError("no closed form is available for a fixed ascent sequence")
         if args.method == "brute":
             value = sum(1 for _ in _brute_force(n, BRUTE_WALK, runs=runs))
+        elif min(runs) < 2:
+            # a minimal permutation's decreasing runs are 2 long or more, so
+            # no word has this profile, as brute force and enumerate find
+            value = 0
         else:
             if len(runs) > MAX_ASCENT_PARTS or n > MAX_ASCENT_CELLS:
                 raise CapExceededError(
@@ -259,25 +277,30 @@ def _cmd_bijection(args) -> int:
     return OK if ok else VERIFY_FAILURE
 
 
-def _write_array(out, texts: Iterable[str], per_write: int = WRITE_BATCH) -> None:
+def _write_array(out, texts: Iterable[str]) -> None:
     """Write the JSON array of the given element texts, separated as
-    json.dumps separates them, per_write elements to a write.  Should
-    texts raise, the elements it gave before are written first, so the
-    output stops where one write per element would have stopped it.  An
-    element text may hold several elements joined by ", "."""
+    json.dumps separates them, in writes of WRITE_CHARS characters or more,
+    separators included, but the last.  Should texts raise, the elements
+    it gave before are written first, so the output stops where one write
+    per element would have stopped it.  An element text may hold several
+    elements joined by ", "."""
     texts = iter(texts)
     out.write("[")
     sep = ""
     while True:
         batch: list[str] = []
+        size = len(sep) - 2  # the write's length: a ", " before each element
         try:
-            # list.extend keeps the elements it took before texts raised
-            batch.extend(itertools.islice(texts, per_write))
+            for text in texts:
+                batch.append(text)
+                size += 2 + len(text)
+                if size >= WRITE_CHARS:
+                    break
         finally:
             if batch:
                 out.write(sep + ", ".join(batch))
                 sep = ", "
-        if len(batch) < per_write:
+        if size < WRITE_CHARS:
             break
     out.write("]")
 
@@ -290,10 +313,16 @@ def _cmd_rsk(args) -> int:
     p: list[list[int]] = []
     q: list[list[int]] = []
     # every path runs down rows 1..k, so it is kept as its k columns alone:
-    # all of them in one flat array, beside an array of the lengths k
-    cols, lengths = array("I"), array("I")
+    # all of them in one flat array, beside an array of the lengths k.  The
+    # columns take a byte each until one passes 255; fromlist then leaves
+    # the array as it was, and the path goes into a copy of 4 bytes a cell
+    cols, lengths = array("B"), array("I")
     for path in _rsk_steps(w, p, q):
-        cols.fromlist(path)
+        try:
+            cols.fromlist(path)
+        except OverflowError:
+            cols = array("I", cols)
+            cols.fromlist(path)
         lengths.append(len(path))
     out = sys.stdout
     out.write(f'{{"perm": {json.dumps(format_permutation(w))}, '
@@ -307,16 +336,19 @@ def _cmd_rsk(args) -> int:
     end = list(itertools.accumulate((len(cell) + 2 for cell in cells), initial=-2))
 
     def batches() -> Iterator[str]:
-        # WRITE_BATCH paths, joined, for each % call
-        start = 0
-        for i in range(0, len(lengths), WRITE_BATCH):
-            ks = lengths[i:i + WRITE_BATCH]
-            stop = start + sum(ks)
-            yield ("[" + "], [".join([template[:end[k]] for k in ks]) + "]") \
-                % tuple(cols[start:stop])
-            start = stop
+        # whole paths of WRITE_CHARS // 8 cells or more, but the last, for
+        # each % call
+        ks: list[int] = []
+        start = stop = 0
+        for i, length in enumerate(lengths, start=1):
+            ks.append(length)
+            stop += length
+            if stop - start >= WRITE_CHARS // 8 or i == len(lengths):
+                yield ("[" + "], [".join([template[:end[k]] for k in ks]) + "]") \
+                    % tuple(cols[start:stop])
+                ks, start = [], stop
 
-    _write_array(out, batches(), 1)
+    _write_array(out, batches())
     out.write("}\n")
     return OK
 

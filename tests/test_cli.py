@@ -24,7 +24,7 @@ from minperm import (SkewShape, SkewTableau, catalan, decreasing_run_lengths,
 import minperm.cli as cli
 from minperm.cli import (MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_CLOSED_N, MAX_DET_N,
                          main)
-from minperm.counting import _closed_form, _column_count
+from minperm.counting import _closed_form, _column_count, minimal_count_by_runs
 from minperm.permutations import _separator
 from minperm.rsk import _knuth_swap
 from minperm.verify import (WORKED_PERM_13, WORKED_SPLIT_13,
@@ -160,6 +160,24 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--n", "7", "--ascents", "2,2,3",
                            "--method", "brute")
         assert code == 0 and out.splitlines()[1] == "7,4,21"
+
+    def test_short_runs_count_zero_by_every_method(self, capsys):
+        # a decreasing run below 2 allows no minimal permutation: det answers
+        # the 0 row that brute force finds, and enumerate prints nothing,
+        # where det exited 2; the library still refuses the profile
+        for runs in ("1,3", "0,4", "1,1,1", "1", "-1,5", "2,1,2"):
+            n = str(sum(map(int, runs.split(","))))
+            for fmt in ("csv", "json"):
+                det, brute = (run(capsys, "count", "--n", n, f"--ascents={runs}",
+                                  "--method", method, "--format", fmt)
+                              for method in ("det", "brute"))
+                assert det == brute, runs
+                assert det[0] == 0 and det[1].endswith(
+                    f"{n},{int(n) - runs.count(',') - 1},0\n" if fmt == "csv"
+                    else '"count": "0"}\n'), runs
+            assert run(capsys, "enumerate", "--n", n, f"--ascents={runs}") == (0, "", ""), runs
+            with pytest.raises(ValueError, match="every run length must be >= 2"):
+                minimal_count_by_runs(tuple(map(int, runs.split(","))))
 
     def test_band_table(self, capsys):
         code, out, _ = run(capsys, "count", "--n", "6")
@@ -302,7 +320,7 @@ class TestCount:
                                  "--ascents", ",".join(map(str, runs)))
             assert (code, out) == (3, "") and "above the cap" in err
 
-    def test_brute_cap_names_flag(self, capsys):
+    def test_max_brute_n_flag_removed(self, capsys):
         # no cap on n is left to raise: --max-brute-n is an unknown option,
         # and n = 14 answers within the table, line and walk caps
         for argv in (("enumerate", "--n", "8"), ("count", "--n", "8", "--method", "brute")):
@@ -338,7 +356,7 @@ class TestCount:
             3, "", "error: count --method brute would walk 169 permutations, "
                    "above the cap of 168\n")
 
-    def test_cap_env_override(self, capsys, monkeypatch):
+    def test_no_cap_read_from_the_environment(self, capsys, monkeypatch):
         # no cap is read from the environment: a stray variable changes nothing
         monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "5")
         assert run(capsys, "count", "--n", "7", "--method", "brute") == \
@@ -390,7 +408,7 @@ class TestEnumerate:
             assert (code, out) == (3, ""), argv
             assert err == f"error: enumerate would print {lines} lines, above the cap of 62\n"
 
-    def test_line_cap_past_the_brute_force_cap(self, capsys):
+    def test_line_cap_at_large_n(self, capsys):
         # Catalan(15) lines, and the 14,207,779 of n = 13, are refused by
         # the line cap alone
         for argv, lines in ((("--n", "30", "--d", "15"), 9694845), (("--n", "13"), 14207779)):
@@ -527,11 +545,14 @@ class TestBijection:
     def test_traced_memory(self):
         # printed through one json.dumps, with the tableau copied into lists,
         # the 1000-run word peaked at 7.2 MiB and its tableau, read back, at
-        # 9.3 MiB; written row by row they peak at 3.2 and 4.3 MiB, the
-        # second while the parsed JSON and the tableau built from it coexist
+        # 9.3 MiB; written row by row they peak at 2.28 and 4.27 MiB, the
+        # second while the parsed JSON and the tableau built from it
+        # coexist.  The first peaked at 3.18 MiB when 64 rows of about 1,000
+        # entries went to a write, and the rows now go WRITE_CHARS characters
+        # to a write
         w = minimal_1000_runs()
         code, peak = traced_peak(["bijection", "--perm", format_permutation(w)])
-        assert code == 0 and peak < 5 * 2**20, peak
+        assert code == 0 and peak < 3 * 2**20, peak
         tableau = json.dumps(tableau_to_json(perm_to_tableau(w)))
         code, peak = traced_peak(["bijection", "--tableau", tableau])
         assert code == 0 and peak < 6 * 2**20, peak
@@ -562,6 +583,15 @@ class TestRsk:
         rng = random.Random(8000)
         words = [(1,), tuple(range(1, 41)), tuple(range(40, 0, -1)), tuple(range(300, 0, -1))]
         words += [tuple(rng.sample(range(1, n + 1), n)) for n in (10, 11, 97, 300, 2000)]
+        # columns past 255 move the paths from an array of a byte a cell to
+        # one of 4: the increasing word of length 300 passes 255 on its own
+        # first row, and the even letters of 2..600 do so before the odd
+        # ones, in a seeded order, bump into every one of their columns
+        wide = [tuple(range(1, 301)),
+                tuple(range(2, 601, 2)) + tuple(random.Random(301).sample(range(1, 600, 2), 300))]
+        _, _, paths = rsk_trace(wide[1])
+        assert paths[299][-1] == (1, 300) and max(len(path) for path in paths[300:]) > 1
+        words += wide
         for w in words:
             code, out, _ = run(capsys, "rsk", "--perm", format_permutation(w))
             assert code == 0
@@ -581,19 +611,21 @@ class TestRsk:
     def test_traced_memory(self):
         # the paths of a length-8000 word took 29 MB when held as tuples and
         # printed through one json.dumps, and 5.0 MiB held as one text per
-        # path; kept as columns in one array of 4 bytes a cell, the run
-        # peaks at 2.7 MiB
+        # path; kept as columns in one array of 4 bytes a cell, formatted 64
+        # paths per % call, the run peaked at 2.74 MiB, and at a byte a
+        # cell, formatted about 2,048 cells per call, it peaks at 1.71 MiB
         w = random.Random(1).sample(range(1, 8001), 8000)
         code, peak = traced_peak(["rsk", "--perm", ",".join(map(str, w))])
-        assert code == 0 and peak < 4 * 2**20, peak
+        assert code == 0 and peak < 2 * 2**20, peak
 
     def test_traced_memory_every_path_length(self):
         # the decreasing word of length 1000 has paths of every length
         # 1..1000, 500,500 cells: held as one text per path they peaked at
-        # 6.1 MiB, and as columns in one array at 4.0 MiB, 1.65 MiB of it
-        # for formatting 64 of these long paths per % call
+        # 6.1 MiB, and as columns in one array of 4 bytes a cell at 3.97 MiB,
+        # 1.65 MiB of it for formatting 64 of these long paths per % call;
+        # at a byte a cell and about 2,048 cells per call it peaks at 0.93 MiB
         code, peak = traced_peak(["rsk", "--perm", ",".join(map(str, range(1000, 0, -1)))])
-        assert code == 0 and peak < 5 * 2**20, peak
+        assert code == 0 and peak < 1.5 * 2**20, peak
 
     @pytest.mark.parametrize("case", ["not a permutation", "a repeated letter"])
     def test_refusal_prints_nothing(self, capsys, case):
@@ -755,45 +787,115 @@ class Writes:
         pass
 
 
+def writes_by_size(sizes, least):
+    """How many pieces a greedy cut makes of the given sizes when each
+    piece ends as soon as its sizes sum to least or more."""
+    pieces, held = 0, 0
+    for size in sizes:
+        held += size
+        if held >= least:
+            pieces, held = pieces + 1, 0
+    return pieces + (held > 0)
+
+
+def array_writes(texts):
+    """How many writes _write_array makes of the element texts between its
+    brackets: each write holds WRITE_CHARS characters or more, counting the
+    ", " before every element but the first."""
+    return writes_by_size([len(text) + 2 * (i > 0) for i, text in enumerate(texts)],
+                          cli.WRITE_CHARS)
+
+
 class TestWriteArray:
-    @pytest.mark.parametrize("count", [0, 1, cli.WRITE_BATCH, cli.WRITE_BATCH + 1,
-                                       3 * cli.WRITE_BATCH - 1])
+    # elements of about a third of a write, and one longer than a write
+    THIRD, LONG = cli.WRITE_CHARS // 3, cli.WRITE_CHARS + 5
+
+    def check_sizes(self, out, texts):
+        # the output is json.dumps's; every write between the brackets but
+        # the last holds WRITE_CHARS characters or more, and none holds more
+        # than WRITE_CHARS plus one element and its separator
+        assert "".join(out.writes) == "[" + ", ".join(texts) + "]"
+        body = out.writes[1:-1]
+        assert [out.writes[0], out.writes[-1]] == ["[", "]"]
+        assert all(len(write) >= cli.WRITE_CHARS for write in body[:-1])
+        longest = max(map(len, texts), default=0)
+        assert all(len(write) < cli.WRITE_CHARS + longest + 2 for write in body)
+        assert len(body) == array_writes(texts)
+
+    @pytest.mark.parametrize("count", [0, 1, 64, 65, 191])
     def test_one_write_per_batch(self, count):
+        # count elements of each size: numbers, of a third of a write, and
+        # longer than a write; the numbers fill at most one write
+        for texts in (list(map(str, range(count))), ["7" * self.THIRD] * count,
+                      ["[" + "1" * self.LONG + "]"] * count):
+            out = Writes()
+            cli._write_array(out, iter(texts))
+            self.check_sizes(out, texts)
         out = Writes()
         cli._write_array(out, map(str, range(count)))
         assert "".join(out.writes) == json.dumps(list(range(count)))
-        # the brackets, and one write per batch
-        assert len(out.writes) == 2 + -(-count // cli.WRITE_BATCH)
+        assert len(out.writes) == 2 + (count > 0)
+
+    def test_tiny_elements_count_their_separators(self):
+        # 20,000 one-letter elements take 3 characters each with their
+        # separators, so a write holds 5,462 of them, not 16,384
+        texts = ["1"] * 20_000
+        out = Writes()
+        cli._write_array(out, texts)
+        self.check_sizes(out, texts)
+        assert [len(write) for write in out.writes[1:-1]] == [16_384, 16_386, 16_386, 10_842]
+
+    def test_mixed_sizes(self):
+        # a long element after short ones ends a write at once, and short
+        # ones after it start the next
+        rng = random.Random(16)
+        texts = [str(rng.randrange(10 ** rng.choice((1, 4, 9)))) for _ in range(4000)]
+        for i in (10, 2500, 3999):
+            texts[i] = "2" * rng.choice((self.THIRD, self.LONG))
+        out = Writes()
+        cli._write_array(out, texts)
+        self.check_sizes(out, texts)
 
     def test_elements_before_an_error_are_written(self):
         def texts():
-            yield from map(str, range(cli.WRITE_BATCH + 3))
+            yield from map(str, range(10_000))
             raise ValueError("stop")
 
         out = Writes()
         with pytest.raises(ValueError, match="stop"):
             cli._write_array(out, texts())
-        assert "".join(out.writes) == json.dumps(list(range(cli.WRITE_BATCH + 3)))[:-1]
+        assert "".join(out.writes) == json.dumps(list(range(10_000)))[:-1]
+        assert len(out.writes) > 2
 
     def test_commands_write_in_batches(self, monkeypatch):
         # written one element at a time, the staircase's chain took 44,705
         # writes and rsk on a length-8000 word 16,003, each a system call on
-        # an unbuffered stdout.  The tableau of the 1000-run word has 509 rows
-        batches = -(-11175 // cli.WRITE_BATCH)
+        # an unbuffered stdout.  Each array is written by the size rule;
+        # rsk's % calls hold WRITE_CHARS // 8 cells or more, of 8 characters
+        # or more with their separators, so each fills one write
         w = random.Random(1).sample(range(1, 8001), 8000)
         runs_1000 = minimal_1000_runs()
+        chain = knuth_chain_stdout_by_dumps(staircase(150))
+        payload = json.loads(chain)
+        moves = [json.dumps(move) for move in payload["moves"]]
+        words = [json.dumps(word) for word in payload["words"]]
+        rows = [json.dumps(row) for row in perm_to_tableau(runs_1000).rows]
+        paths = [len(path) for path in rsk_trace(w)[2]]
         for argv, want, writes in [
                 (["knuth-chain", "--perm", ",".join(map(str, staircase(150)))],
-                 knuth_chain_stdout_by_dumps(staircase(150)), 3 + 2 * (2 + batches)),
+                 chain, 7 + array_writes(moves) + array_writes(words)),
                 (["rsk", "--perm", ",".join(map(str, w))],
-                 rsk_stdout_by_dumps(w), 4 + 8000 // cli.WRITE_BATCH),
+                 rsk_stdout_by_dumps(w), 4 + writes_by_size(paths, cli.WRITE_CHARS // 8)),
                 (["bijection", "--perm", format_permutation(runs_1000)],
-                 bijection_stdout_by_dumps(w=runs_1000), 4 + -(-509 // cli.WRITE_BATCH))]:
+                 bijection_stdout_by_dumps(w=runs_1000), 4 + array_writes(rows))]:
             out = Writes()
             monkeypatch.setattr(sys, "stdout", out)
             assert main(argv) == 0
             assert "".join(out.writes) == want
-            assert len(out.writes) == writes
+            assert len(out.writes) == writes, argv[0]
+        # 11,175 moves and words, 8,000 paths and 509 rows
+        assert (array_writes(moves), array_writes(words)) == (24, 745)
+        assert writes_by_size(paths, cli.WRITE_CHARS // 8) == 169 and array_writes(rows) == 86
 
 
 class TestVerify:
@@ -874,7 +976,7 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "counts", "--inject-fault")
         assert code == 2 and "--inject-fault" in err
 
-    def test_cap_guard(self, capsys):
+    def test_large_max_n_runs_the_checks_of_11(self, capsys):
         # --max-n asks only for an int of at least 1: each check bounds its
         # own sweep, so 12 and a huge n run the checks of 11
         reports = {}

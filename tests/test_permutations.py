@@ -271,7 +271,7 @@ class TestEnumerateMinimal:
                                                    "completion-count table of at least"):
             enumerate_minimal(10 ** 30)
 
-    def test_cap_env_override(self, monkeypatch):
+    def test_no_cap_read_from_the_environment(self, monkeypatch):
         # no cap is read from the environment, and none is left on n: n = 12
         # gets its generator on the call, and max_n is no argument
         monkeypatch.setenv("MINPERM_MAX_BRUTE_N", "5")
