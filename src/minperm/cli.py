@@ -51,7 +51,7 @@ BROKEN_PIPE = 141
 # knuth-chain prints one word per move, Theta(n^3) characters in all.  It
 # writes them WRITE_CHARS characters at a time, so its memory follows one
 # write of words, but its time and output follow all of them: it refuses a
-# chain whose words would take more than MAX_CHAIN_CHARS characters.  Just
+# chain whose words would take more than MAX_OUTPUT_CHARS characters.  Just
 # under the cap, writing to a file, length 801 with i = 1 (79,800 words of
 # 3,095 characters) took 1.3-2 s and 16.7 MB, and length 1001 with i = 143
 # 1.8 s and 16.6 MB: start-up memory.
@@ -63,15 +63,16 @@ BROKEN_PIPE = 141
 # at n = 1,000,000.
 # enumerate refuses an input whose line count, the exact total of the table
 # that the search walks, is above MAX_ENUMERATE_LINES, as count --method brute
-# does a walk.  Each line costs about 1 us, more where a word has a long
-# forced stretch before the last letters the walk's memo places: on the
-# machine above, writing to a file, n = 13, d = 8 (4,576,000 lines) took
-# 4.8 s, n = 22, d = 20 (4,193,840 lines) 28 s, n = 14, d = 11 (3,385,265
-# lines) 5.7 s and the whole of n = 12 (1,722,174 lines) 1.5 s.  The
-# lines are written WRITE_BATCH at a time: to a file on an unbuffered
-# stdout (PYTHONUNBUFFERED), the 31,914 lines of n = 10 took 0.06 s
-# printed one at a time and 0.002 s in batches of 64, and batches of 256
-# raised the peak RSS by about 36 kB more.
+# does a walk, or whose lines, each as long as the first, pass
+# MAX_OUTPUT_CHARS characters.  Each line costs about 1 us, more where a word
+# has a long forced stretch before the last letters the walk's memo places:
+# on the machine above, writing to a file, n = 13, d = 8 (4,576,000 lines)
+# took 4.8 s, n = 22, d = 20 (4,193,840 lines) 28 s, n = 14, d = 11
+# (3,385,265 lines) 5.7 s and the whole of n = 12 (1,722,174 lines) 1.5 s.
+# The lines are written WRITE_BATCH at a time: to a file on an unbuffered
+# stdout (PYTHONUNBUFFERED), the 31,914 lines of n = 10 took 0.06 s printed
+# one at a time and 0.002 s in batches of 64, and batches of 256 raised the
+# peak RSS by about 36 kB more.
 # The JSON arrays of rsk's paths, bijection's tableau rows and knuth-chain's
 # moves and words are cut by size instead, since their elements run from a
 # few characters to tens of kB: each write holds WRITE_CHARS characters or
@@ -87,7 +88,7 @@ BROKEN_PIPE = 141
 MAX_DET_N = 160
 MAX_ASCENT_PARTS = 500
 MAX_ASCENT_CELLS = 1500
-MAX_CHAIN_CHARS = 250_000_000
+MAX_OUTPUT_CHARS = 250_000_000
 MAX_CLOSED_N = 200_000
 MAX_ENUMERATE_LINES = 5_000_000
 WRITE_BATCH = 64
@@ -160,14 +161,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _brute_force(n: int, what: str, **constraints) -> Iterator[tuple[int, ...]]:
-    """enumerate_minimal(n, ...), refused as what.format(its length) if it
+def _brute_force(n: int, what: str, **constraints) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """_minimal_search(n, ...), refused as what.format(its count) if it
     would yield more than MAX_ENUMERATE_LINES words."""
     from .permutations import _minimal_search
     words, stream = _minimal_search(n, **constraints)
     if words > MAX_ENUMERATE_LINES:
         raise CapExceededError(f"{what.format(words)}, above the cap of {MAX_ENUMERATE_LINES}")
-    return stream
+    return words, stream
 
 
 def _emit_rows(rows: Sequence[tuple[int, int, int]], fmt: str) -> None:
@@ -198,7 +199,7 @@ def _cmd_count(args) -> int:
         if args.method == "closed":
             raise ValueError("no closed form is available for a fixed ascent sequence")
         if args.method == "brute":
-            value = sum(1 for _ in _brute_force(n, BRUTE_WALK, runs=runs))
+            value = sum(1 for _ in _brute_force(n, BRUTE_WALK, runs=runs)[1])
         elif min(runs) < 2:
             # a minimal permutation's decreasing runs are 2 long or more, so
             # no word has this profile, as brute force and enumerate find
@@ -219,7 +220,7 @@ def _cmd_count(args) -> int:
     band = range((n + 1) // 2, n) if d is None else (d,)
     if args.method == "brute":
         from .permutations import descent_count
-        tally = Counter(map(descent_count, _brute_force(n, BRUTE_WALK, d=d)))
+        tally = Counter(map(descent_count, _brute_force(n, BRUTE_WALK, d=d)[1]))
         counts = {k: tally[k] for k in band}
     elif args.method == "det":
         counts = minimal_count_band(n) if d is None else {d: minimal_count(n, d)}
@@ -236,12 +237,15 @@ def _cmd_enumerate(args) -> int:
     from .permutations import _separator
     if args.ascents is not None and args.d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
-    words = _brute_force(args.n, "enumerate would print {} lines", d=args.d,
-                         runs=args.ascents, j=args.double_descent_at)
-    template = None  # one "%d" per letter, built once there is a line to print
-    while batch := list(itertools.islice(words, WRITE_BATCH)):
-        template = template or _separator(args.n).join(["%d"] * args.n) + "\n"
-        sys.stdout.write("".join(map(template.__mod__, batch)))
+    lines, words = _brute_force(args.n, "enumerate would print {} lines", d=args.d,
+                                runs=args.ascents, j=args.double_descent_at)
+    if lines:  # else no table was built, and n may be too large to write out
+        template = _separator(args.n).join(["%d"] * args.n) + "\n"
+        if lines * (width := len(template % tuple(range(1, args.n + 1)))) > MAX_OUTPUT_CHARS:
+            raise CapExceededError(f"enumerate would print {lines} lines of {width} "
+                                   f"characters, above the cap of {MAX_OUTPUT_CHARS} characters")
+        while batch := list(itertools.islice(words, WRITE_BATCH)):
+            sys.stdout.write("".join(map(template.__mod__, batch)))
     return OK
 
 
@@ -390,10 +394,10 @@ def _cmd_knuth_chain(args) -> int:
     # through is as long as the first
     text = format_permutation(w)
     words_needed = (n - i) * (n - i + 1) // 2
-    if words_needed * len(text) > MAX_CHAIN_CHARS:
+    if words_needed * len(text) > MAX_OUTPUT_CHARS:
         raise CapExceededError(
             f"knuth-chain on length {len(w)} with i={i} would print {words_needed} words "
-            f"of {len(text)} characters, above the cap of {MAX_CHAIN_CHARS} characters")
+            f"of {len(text)} characters, above the cap of {MAX_OUTPUT_CHARS} characters")
     # every refusal is raised above; from here on the object is written in
     # order, each word as the one replay makes it.  A move the replay finds
     # illegal, which only a wrong schedule can make, exits 2 partway through

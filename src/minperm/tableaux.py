@@ -5,8 +5,8 @@ English convention throughout: row 1 is the top row, cells are addressed
 A partition is a weakly decreasing tuple of positive integers.
 
 Drawn column j of a skew shape is row j of shape.conjugated().  Public
-constructors and entry points validate their input, an int's bounds through
-errors._check_int.  SkewShape and SkewTableau are NamedTuples whose __new__
+constructors and entry points validate their input, int sequences through
+errors._check_ints.  SkewShape and SkewTableau are NamedTuples whose __new__
 is the one validating constructor, and errors._Validated sends _make,
 _replace, copies and unpickling at every protocol through it; a value
 derived from validated ones (a conjugate, a run shape, a filling, a
@@ -33,10 +33,12 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (CapExceededError, _Validated, _as_tuple, _check_int,
-                     _check_ints, _exact_div, _parse_int)
+from .errors import (CapExceededError, _Validated, _as_tuple, _check_ints,
+                     _exact_div, _parse_int)
 
-DEFAULT_MAX_CELLS = 16
+# count_standard_fillings' work in key entries read and built; 16 unrelated
+# cells, the most of any 16-cell shape in 16 rows, take 10,026,991 (0.43 s).
+MAX_PATH_WORK = 10_500_000
 
 
 def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -366,15 +368,6 @@ def hook_count(parts: Sequence[int]) -> int:
                       lambda: f"hook length formula for {lam}")
 
 
-def _check_cells_cap(shape: SkewShape, max_cells: int | None) -> None:
-    limit = DEFAULT_MAX_CELLS if max_cells is None else max_cells
-    _check_int("max_cells", limit, 0)
-    if shape.size > limit:
-        raise CapExceededError(
-            f"shape {format_shape(shape)} has {shape.size} cells, above the "
-            f"enumeration cap {limit}")
-
-
 def _fillings(shape: SkewShape) -> Iterator[list[list[int | None]]]:
     """Backtracking traversal of the standard fillings, iterative so that
     no shape meets the recursion limit.  Yields the working grid itself at
@@ -414,21 +407,19 @@ def _fillings(shape: SkewShape) -> Iterator[list[list[int | None]]]:
             return
 
 
-def skew_standard_tableaux(shape: SkewShape,
-                           max_cells: int | None = None) -> Iterator[SkewTableau]:
+def skew_standard_tableaux(shape: SkewShape) -> Iterator[SkewTableau]:
     """Backtracking enumeration of every standard filling, each exactly
     once, in the fixed order of _fillings: values 1..N are placed in turn,
-    trying candidate rows from the top down.  Refuses shapes above the cell
-    cap (default 16).
+    trying candidate rows from the top down.  Every partial filling extends
+    to a full one, so each filling costs O(cells x rows) steps: no cap.
 
     >>> [t.rows for t in skew_standard_tableaux(SkewShape((2, 2)))]
     [((1, 2), (3, 4)), ((1, 3), (2, 4))]
     """
-    _check_cells_cap(shape, max_cells)
     return (tuple.__new__(SkewTableau, (shape, tuple(map(tuple, g)))) for g in _fillings(shape))
 
 
-def count_standard_fillings(shape: SkewShape, max_cells: int | None = None) -> int:
+def count_standard_fillings(shape: SkewShape) -> int:
     """Count the standard fillings as lattice paths of sub-shapes from
     shape.inner to shape.outer, one cell per step: the same traversal as
     _fillings, with the count of completions below each node shared by
@@ -438,21 +429,29 @@ def count_standard_fillings(shape: SkewShape, max_cells: int | None = None) -> i
     1..v; each state passes its count to every state one addable cell
     further on.  The work follows the number of sub-shapes, not of
     fillings, and uses no determinant, so it is an independent oracle for
-    skew_syt_count.  Refuses shapes above the cell cap (default 16).
+    skew_syt_count.  A sub-shape reads its key of r + 1 entries and builds
+    one per addable cell, refused if the entries would pass MAX_PATH_WORK.
 
     >>> count_standard_fillings(SkewShape((3, 3)))
     5
     """
-    _check_cells_cap(shape, max_cells)
     outer = shape.outer
     rows = range(len(outer))
+    width = len(outer) + 1
     paths = {(*shape.inner, shape.column_count): 1}
+    work = 0
     for _ in range(shape.size):
         step: dict[tuple[int, ...], int] = {}
         for nxt, count in paths.items():
+            work += width
             for i in rows:
                 c = nxt[i]
                 if c < outer[i] and c < nxt[i - 1]:
+                    work += width
+                    if work > MAX_PATH_WORK:
+                        raise CapExceededError(
+                            f"the path count of a shape of {shape.size} cells in "
+                            f"{len(outer)} rows passes the cap of {MAX_PATH_WORK} key entries")
                     key = (*nxt[:i], c + 1, *nxt[i + 1:])
                     step[key] = step.get(key, 0) + count
         paths = step

@@ -38,8 +38,7 @@ from .permutations import (descent_count, enumerate_minimal, is_minimal,
 from .rsk import (apply_knuth_move, even_odd_split, insertion_tableau,
                   knuth_chain, minimal_to_syt, row_insert, syt_to_minimal)
 from .tableaux import (SkewShape, count_standard_fillings, format_shape,
-                       hook_count, shape_from_runs, skew_standard_tableaux,
-                       skew_syt_count)
+                       hook_count, shape_from_runs, skew_syt_count)
 
 DETERMINANT_SEED = 1729
 INSERTION_SEED, INSERTION_CASES = 97, 1000
@@ -180,7 +179,7 @@ def check_double_descent_refinement(max_n: int) -> Check:
     return _ok(name, "enumeration, sum identity, symmetry, hooks, and skew determinants")
 
 
-def _random_skew_shape(rng: random.Random, max_cells: int) -> SkewShape:
+def _random_skew_shape(rng: random.Random, max_size: int) -> SkewShape:
     while True:
         row_count = rng.randint(1, 4)
         outer = []
@@ -195,7 +194,7 @@ def _random_skew_shape(rng: random.Random, max_cells: int) -> SkewShape:
             inner.append(mu)
             bound = mu
         shape = SkewShape(tuple(outer), tuple(inner))
-        if 1 <= shape.size <= max_cells:
+        if 1 <= shape.size <= max_size:
             return shape
 
 
@@ -230,7 +229,7 @@ def check_determinant_vs_enumeration(max_n: int) -> Check:
                                        f"path count={brute}")
     rng = random.Random(DETERMINANT_SEED)
     for _ in range(200):
-        shape = _random_skew_shape(rng, max_cells=12)
+        shape = _random_skew_shape(rng, 12)
         det = skew_syt_count(shape)
         if det != skew_syt_count(shape.conjugated()):
             return _fail(name, f"transpose mismatch for {format_shape(shape)}")
@@ -289,13 +288,15 @@ def check_rsk_refinement(max_n: int) -> Check:
     """For each small class: the chain is legal and reaches the split form
     with the insertion tableau unchanged at every step, the explicit
     inverse gives back each member from its insertion tableau, so the map
-    is injective, and its image is the union of three-row tableaux.
-    minimal_to_syt itself raises on a shape outside the (n, n+1-k, k) law."""
+    is injective.  minimal_to_syt raises on a shape outside the
+    (m, m+1-k, k) law, so the image is the union of three-row tableaux
+    exactly when the class has as many members as three_row_syt_count sums
+    to, a count the double-descent check compares with hook_count."""
     name = "Knuth chain and insertion-tableau refinement"
     top = min(4, (min(max_n, 9) - 1) // 2)
     for m in range(1, top + 1):
         for i in range(1, m + 1):
-            images = set()
+            members = 0
             for w in enumerate_minimal(2 * m + 1, d=m + 1, double_descent_at=2 * i - 1):
                 p = minimal_to_syt(w)
                 word = w
@@ -313,13 +314,8 @@ def check_rsk_refinement(max_n: int) -> Check:
                 if back != w:
                     return _fail(name, f"inverse reconstruction of {w} in class "
                                        f"(m={m}, i={i}) gives {back}")
-                images.add(p)
-            expected = set()
-            for k in range(1, min(i, m - i + 1) + 1):
-                for t in skew_standard_tableaux(SkewShape((m, m + 1 - k, k))):
-                    expected.add(tuple(tuple(x for x in row if x is not None)
-                                       for row in t.rows))
-            if images != expected:
+                members += 1
+            if members != sum(three_row_syt_count(m, k) for k in range(1, min(i, m - i + 1) + 1)):
                 return _fail(name, f"image of class (m={m}, i={i}) is not the full "
                                    "union of three-row tableaux")
     if not top:

@@ -446,6 +446,28 @@ class TestEnumerate:
                                b"table of at least 1987541173 entries, above the cap of "
                                b"1000000\n")
 
+    def test_output_cap(self, capsys, monkeypatch):
+        # every line is as long as the first, so the characters are counted
+        # before any line is printed: n = 5 prints 11 lines of 10 characters
+        monkeypatch.setattr(cli, "MAX_OUTPUT_CHARS", 110)
+        code, out, _ = run(capsys, "enumerate", "--n", "5")
+        assert code == 0 and len(out) == 110
+        monkeypatch.setattr(cli, "MAX_OUTPUT_CHARS", 109)
+        assert run(capsys, "enumerate", "--n", "5") == (
+            3, "", "error: enumerate would print 11 lines of 10 characters, above the cap "
+                   "of 109 characters\n")
+
+    def test_output_cap_refuses_promptly(self):
+        # 498,500 lines pass the line cap, but they hold 1,940,660,500
+        # characters
+        start = time.perf_counter()
+        proc = subprocess.run([*CHILD, "enumerate", "--n", "1000", "--ascents", "998,2"],
+                              env=CHILD_ENV, capture_output=True, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr == (b"error: enumerate would print 498500 lines of 3893 characters, "
+                               b"above the cap of 250000000 characters\n")
+
     def test_ten_runs_of_two(self):
         # ten runs of 2 list all Catalan(10) = 16,796 words in well under a
         # second; a walk that only counted ascents took 16 s already at n = 18
@@ -685,9 +707,9 @@ class TestKnuthChain:
         assert (code, out) == (3, "")
         assert "length 2001 with i=1 would print 499500 words of 8897 characters" in err
         # 3 2 1 5 4 7 6 passes through 3 words of 13 characters each
-        monkeypatch.setattr(cli, "MAX_CHAIN_CHARS", 39)
+        monkeypatch.setattr(cli, "MAX_OUTPUT_CHARS", 39)
         assert run(capsys, "knuth-chain", "--perm", "3 2 1 5 4 7 6")[0] == 0
-        monkeypatch.setattr(cli, "MAX_CHAIN_CHARS", 38)
+        monkeypatch.setattr(cli, "MAX_OUTPUT_CHARS", 38)
         code, out, err = run(capsys, "knuth-chain", "--perm", "3 2 1 5 4 7 6")
         assert (code, out) == (3, "")
         assert err == ("error: knuth-chain on length 7 with i=1 would print 3 words of "

@@ -79,8 +79,6 @@ def test_message(call, message):
     pytest.param(lambda: enumerate_minimal(1, double_descent_at=1),
                  "no double-descent position is valid here (1..-1 is empty), got 1",
                  id="enumerate_minimal j empty"),
-    pytest.param(lambda: count_standard_fillings(SkewShape((2,)), max_cells=-1),
-                 "max_cells must be >= 0, got -1", id="max_cells"),
     pytest.param(lambda: run_suite("all", 0), "max_n must be >= 1, got 0", id="run_suite"),
 ])
 def test_bound_message(call, message):

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -623,33 +624,45 @@ class TestEnumeration:
     def test_three_row_example(self):
         assert sum(1 for _ in skew_standard_tableaux(SkewShape((3, 2, 2)))) == 21
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            skew_standard_tableaux(SkewShape((9, 8)))
-        with pytest.raises(CapExceededError):
-            count_standard_fillings(SkewShape((9, 8)))
-        assert count_standard_fillings(SkewShape((9, 8)), max_cells=17) > 0
+    def test_cap(self, monkeypatch):
+        # 17 cells: the cell cap of 16 refused this shape in both functions
+        shape = SkewShape((9, 8))
+        assert sum(1 for _ in skew_standard_tableaux(shape)) == 4862
+        assert count_standard_fillings(shape) == 4862
+        # (2, 2) expands 5 sub-shapes, which build 6 keys: 11 keys of 3 entries
+        shape = SkewShape((2, 2))
+        monkeypatch.setattr(tableaux, "MAX_PATH_WORK", 33)
+        assert count_standard_fillings(shape) == 2
+        monkeypatch.setattr(tableaux, "MAX_PATH_WORK", 32)
+        with pytest.raises(CapExceededError, match=re.escape(
+                "the path count of a shape of 4 cells in 2 rows passes the cap of 32 key "
+                "entries")):
+            count_standard_fillings(shape)
 
-    def test_negative_cap_is_a_bad_argument(self):
-        for shape in (SkewShape((2, 2)), SkewShape(())):
-            for cap in (-3, -1):
-                with pytest.raises(ValueError, match=f"max_cells must be >= 0, got {cap}"):
-                    count_standard_fillings(shape, max_cells=cap)
-                with pytest.raises(ValueError, match="max_cells must be >= 0"):
-                    skew_standard_tableaux(shape, max_cells=cap)
-        assert count_standard_fillings(SkewShape(()), max_cells=0) == 1
+    def test_cap_refuses_promptly(self):
+        # 2,704,156 sub-shapes of 13 entries each, before their keys
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="144 cells in 12 rows"):
+            count_standard_fillings(SkewShape((12,) * 12))
+        assert time.perf_counter() - start < 3
 
-    def test_non_integer_cap_rejected(self):
-        for cap in (16.9, True, "20"):
-            with pytest.raises(ValueError, match=f"max_cells must be an integer, got {cap!r}"):
-                count_standard_fillings(SkewShape((2, 2)), max_cells=cap)
-            with pytest.raises(ValueError, match="max_cells must be an integer"):
-                skew_standard_tableaux(SkewShape((2, 2)), max_cells=cap)
+    def test_sixteen_unrelated_cells(self):
+        # every subset of an antichain is a sub-shape, and every cell outside
+        # it is addable, so no shape of 16 cells in 16 rows takes more work
+        shape = SkewShape(tuple(range(16, 0, -1)), tuple(range(15, -1, -1)))
+        assert shape.size == 16
+        assert count_standard_fillings(shape) == math.factorial(16)
+
+    def test_first_filling_of_a_large_square(self):
+        start = time.perf_counter()
+        t = next(skew_standard_tableaux(SkewShape((30,) * 30)))
+        assert time.perf_counter() - start < 0.5
+        assert t.rows[0] == tuple(range(1, 31)) and t.rows[-1][-1] == 900
 
     def test_deep_shape_past_recursion_limit(self):
         column = SkewShape((1,) * 1100)
-        assert count_standard_fillings(column, max_cells=1100) == 1
-        (t,) = skew_standard_tableaux(column, max_cells=1100)
+        assert count_standard_fillings(column) == 1
+        (t,) = skew_standard_tableaux(column)
         assert t.rows == tuple((v,) for v in range(1, 1101))
 
     def test_deterministic(self):
@@ -662,7 +675,7 @@ class TestEnumeration:
         rng = random.Random(3)
         from minperm.verify import _random_skew_shape
         for _ in range(40):
-            shape = _random_skew_shape(rng, max_cells=9)
+            shape = _random_skew_shape(rng, 9)
             assert count_standard_fillings(shape) == skew_syt_count(shape)
 
 
@@ -683,14 +696,22 @@ class TestPathCount:
         from minperm.verify import _random_skew_shape
         rng = random.Random(5)
         for _ in range(3000):
-            shape = _random_skew_shape(rng, max_cells=12)
+            shape = _random_skew_shape(rng, 12)
             assert count_standard_fillings(shape) == backtracking_count(shape), shape
 
-    def test_run_shapes_past_the_cap_match_determinant(self):
-        # 17 and 18 cells lie past the default cap, where backtracking is slow;
-        # the path count takes no determinant, so it still checks one there
+    def test_run_shapes_of_17_and_18_cells_match_determinant(self):
+        # past 16 cells backtracking is slow; the path count takes no
+        # determinant, so it still checks one there
         for total in (17, 18):
             for parts in range(1, total // 2 + 1):
                 for a in compositions_min2(total, parts):
-                    assert (count_standard_fillings(shape_from_runs(a), max_cells=18)
-                            == minimal_count_by_runs(a)), a
+                    assert count_standard_fillings(shape_from_runs(a)) == minimal_count_by_runs(a), a
+
+    def test_sampled_run_shapes_of_19_to_30_cells_match_determinant(self):
+        rng = random.Random(30)
+        sampled = 0
+        while sampled < 30:
+            a = tuple(rng.choice((2, 2, 2, 3, 3, 4)) for _ in range(rng.randint(5, 12)))
+            if 19 <= sum(a) <= 30:
+                assert count_standard_fillings(shape_from_runs(a)) == minimal_count_by_runs(a), a
+                sampled += 1
