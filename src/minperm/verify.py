@@ -290,8 +290,8 @@ def check_rsk_refinement(max_n: int) -> Check:
     inverse gives back each member from its insertion tableau, so the map
     is injective.  minimal_to_syt raises on a shape outside the
     (m, m+1-k, k) law, so the image is the union of three-row tableaux
-    exactly when the class has as many members as three_row_syt_count sums
-    to, a count the double-descent check compares with hook_count."""
+    exactly when the class has as many members as hook_count gives those
+    shapes in all."""
     name = "Knuth chain and insertion-tableau refinement"
     top = min(4, (min(max_n, 9) - 1) // 2)
     for m in range(1, top + 1):
@@ -315,7 +315,8 @@ def check_rsk_refinement(max_n: int) -> Check:
                     return _fail(name, f"inverse reconstruction of {w} in class "
                                        f"(m={m}, i={i}) gives {back}")
                 members += 1
-            if members != sum(three_row_syt_count(m, k) for k in range(1, min(i, m - i + 1) + 1)):
+            shapes = ((m, m + 1 - k, k) for k in range(1, min(i, m - i + 1) + 1))
+            if members != sum(map(hook_count, shapes)):
                 return _fail(name, f"image of class (m={m}, i={i}) is not the full "
                                    "union of three-row tableaux")
     if not top:

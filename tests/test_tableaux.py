@@ -436,6 +436,12 @@ class TestSkewTableau:
         assert not is_standard(SkewTableau(shape, ((1, 2), (4, 3))))
         assert not is_standard(SkewTableau(shape, ((1, 2), (5, 6))))
         assert not is_standard(SkewTableau(shape, ((3, 4), (1, 2))))
+        # a skew shape: the inner cell bounds nothing, and the columns below
+        # the inner shape are compared from its end on
+        shape = SkewShape((3, 2), (1,))
+        assert is_standard(SkewTableau(shape, ((None, 1, 2), (3, 4))))
+        assert not is_standard(SkewTableau(shape, ((None, 3, 4), (1, 2))))
+        assert not is_standard(SkewTableau(shape, ((None, 2, 1), (3, 4))))
 
     def test_json_round_trip(self):
         shape = SkewShape((3, 2), (1,))
@@ -651,6 +657,15 @@ class TestEnumeration:
         # it is addable, so no shape of 16 cells in 16 rows takes more work
         shape = SkewShape(tuple(range(16, 0, -1)), tuple(range(15, -1, -1)))
         assert shape.size == 16
+        assert count_standard_fillings(shape) == math.factorial(16)
+
+    def test_sixteen_unrelated_cells_among_fully_inner_rows(self):
+        # a fully inner row on top and one in the middle hold no cell, so
+        # they add nothing to the work of the 16 unrelated cells
+        outer = (17, *range(16, 8, -1), 8, *range(8, 0, -1))
+        inner = (17, *range(15, 7, -1), 8, *range(7, -1, -1))
+        shape = SkewShape(outer, inner)
+        assert shape.size == 16 and shape.row_count == 18
         assert count_standard_fillings(shape) == math.factorial(16)
 
     def test_first_filling_of_a_large_square(self):

@@ -16,10 +16,10 @@ import pytest
 import minperm.verify as verify
 from minperm.bijection import perm_to_tableau, tableau_to_perm
 from minperm.cli import main
-from minperm.counting import _column_count, double_descent_count, three_row_syt_count
+from minperm.counting import _column_count, double_descent_count
 from minperm.rsk import (apply_knuth_move, insertion_tableau, knuth_chain,
                          row_insert, syt_to_minimal)
-from minperm.tableaux import count_standard_fillings, shape_from_runs, skew_syt_count
+from minperm.tableaux import count_standard_fillings, hook_count, shape_from_runs, skew_syt_count
 from minperm.verify import (Check, check_bijection_round_trip, check_catalan_law,
                             check_determinant_vs_enumeration,
                             check_double_descent_refinement,
@@ -250,8 +250,8 @@ def test_tableau_changed_along_a_chain_fails(monkeypatch):
 
 def test_missing_three_row_tableau_fails(monkeypatch):
     # one more tableau of shape (2, 2, 1) than the class (m=2, i=1) has members
-    monkeypatch.setattr(verify, "three_row_syt_count", lambda m, k: (
-        three_row_syt_count(m, k) + ((m, k) == (2, 1))))
+    monkeypatch.setattr(verify, "hook_count", lambda parts: (
+        hook_count(parts) + (tuple(parts) == (2, 2, 1))))
     assert_fails(check_rsk_refinement(5), "image of class (m=2, i=1) is not the full "
                                           "union of three-row tableaux")
 
