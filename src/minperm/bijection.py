@@ -18,6 +18,7 @@ from __future__ import annotations
 from itertools import zip_longest
 from typing import Sequence
 
+from .errors import _check_type
 from .permutations import _check_minimal
 from .tableaux import SkewShape, SkewTableau, is_standard
 
@@ -92,6 +93,7 @@ def tableau_to_perm(t: SkewTableau) -> tuple[int, ...]:
     >>> tableau_to_perm(perm_to_tableau((3, 1, 4, 2)))
     (3, 1, 4, 2)
     """
+    _check_type("tableau", t, SkewTableau)
     word = _column_word(t)
     if word is None:
         raise ValueError("tableau is not standard" if not is_standard(t)

@@ -10,13 +10,12 @@ rendered as decimal strings.  The long JSON outputs of rsk, bijection and
 knuth-chain are written in pieces, in order, byte for byte as json.dumps
 prints them, and each command holds only what it must before it writes:
 rsk keeps every insertion path's columns in one array of 1 byte a cell
-(4 once a column passes 255) and, once P and Q are written, fills whole
-paths of about WRITE_CHARS // 8 cells per % call from one template of
-(row, column) cells; bijection writes the tableau row by row; knuth-chain
-keeps the word's text in one buffer, in which each move rewrites only the
-two tokens it swaps.  Their arrays are written about WRITE_CHARS
-characters at a time, so what they hold is bounded by size, not by the
-number of elements.
+(4 once a column passes 255) and, once P and Q are written, formats each
+path by one % call on a template of (row, column) cells; bijection
+writes the tableau row by row; knuth-chain keeps the word's text in one
+buffer, in which each move rewrites only the two tokens it swaps.  Their
+arrays are written about WRITE_CHARS characters at a time, so what they
+hold is bounded by size, not by the number of elements.
 
 Only the standard library and errors load with this module: each command
 imports the modules it runs when it runs, so that count loads counting
@@ -39,15 +38,16 @@ OK, VERIFY_FAILURE, USAGE_ERROR, CAP_ERROR = 0, 1, 2, 3
 # 128 + SIGPIPE (13): what a shell reports for a process that SIGPIPE ended
 BROKEN_PIPE = 141
 # count --method det refuses an in-band n above MAX_DET_N, and an --ascents
-# profile with more parts than MAX_ASCENT_PARTS or more cells than
-# MAX_ASCENT_CELLS; a profile's cost grows with its cells as well as its
-# parts.  Measured on a shared 2-core x86-64 machine under Python 3.11,
-# whose speed varied by up to 1.7x between runs: the full band took 1.2 s
-# at n = 100 and 10.9 s at n = 160 (the column program grows about as
-# n^4.5).  At 500 parts and 1,500 cells the slowest profiles found, a
-# block of big parts followed by 2s such as (12,)*50 + (2,)*450, took
-# 15 s, and the largest took 200 MB; at 600 parts and 1,800 cells they
-# took 30 s and 340 MB.
+# profile with more cells than MAX_ASCENT_CELLS; its parts are 2 or more,
+# so the cells bound them to MAX_ASCENT_CELLS // 2.  Measured on a shared
+# 2-core x86-64 machine under Python 3.11, whose speed varied by up to
+# 1.7x between runs: the full band took 1.2 s at n = 100 and 10.9 s at
+# n = 160 (the column program grows about as n^4.5).  At 1,500 cells, 99
+# profiles of 501 to 750 parts (50 seeded, the rest blocks of big parts
+# before or after the 2s) took 2.0-15.1 s and 88-242 MB, (2,)*750 5.5 s
+# and 216 MB, beside 11.6-16.6 s and 134-139 MB for the slowest 500-part
+# profiles, (12,)*50 + (2,)*450 and (7,)*100 + (2,)*400, timed among
+# them; at 600 parts and 1,800 cells they took 30 s and 340 MB.
 # knuth-chain prints one word per move, Theta(n^3) characters in all.  It
 # writes them WRITE_CHARS characters at a time, so its memory follows one
 # write of words, but its time and output follow all of them: it refuses a
@@ -76,17 +76,14 @@ BROKEN_PIPE = 141
 # The JSON arrays of rsk's paths, bijection's tableau rows and knuth-chain's
 # moves and words are cut by size instead, since their elements run from a
 # few characters to tens of kB: each write holds WRITE_CHARS characters or
-# more, and less than that plus one element.  rsk formats whole paths of
-# about WRITE_CHARS // 8 cells per % call; a cell and its separator take 8
-# characters or more, so each call fills a write.  On a 2-CPU x86-64
-# machine under Python 3.11: with 64 elements to a write, rsk on the
-# decreasing word of length 1000 held 1.65 MiB of batch text at once and
-# peaked at 3.97 MiB traced, 0.93 MiB by size; rsk on a random word of
-# 8,000 letters, as in the maps workload, peaked at 19.2 MB of RSS at 4
-# bytes a cell and 64 paths per call, and at 17.8 MB at a byte a cell and
-# 16 KiB; 1,024 cells per call, or an 8 KiB budget, read 0.3 MB lower.
+# more, and less than that plus one element.  On a 2-CPU x86-64 machine
+# under Python 3.11: with 64 elements to a write, rsk on the decreasing word
+# of length 1000 held 1.65 MiB of batch text at once and peaked at 3.97 MiB
+# traced, 0.93 MiB by size; rsk on a random word of 8,000 letters, as in the
+# maps workload, peaked at 19.2 MB of RSS at 4 bytes a cell and 64 paths
+# per call, at 17.8 MB at a byte a cell and about 2,048 cells per call, and
+# at 17.5 MB with one text per path.
 MAX_DET_N = 160
-MAX_ASCENT_PARTS = 500
 MAX_ASCENT_CELLS = 1500
 MAX_OUTPUT_CHARS = 250_000_000
 MAX_CLOSED_N = 200_000
@@ -205,10 +202,9 @@ def _cmd_count(args) -> int:
             # no word has this profile, as brute force and enumerate find
             value = 0
         else:
-            if len(runs) > MAX_ASCENT_PARTS or n > MAX_ASCENT_CELLS:
+            if n > MAX_ASCENT_CELLS:
                 raise CapExceededError(
-                    f"--ascents has {len(runs)} parts and {n} cells, above the cap of "
-                    f"{MAX_ASCENT_PARTS} parts and {MAX_ASCENT_CELLS} cells")
+                    f"--ascents has {n} cells, above the cap of {MAX_ASCENT_CELLS} cells")
             value = minimal_count_by_runs(runs)
         _emit_rows([(n, n - len(runs), value)], args.format)
         return OK
@@ -334,25 +330,12 @@ def _cmd_rsk(args) -> int:
               f'"P": {json.dumps(p)}, "Q": {json.dumps(q)}, "paths": ')
     # a path of length k fills the first k cells of one template
     # "[1, %d], [2, %d], ..." as long as P's rows; end[k] is where its k-th
-    # cell ends
+    # cell ends, and s where its columns start in cols
     cells = [f"[{r}, %d]" for r in range(1, len(p) + 1)]
     template = ", ".join(cells)
     end = list(itertools.accumulate((len(cell) + 2 for cell in cells), initial=-2))
-
-    def batches() -> Iterator[str]:
-        # whole paths of WRITE_CHARS // 8 cells or more, but the last, for
-        # each % call
-        ks: list[int] = []
-        start = stop = 0
-        for i, length in enumerate(lengths, start=1):
-            ks.append(length)
-            stop += length
-            if stop - start >= WRITE_CHARS // 8 or i == len(lengths):
-                yield ("[" + "], [".join([template[:end[k]] for k in ks]) + "]") \
-                    % tuple(cols[start:stop])
-                ks, start = [], stop
-
-    _write_array(out, batches())
+    _write_array(out, ("[" + template[:end[k]] % tuple(cols[s:s + k]) + "]"
+                       for s, k in zip(itertools.accumulate(lengths, initial=0), lengths)))
     out.write("}\n")
     return OK
 

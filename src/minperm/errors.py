@@ -1,7 +1,8 @@
 """Errors and argument checks shared by every module; it imports nothing
 from the package, so each command can load it without the rest.  Each
 argument rule lives here once: _check_int holds the bounds messages of
-every single-int argument, and _Validated the value types' contract."""
+every single-int argument, _check_type the refusal of an argument that is
+not of its value type, and _Validated the value types' contract."""
 
 from typing import Callable
 
@@ -24,6 +25,14 @@ def _check_int(name: str, value, lo: int | None = None, hi: int | None = None) -
             raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
     elif lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {value}")
+
+
+def _check_type(name: str, value, cls: type) -> None:
+    """ValueError unless value is an instance of cls, one of the value
+    types, so that a function handed something else refuses at the call
+    instead of failing on an attribute or an index later."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 class _Validated:

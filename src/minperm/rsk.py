@@ -30,7 +30,7 @@ import bisect
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
-from .errors import _Validated, _as_tuple, _check_int, _check_ints
+from .errors import _Validated, _as_tuple, _check_int, _check_ints, _check_type
 from .permutations import _check_minimal, check_permutation, standardize
 
 Rows = tuple[tuple[int, ...], ...]
@@ -259,6 +259,7 @@ def apply_knuth_move(word: Sequence[int], move: KnuthMove) -> tuple[int, ...]:
     does not match the move's kind.
     """
     w = list(_word(word, "word"))
+    _check_type("move", move, KnuthMove)
     _knuth_swap(w, move.position, move.kind)
     return tuple(w)
 

@@ -34,7 +34,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (CapExceededError, _Validated, _as_tuple, _check_ints,
-                     _exact_div, _parse_int)
+                     _check_type, _exact_div, _parse_int)
 
 # count_standard_fillings' work in key entries read and built; 16 unrelated
 # cells, the most of any 16-cell shape, take 10,026,991 (0.43 s).
@@ -120,6 +120,7 @@ def format_shape(shape: SkewShape) -> str:
     >>> format_shape(SkewShape((6, 5, 2, 2), (3, 1)))
     '6,5,2,2/3,1'
     """
+    _check_type("shape", shape, SkewShape)
     outer = ",".join(map(str, shape.outer))
     inner_parts = [x for x in shape.inner if x]
     inner = ",".join(map(str, inner_parts)) if inner_parts else "∅"
@@ -153,8 +154,7 @@ class SkewTableau(_Validated, NamedTuple("SkewTableau", [
     __slots__ = ()
 
     def __new__(cls, shape: SkewShape, rows: Iterable[Iterable[int | None]]):
-        if not isinstance(shape, SkewShape):
-            raise ValueError(f"shape must be a SkewShape, got {shape!r}")
+        _check_type("shape", shape, SkewShape)
         rows = tuple(_as_tuple(f"row {i}", r)
                      for i, r in enumerate(_as_tuple("tableau rows", rows), start=1))
         if len(rows) != shape.row_count:
@@ -182,6 +182,7 @@ class SkewTableau(_Validated, NamedTuple("SkewTableau", [
 def is_standard(t: SkewTableau) -> bool:
     """Entries are exactly 1..N and strictly increase along rows and down
     columns."""
+    _check_type("tableau", t, SkewTableau)
     values = sorted(x for row in t.rows for x in row if x is not None)
     if values != list(range(1, t.shape.size + 1)):
         return False
@@ -201,12 +202,14 @@ def shape_is_two_regular(shape: SkewShape) -> bool:
     exactly two rows.  Column c covers rows [lo[c], hi[c]) with lo, hi the
     inner and outer conjugate; both weakly decrease, so columns c and c + 1
     share rows [lo[c], hi[c + 1])."""
+    _check_type("shape", shape, SkewShape)
     conj = shape.conjugated()
     lo, hi = conj.inner, conj.outer
     return bool(hi) and hi[0] - lo[0] >= 2 and all(h - l == 2 for l, h in zip(lo, hi[1:]))
 
 
 def is_two_regular(t: SkewTableau) -> bool:
+    _check_type("tableau", t, SkewTableau)
     return shape_is_two_regular(t.shape)
 
 
@@ -320,6 +323,7 @@ def skew_syt_count(shape: SkewShape) -> int:
     >>> skew_syt_count(SkewShape((3, 3)))
     5
     """
+    _check_type("shape", shape, SkewShape)
     outer, inner = shape.outer, shape.inner
     r = len(outer)
     tops = [outer[i] - inner[r - 1] - i + r - 1 for i in range(r)]
@@ -367,14 +371,20 @@ def hook_count(parts: Sequence[int]) -> int:
 def _fillings(shape: SkewShape) -> Iterator[list[list[int | None]]]:
     """Backtracking traversal of the standard fillings, iterative so that
     no shape meets the recursion limit.  Yields the working grid itself at
-    each completed filling; it changes afterwards, so callers copy it."""
-    outer = shape.outer
-    r, total = len(outer), shape.size
-    # nxt[i] is the first empty column of row i.  Row 0 reads nxt[-1], an
-    # extra entry that no column reaches, as if the row above were full.
-    nxt = [*shape.inner, shape.column_count]
-    grid: list[list[int | None]] = [[None] * lam for lam in outer]
-    placed: list[int] = []  # the row of each value placed so far
+    each completed filling; it changes afterwards, so callers copy it.
+    The walk scans only the rows holding a cell, as count_standard_fillings
+    keys them: a row wholly inside the inner shape takes no value and
+    bounds no cell below it."""
+    grid: list[list[int | None]] = [[None] * lam for lam in shape.outer]
+    kept = [i for i, (lam, mu) in enumerate(zip(*shape)) if mu < lam]
+    # cells[i] is the grid row of kept row i, and outer its length
+    cells = [grid[i] for i in kept]
+    outer = [len(row) for row in cells]
+    r, total = len(kept), shape.size
+    # nxt[i] is the first empty column of kept row i.  Row 0 reads nxt[-1],
+    # an extra entry that no column reaches, as if the row above were full.
+    nxt = [*(shape.inner[i] for i in kept), shape.column_count]
+    placed: list[int] = []  # the kept row of each value placed so far
     i = v = 0               # next candidate row for value v + 1
     while True:
         if v == total:
@@ -383,21 +393,21 @@ def _fillings(shape: SkewShape) -> Iterator[list[list[int | None]]]:
         while i < r:
             c = nxt[i]
             # the cell above is filled or outside the shape exactly when the
-            # row above has filled past column c (outer is a partition)
+            # kept row above has filled past column c (outer is a partition)
             if c < outer[i] and c < nxt[i - 1]:
                 break
             i += 1
         if i < r:
             v += 1
             placed.append(i)
-            grid[i][c] = v
+            cells[i][c] = v
             nxt[i] = c + 1
             i = 0
         elif v:
             v -= 1
             i = placed.pop()
             nxt[i] -= 1
-            grid[i][nxt[i]] = None
+            cells[i][nxt[i]] = None
             i += 1
         else:
             return
@@ -412,6 +422,7 @@ def skew_standard_tableaux(shape: SkewShape) -> Iterator[SkewTableau]:
     >>> [t.rows for t in skew_standard_tableaux(SkewShape((2, 2)))]
     [((1, 2), (3, 4)), ((1, 3), (2, 4))]
     """
+    _check_type("shape", shape, SkewShape)
     return (tuple.__new__(SkewTableau, (shape, tuple(map(tuple, g)))) for g in _fillings(shape))
 
 
@@ -433,6 +444,7 @@ def count_standard_fillings(shape: SkewShape) -> int:
     >>> count_standard_fillings(SkewShape((3, 3)))
     5
     """
+    _check_type("shape", shape, SkewShape)
     kept = [(lam, mu) for lam, mu in zip(*shape) if mu < lam]
     outer = [lam for lam, _ in kept]
     rows = range(len(outer))
@@ -459,6 +471,7 @@ def count_standard_fillings(shape: SkewShape) -> int:
 
 def tableau_to_json(t: SkewTableau) -> dict:
     """JSON-ready dict: the shape text plus rows with nulls in inner cells."""
+    _check_type("tableau", t, SkewTableau)
     return {"shape": format_shape(t.shape), "rows": [list(row) for row in t.rows]}
 
 

@@ -22,8 +22,7 @@ from minperm import (SkewShape, SkewTableau, catalan, decreasing_run_lengths,
                      perm_to_tableau, rsk_inverse, rsk_trace, shape_from_runs,
                      tableau_to_json, tableau_to_perm, two_ascent_count)
 import minperm.cli as cli
-from minperm.cli import (MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_CLOSED_N, MAX_DET_N,
-                         main)
+from minperm.cli import MAX_ASCENT_CELLS, MAX_CLOSED_N, MAX_DET_N, main
 from minperm.counting import _closed_form, _column_count, minimal_count_by_runs
 from minperm.permutations import _separator
 from minperm.rsk import _knuth_swap
@@ -306,8 +305,10 @@ class TestCount:
             sys.set_int_max_str_digits(old)
 
     def test_ascents_caps(self, capsys):
-        # MAX_ASCENT_PARTS parts of 2 give the straight two-column shape
-        parts = MAX_ASCENT_PARTS
+        # the one cap is on cells: parts of 2 or more bound its 1,500 cells
+        # to 750 parts, so 501 parts of 2, the straight two-column shape
+        # that a cap of 500 parts refused, answer
+        parts = 501
         code, out, _ = run(capsys, "count", "--n", str(2 * parts),
                            "--ascents", ",".join(["2"] * parts))
         assert (code, out) == (0, f"n,d,count\n{2 * parts},{parts},{catalan(parts)}\n")
@@ -315,10 +316,12 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--n", str(2 * half), "--ascents", f"{half},{half}")
         assert (code, out) == (0, f"n,d,count\n{2 * half},{2 * half - 2},"
                                   f"{math.comb(2 * half, half) - 2 * half}\n")
-        for runs in ((2,) * (parts + 1), (half, half + 1)):
+        for runs in ((2,) * (half + 1), (half, half + 1)):
             code, out, err = run(capsys, "count", "--n", str(sum(runs)),
                                  "--ascents", ",".join(map(str, runs)))
-            assert (code, out) == (3, "") and "above the cap" in err
+            assert (code, out) == (3, "")
+            assert err == (f"error: --ascents has {sum(runs)} cells, above the cap of "
+                           f"{MAX_ASCENT_CELLS} cells\n")
 
     def test_max_brute_n_flag_removed(self, capsys):
         # no cap on n is left to raise: --max-brute-n is an unknown option,
@@ -635,7 +638,8 @@ class TestRsk:
         # printed through one json.dumps, and 5.0 MiB held as one text per
         # path; kept as columns in one array of 4 bytes a cell, formatted 64
         # paths per % call, the run peaked at 2.74 MiB, and at a byte a
-        # cell, formatted about 2,048 cells per call, it peaks at 1.71 MiB
+        # cell it peaks at 1.71 MiB, formatted about 2,048 cells per call or
+        # one path per call
         w = random.Random(1).sample(range(1, 8001), 8000)
         code, peak = traced_peak(["rsk", "--perm", ",".join(map(str, w))])
         assert code == 0 and peak < 2 * 2**20, peak
@@ -645,7 +649,8 @@ class TestRsk:
         # 1..1000, 500,500 cells: held as one text per path they peaked at
         # 6.1 MiB, and as columns in one array of 4 bytes a cell at 3.97 MiB,
         # 1.65 MiB of it for formatting 64 of these long paths per % call;
-        # at a byte a cell and about 2,048 cells per call it peaks at 0.93 MiB
+        # at a byte a cell it peaks at 0.93 MiB with about 2,048 cells per
+        # call, and at 0.89 MiB with one path per call
         code, peak = traced_peak(["rsk", "--perm", ",".join(map(str, range(1000, 0, -1)))])
         assert code == 0 and peak < 1.5 * 2**20, peak
 
@@ -809,23 +814,16 @@ class Writes:
         pass
 
 
-def writes_by_size(sizes, least):
-    """How many pieces a greedy cut makes of the given sizes when each
-    piece ends as soon as its sizes sum to least or more."""
-    pieces, held = 0, 0
-    for size in sizes:
-        held += size
-        if held >= least:
-            pieces, held = pieces + 1, 0
-    return pieces + (held > 0)
-
-
 def array_writes(texts):
     """How many writes _write_array makes of the element texts between its
-    brackets: each write holds WRITE_CHARS characters or more, counting the
-    ", " before every element but the first."""
-    return writes_by_size([len(text) + 2 * (i > 0) for i, text in enumerate(texts)],
-                          cli.WRITE_CHARS)
+    brackets: each write ends as soon as it holds WRITE_CHARS characters or
+    more, counting the ", " before every element but the first."""
+    writes, held = 0, -2
+    for text in texts:
+        held += 2 + len(text)
+        if held >= cli.WRITE_CHARS:
+            writes, held = writes + 1, 0
+    return writes + (held > 0)
 
 
 class TestWriteArray:
@@ -887,9 +885,8 @@ class TestWriteArray:
     def test_commands_write_in_batches(self, monkeypatch):
         # written one element at a time, the staircase's chain took 44,705
         # writes and rsk on a length-8000 word 16,003, each a system call on
-        # an unbuffered stdout.  Each array is written by the size rule;
-        # rsk's % calls hold WRITE_CHARS // 8 cells or more, of 8 characters
-        # or more with their separators, so each fills one write
+        # an unbuffered stdout.  Each array is written by the size rule,
+        # rsk's over one text per path
         w = random.Random(1).sample(range(1, 8001), 8000)
         runs_1000 = minimal_1000_runs()
         chain = knuth_chain_stdout_by_dumps(staircase(150))
@@ -897,12 +894,12 @@ class TestWriteArray:
         moves = [json.dumps(move) for move in payload["moves"]]
         words = [json.dumps(word) for word in payload["words"]]
         rows = [json.dumps(row) for row in perm_to_tableau(runs_1000).rows]
-        paths = [len(path) for path in rsk_trace(w)[2]]
+        paths = [json.dumps(path) for path in rsk_trace(w)[2]]
         for argv, want, writes in [
                 (["knuth-chain", "--perm", ",".join(map(str, staircase(150)))],
                  chain, 7 + array_writes(moves) + array_writes(words)),
                 (["rsk", "--perm", ",".join(map(str, w))],
-                 rsk_stdout_by_dumps(w), 4 + writes_by_size(paths, cli.WRITE_CHARS // 8)),
+                 rsk_stdout_by_dumps(w), 4 + array_writes(paths)),
                 (["bijection", "--perm", format_permutation(runs_1000)],
                  bijection_stdout_by_dumps(w=runs_1000), 4 + array_writes(rows))]:
             out = Writes()
@@ -912,7 +909,7 @@ class TestWriteArray:
             assert len(out.writes) == writes, argv[0]
         # 11,175 moves and words, 8,000 paths and 509 rows
         assert (array_writes(moves), array_writes(words)) == (24, 745)
-        assert writes_by_size(paths, cli.WRITE_CHARS // 8) == 169 and array_writes(rows) == 86
+        assert array_writes(paths) == 205 and array_writes(rows) == 86
 
 
 class TestVerify:

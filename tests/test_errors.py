@@ -1,16 +1,20 @@
 """The exact-int rule for many values, errors._check_ints: every entry is
 an int, not a bool, a float or anything else.  Each site names what it
-checks and shows the values it read as a tuple.  And the bounds of one
-int, errors._check_int: each site's refusal, word for word."""
+checks and shows the values it read as a tuple.  The bounds of one int,
+errors._check_int: each site's refusal, word for word.  And the value
+types, errors._check_type: a function that takes a SkewShape, a
+SkewTableau or a KnuthMove refuses anything else at the call."""
 
 import pytest
 
-from minperm import (KnuthMove, SkewShape, apply_knuth_move, catalan,
+from minperm import (KnuthMove, SkewShape, SkewTableau, apply_knuth_move, catalan,
                      compositions_min2, conjugate, count_standard_fillings,
-                     double_descent_count, enumerate_minimal, hook_length,
-                     insertion_tableau, inverse_bump, legal_knuth_moves,
-                     mansour_yan, one_ascent_count, row_insert,
-                     rsk, rsk_trace, run_suite, shape_from_runs,
+                     double_descent_count, enumerate_minimal, format_shape,
+                     hook_length, insertion_tableau, inverse_bump, is_standard,
+                     is_two_regular, legal_knuth_moves, mansour_yan,
+                     one_ascent_count, row_insert, rsk, rsk_trace, run_suite,
+                     shape_from_runs, shape_is_two_regular, skew_standard_tableaux,
+                     skew_syt_count, tableau_to_json, tableau_to_perm,
                      three_row_syt_count, two_ascent_count)
 from minperm.cli import _build_parser
 
@@ -82,6 +86,37 @@ def test_message(call, message):
     pytest.param(lambda: run_suite("all", 0), "max_n must be >= 1, got 0", id="run_suite"),
 ])
 def test_bound_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: format_shape(5), "shape must be a SkewShape, got 5", id="format_shape"),
+    pytest.param(lambda: shape_is_two_regular(5), "shape must be a SkewShape, got 5",
+                 id="shape_is_two_regular"),
+    pytest.param(lambda: skew_syt_count((2, 2)), "shape must be a SkewShape, got (2, 2)",
+                 id="skew_syt_count"),
+    # refused at the call, not at the first next
+    pytest.param(lambda: skew_standard_tableaux((2, 2)),
+                 "shape must be a SkewShape, got (2, 2)", id="skew_standard_tableaux"),
+    pytest.param(lambda: count_standard_fillings((2, 2)),
+                 "shape must be a SkewShape, got (2, 2)", id="count_standard_fillings"),
+    pytest.param(lambda: count_standard_fillings(5), "shape must be a SkewShape, got 5",
+                 id="count_standard_fillings int"),
+    pytest.param(lambda: SkewTableau((2, 2), ((1, 2), (3, 4))),
+                 "shape must be a SkewShape, got (2, 2)", id="SkewTableau"),
+    pytest.param(lambda: is_two_regular(5), "tableau must be a SkewTableau, got 5",
+                 id="is_two_regular"),
+    pytest.param(lambda: is_standard(5), "tableau must be a SkewTableau, got 5", id="is_standard"),
+    pytest.param(lambda: tableau_to_json(5), "tableau must be a SkewTableau, got 5",
+                 id="tableau_to_json"),
+    pytest.param(lambda: tableau_to_perm(5), "tableau must be a SkewTableau, got 5",
+                 id="tableau_to_perm"),
+    pytest.param(lambda: apply_knuth_move((3, 1, 2), (1, "bac")),
+                 "move must be a KnuthMove, got (1, 'bac')", id="apply_knuth_move"),
+])
+def test_value_type_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message

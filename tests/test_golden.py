@@ -18,8 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from minperm.cli import (MAX_ASCENT_CELLS, MAX_ASCENT_PARTS, MAX_CLOSED_N, MAX_DET_N,
-                         main)
+from minperm.cli import MAX_ASCENT_CELLS, MAX_CLOSED_N, MAX_DET_N, main
 from minperm.bijection import tableau_to_perm
 from minperm.permutations import format_permutation
 from minperm.tableaux import shape_from_runs
@@ -101,7 +100,7 @@ def count_matrix_argvs():
     messages differ between Python versions.  Accepted inputs at the slow
     caps are left out (the det band near MAX_DET_N, brute force at n = 10
     and 11 and its band at n = 12, closed near MAX_CLOSED_N, profiles near
-    the ascent caps), and so is every count too long for the int-to-text
+    the ascent cap), and so is every count too long for the int-to-text
     limit."""
     argvs = []
 
@@ -133,11 +132,12 @@ def count_matrix_argvs():
             for method in ("det", "closed", "brute"):
                 add(n, *(() if d is None else ("--d", str(d))), "--method", method)
     # --ascents profiles: good ones, parts below 2, wrong sums, --d beside them
-    two = ",".join(["2"] * (MAX_ASCENT_PARTS + 1))
+    # parts of 2 past the cap on cells: the most parts a refused profile has
+    two = ",".join(["2"] * (MAX_ASCENT_CELLS // 2 + 1))
     big = f"{MAX_ASCENT_CELLS // 2},{MAX_ASCENT_CELLS // 2 + 1}"
     profiles = [(2, "2"), (5, "5"), (6, "2,2,2"), (7, "3,4"), (7, "2,2,3"), (9, "4,2,3"),
                 (4, "1,3"), (4, "0,4"), (3, "1,1,1"), (1, "1"), (0, "0"), (-1, "-1"),
-                (6, "2,3"), (5, "2,2,2"), (2 * MAX_ASCENT_PARTS + 2, two),
+                (6, "2,3"), (5, "2,2,2"), (MAX_ASCENT_CELLS + 2, two),
                 (MAX_ASCENT_CELLS + 1, big), (MAX_ASCENT_CELLS + 1, str(MAX_ASCENT_CELLS + 1)),
                 (HUGE_N, "2,2")]
     for n, runs in profiles:
