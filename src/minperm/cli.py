@@ -1,8 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 brute-force, determinant, closed-form, enumerate or knuth-chain output
-cap exceeded, 141 the reader closed stdout before the output ended (128 +
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error, 3
+a cap exceeded, 141 the reader closed stdout before the output ended (128 +
 SIGPIPE, as a shell reports a process that signal ended; nothing is
 printed to stderr).
 Counts print as CSV (header n,d,count) or JSON lines with big integers
@@ -29,7 +28,6 @@ import itertools
 import json
 import os
 import sys
-from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, _check_int, _parse_int
@@ -62,13 +60,12 @@ BROKEN_PIPE = 141
 # and the Catalan form alone took 2.2 s at n = 400,000; the band took 11.6 s
 # at n = 1,000,000.
 # enumerate refuses an input whose line count, the exact total of the table
-# that the search walks, is above MAX_ENUMERATE_LINES, as count --method brute
-# does a walk, or whose lines, each as long as the first, pass
-# MAX_OUTPUT_CHARS characters.  Each line costs about 1 us, more where a word
-# has a long forced stretch before the last letters the walk's memo places:
-# on the machine above, writing to a file, n = 13, d = 8 (4,576,000 lines)
-# took 4.8 s, n = 22, d = 20 (4,193,840 lines) 28 s, n = 14, d = 11
-# (3,385,265 lines) 5.7 s and the whole of n = 12 (1,722,174 lines) 1.5 s.
+# that the search walks, is above MAX_ENUMERATE_LINES, or whose lines, each
+# as long as the first, pass MAX_OUTPUT_CHARS characters.  A line costs about
+# 1 us, more where a word has a long forced stretch before the last letters
+# the walk's memo places: on the machine above, writing to a file, n = 13,
+# d = 8 (4,576,000 lines) took 4.8 s, n = 22, d = 20 (4,193,840 lines) 28 s,
+# n = 14, d = 11 (3,385,265 lines) 5.7 s and all of n = 12 (1,722,174) 1.5 s.
 # The lines are written WRITE_BATCH at a time: to a file on an unbuffered
 # stdout (PYTHONUNBUFFERED), the 31,914 lines of n = 10 took 0.06 s printed
 # one at a time and 0.002 s in batches of 64, and batches of 256 raised the
@@ -90,7 +87,6 @@ MAX_CLOSED_N = 200_000
 MAX_ENUMERATE_LINES = 5_000_000
 WRITE_BATCH = 64
 WRITE_CHARS = 16 * 1024
-BRUTE_WALK = "count --method brute would walk {} permutations"
 # the names of verify.SUITES, spelled out so that building the parser does
 # not load verify
 SUITE_NAMES = ("counts", "bijection", "rsk")
@@ -158,24 +154,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _brute_force(n: int, what: str, **constraints) -> tuple[int, Iterator[tuple[int, ...]]]:
-    """_minimal_search(n, ...), refused as what.format(its count) if it
-    would yield more than MAX_ENUMERATE_LINES words."""
-    from .permutations import _minimal_search
-    words, stream = _minimal_search(n, **constraints)
-    if words > MAX_ENUMERATE_LINES:
-        raise CapExceededError(f"{what.format(words)}, above the cap of {MAX_ENUMERATE_LINES}")
-    return words, stream
-
-
-def _emit_rows(rows: Sequence[tuple[int, int, int]], fmt: str) -> None:
-    """Print the rows, every one formatted before the first write, so that
-    a count too long to convert to text (sys.set_int_max_str_digits)
-    leaves stdout empty."""
+def _emit_rows(n: int, counts: dict[int, int], fmt: str) -> None:
+    """Print n's row for each d in counts, all formatted before the first
+    write, so that a count too long to convert to text leaves stdout empty."""
     if fmt == "csv":
-        lines = ["n,d,count", *(f"{n},{d},{value}" for n, d, value in rows)]
+        lines = ["n,d,count", *(f"{n},{d},{value}" for d, value in counts.items())]
     else:
-        lines = [json.dumps({"n": n, "d": d, "count": str(value)}) for n, d, value in rows]
+        lines = [json.dumps({"n": n, "d": d, "count": str(value)}) for d, value in counts.items()]
     sys.stdout.write("".join(line + "\n" for line in lines))
 
 
@@ -186,27 +171,26 @@ def _cmd_count(args) -> int:
     _check_int("--n", n, 1)
     if d is not None:
         _check_int("--d", d, 0)
-    if args.ascents is not None and d is not None:
-        raise ValueError("--d and --ascents are mutually exclusive")
-    if args.ascents is not None:
-        runs = args.ascents
+    if (runs := args.ascents) is not None:
+        if d is not None:
+            raise ValueError("--d and --ascents are mutually exclusive")
         if sum(runs) != n:
             raise ValueError(f"--ascents {','.join(map(str, runs))} sums to "
                              f"{sum(runs)}, not {n}")
         if args.method == "closed":
             raise ValueError("no closed form is available for a fixed ascent sequence")
         if args.method == "brute":
-            value = sum(1 for _ in _brute_force(n, BRUTE_WALK, runs=runs)[1])
+            from .permutations import _minimal_search
+            value = _minimal_search(n, runs=runs)[0]
         elif min(runs) < 2:
-            # a minimal permutation's decreasing runs are 2 long or more, so
-            # no word has this profile, as brute force and enumerate find
+            # no minimal permutation has a decreasing run below 2, as the table finds
             value = 0
         else:
             if n > MAX_ASCENT_CELLS:
                 raise CapExceededError(
                     f"--ascents has {n} cells, above the cap of {MAX_ASCENT_CELLS} cells")
             value = minimal_count_by_runs(runs)
-        _emit_rows([(n, n - len(runs), value)], args.format)
+        _emit_rows(n, {n - len(runs): value}, args.format)
         return OK
     # outside the band the count is 0 at any n, so det and closed cap only an
     # n in the band, which a full band always is
@@ -215,9 +199,13 @@ def _cmd_count(args) -> int:
         raise CapExceededError(f"n={n} is above the cap {cap} for --method {args.method}")
     band = range((n + 1) // 2, n) if d is None else (d,)
     if args.method == "brute":
-        from .permutations import descent_count
-        tally = Counter(map(descent_count, _brute_force(n, BRUTE_WALK, d=d)[1]))
-        counts = {k: tally[k] for k in band}
+        from .permutations import MAX_TABLE_ENTRIES, _minimal_search, _table_size
+        entries = 0  # every table is sized before any is built
+        for k in band:
+            if (entries := entries + _table_size(n, k)[0]) > MAX_TABLE_ENTRIES:
+                raise CapExceededError(f"n={n} needs completion-count tables of at least "
+                                       f"{entries} entries, above the cap of {MAX_TABLE_ENTRIES}")
+        counts = {k: _minimal_search(n, k)[0] for k in band}
     elif args.method == "det":
         counts = minimal_count_band(n) if d is None else {d: minimal_count(n, d)}
     else:
@@ -225,16 +213,18 @@ def _cmd_count(args) -> int:
         if not counts:
             raise ValueError(f"no closed form covers any descent count for n={n}"
                              if d is None else f"no closed form covers n={n}, d={d}")
-    _emit_rows([(n, k, v) for k, v in counts.items()], args.format)
+    _emit_rows(n, counts, args.format)
     return OK
 
 
 def _cmd_enumerate(args) -> int:
-    from .permutations import _separator
+    from .permutations import _minimal_search, _separator
     if args.ascents is not None and args.d is not None:
         raise ValueError("--d and --ascents are mutually exclusive")
-    lines, words = _brute_force(args.n, "enumerate would print {} lines", d=args.d,
-                                runs=args.ascents, j=args.double_descent_at)
+    lines, words = _minimal_search(args.n, args.d, args.ascents, args.double_descent_at)
+    if lines > MAX_ENUMERATE_LINES:
+        raise CapExceededError(
+            f"enumerate would print {lines} lines, above the cap of {MAX_ENUMERATE_LINES}")
     if lines:  # else no table was built, and n may be too large to write out
         template = _separator(args.n).join(["%d"] * args.n) + "\n"
         if lines * (width := len(template % tuple(range(1, args.n + 1)))) > MAX_OUTPUT_CHARS:

@@ -349,36 +349,9 @@ def _minimal_search(n: int, d: int | None = None, runs: Sequence[int] | None = N
     than MEMO_DEPTH values are unused, and places the rest of each word
     from a memo of each state's completions, which the same walk fills.
     """
-    _check_int("n", n, 1)
-    if d is not None:
-        _check_int("d", d, 0)
-    wanted = None if runs is None else _check_ints("run lengths", runs)
-    if wanted is not None and sum(wanted) != n:
-        raise ValueError(f"run lengths {wanted} do not sum to {n}")
-    if j is not None:
-        _check_int("double-descent position", j, 1, n - 2)
-    # owed: the ascents d asks for; a minimal permutation has at most (n-2)//2
-    owed, dk = (0, 0) if d is None or wanted is not None else (n - 1 - d, 1)
-    if not 0 <= owed <= (n - 2) // 2 or wanted is not None and (
-            min(wanted) < 2 or d not in (None, n - len(wanted))):
+    if (layout := _table_size(n, d, runs, j)[1]) is None:
         return 0, iter(())
-    # each m holds a row of m + 2 entries or more, so a large n is refused unsized
-    entries = n * (n + 3) // 2
-    if entries <= MAX_TABLE_ENTRIES:
-        tops = None if wanted is None else set(itertools.accumulate(wanted[:-1]))
-        up = [1 < s < n - 1 if tops is None else s in tops for s in range(n)]
-        down = [tops is None or s not in tops for s in range(n)]
-        if j is not None:
-            up[j] = up[j + 1] = False
-        # ks[m]: the ascents owed with m values unused, taken one step in two at most
-        ks = [range(max(0, owed - dk * ((n - m - 1) // 2)), min(owed, m // 2) + 1)
-              for m in range(n)]
-        rise = [0 < m < n and up[n - m] and ks[m].stop > dk for m in range(n + 1)]
-        entries = sum(len(ks[m]) * (((m + 1) * (m + 4) // 2 if rise[m] else m + 2)
-                                    + ((m + 1) * (m + 2) if rise[m + 1] else 0)) for m in range(n))
-    if entries > MAX_TABLE_ENTRIES:
-        raise CapExceededError(f"enumeration over S_{n} needs a completion-count table of at "
-                               f"least {entries} entries, above the cap of {MAX_TABLE_ENTRIES}")
+    owed, dk, down, rise, ks = layout
     accumulate = itertools.accumulate
     table = [{k: ([[0, 1]], None) for k in ks[0]}]
     for m in range(1, n):
@@ -396,9 +369,45 @@ def _minimal_search(n: int, d: int | None = None, runs: Sequence[int] | None = N
                 if rise[m + 1] else None
             layer[k] = drows, arows
         table.append(layer)
-    total = table[-1][owed][0][n - 1][n] if owed in table[-1] else 0
-    return total, _walk(n, table, owed, dk, down, rise, list(range(1, n + 1)),
-                        (0, n - 1, n), {}) if total else iter(())
+    total = table[-1][owed][0][n - 1][n]
+    return total, _walk(n, table, owed, dk, down, rise, list(range(1, n + 1)), (0, n - 1, n), {})
+
+
+def _table_size(n: int, d: int | None = None, runs: Sequence[int] | None = None,
+                j: int | None = None) -> tuple:
+    """The size of _minimal_search's table, refused above MAX_TABLE_ENTRIES,
+    and the (owed, dk, down, rise, ks) it is built from; (0, None) if no word fits."""
+    _check_int("n", n, 1)
+    if d is not None:
+        _check_int("d", d, 0)
+    wanted = None if runs is None else _check_ints("run lengths", runs)
+    if wanted is not None and sum(wanted) != n:
+        raise ValueError(f"run lengths {wanted} do not sum to {n}")
+    if j is not None:
+        _check_int("double-descent position", j, 1, n - 2)
+    # owed: the ascents d asks for; a minimal permutation has at most (n-2)//2
+    owed, dk = (0, 0) if d is None or wanted is not None else (n - 1 - d, 1)
+    if not 0 <= owed <= (n - 2) // 2 or wanted is not None and (
+            min(wanted) < 2 or d not in (None, n - len(wanted))):
+        return 0, None
+    # each m holds a row of m + 2 entries or more, so a large n is refused unsized
+    entries = n * (n + 3) // 2
+    if entries <= MAX_TABLE_ENTRIES:
+        tops = None if wanted is None else set(itertools.accumulate(wanted[:-1]))
+        up = [1 < s < n - 1 if tops is None else s in tops for s in range(n)]
+        down = [tops is None or s not in tops for s in range(n)]
+        if j is not None:
+            up[j] = up[j + 1] = False
+        # ks[m]: the ascents owed with m values unused, taken one step in two at most
+        ks = [range(max(0, owed - dk * ((n - m - 1) // 2)), min(owed, m // 2) + 1)
+              for m in range(n)]
+        rise = [0 < m < n and up[n - m] and ks[m].stop > dk for m in range(n + 1)]
+        entries = sum(len(ks[m]) * (((m + 1) * (m + 4) // 2 if rise[m] else m + 2)
+                                    + ((m + 1) * (m + 2) if rise[m + 1] else 0)) for m in range(n))
+    if entries > MAX_TABLE_ENTRIES:
+        raise CapExceededError(f"enumeration over S_{n} needs a completion-count table of at "
+                               f"least {entries} entries, above the cap of {MAX_TABLE_ENTRIES}")
+    return entries, (owed, dk, down, rise, ks)
 
 
 def _walk(n: int, table: list, k: int, dk: int, down: list, rise: list, free: list,

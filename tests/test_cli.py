@@ -22,6 +22,7 @@ from minperm import (SkewShape, SkewTableau, catalan, decreasing_run_lengths,
                      perm_to_tableau, rsk_inverse, rsk_trace, shape_from_runs,
                      tableau_to_json, tableau_to_perm, two_ascent_count)
 import minperm.cli as cli
+import minperm.permutations as permutations_module
 from minperm.cli import MAX_ASCENT_CELLS, MAX_CLOSED_N, MAX_DET_N, main
 from minperm.counting import _closed_form, _column_count, minimal_count_by_runs
 from minperm.permutations import _separator
@@ -230,10 +231,23 @@ class TestCount:
             assert err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
 
     def test_cap_exceeded(self, capsys):
-        # the 14,207,779 minimal permutations of length 13 are refused
-        # before the walk, by the table's exact total
-        code, _, err = run(capsys, "count", "--n", "13", "--method", "brute")
-        assert code == 3 and "would walk 14207779 permutations, above the cap" in err
+        # brute force prints the totals of the completion-count tables, one
+        # per d, all sized before any is built: the band at n = 33 (941,180
+        # entries) answers, and at n = 34 the sum passes the table cap
+        assert run(capsys, "count", "--n", "33", "--method", "brute") == \
+            run(capsys, "count", "--n", "33")
+        assert run(capsys, "count", "--n", "34", "--method", "brute") == (
+            3, "", "error: n=34 needs completion-count tables of at least 1002841 entries, "
+                   "above the cap of 1000000\n")
+
+    def test_brute_matches_det_to_n30(self, capsys):
+        # the tables' totals are the determinant's counts, byte for byte: on
+        # the band, in both formats, and on every d in and out of the band
+        for n in range(1, 31):
+            for argv in ((), ("--format", "json"), *(("--d", str(d)) for d in range(n + 2))):
+                brute = run(capsys, "count", "--n", str(n), *argv, "--method", "brute")
+                assert brute == run(capsys, "count", "--n", str(n), *argv), (n, argv)
+                assert brute[0] == 0, (n, argv)
 
     def test_det_profile_cap(self, capsys):
         # the band at n = 40 sums 63 million run profiles, and answers
@@ -325,7 +339,7 @@ class TestCount:
 
     def test_max_brute_n_flag_removed(self, capsys):
         # no cap on n is left to raise: --max-brute-n is an unknown option,
-        # and n = 14 answers within the table, line and walk caps
+        # and n = 14 answers within the table and line caps
         for argv in (("enumerate", "--n", "8"), ("count", "--n", "8", "--method", "brute")):
             code, out, err = run(capsys, *argv, "--max-brute-n", "7")
             assert (code, out) == (2, ""), argv
@@ -336,28 +350,31 @@ class TestCount:
             (0, "n,d,count\n14,12,16200\n", "")
 
     def test_brute_walk_cap(self, capsys, monkeypatch):
-        # brute force walks every minimal permutation of length n, and is
-        # refused before the walk if they are more than the enumerate cap
-        code, out, err = run(capsys, "count", "--n", "20", "--method", "brute")
-        assert (code, out) == (3, "")
-        assert err == ("error: count --method brute would walk 235784450363818 permutations, "
-                       f"above the cap of {cli.MAX_ENUMERATE_LINES}\n")
-        # at n = 7 the band has 169 words, d = 4 84 of them and the profile
-        # 2,2,3 21; --d walks only its own words
-        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 84)
-        assert run(capsys, "count", "--n", "7", "--d", "4", "--method", "brute") == \
-            (0, "n,d,count\n7,4,84\n", "")
-        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 83)
-        assert run(capsys, "count", "--n", "7", "--ascents", "2,2,3", "--method", "brute") == \
-            (0, "n,d,count\n7,4,21\n", "")
-        for argv, words in ((("--n", "7", "--d", "4"), 84), (("--n", "7"), 169)):
-            assert run(capsys, "count", *argv, "--method", "brute") == (
-                3, "", f"error: count --method brute would walk {words} permutations, "
-                       "above the cap of 83\n"), argv
-        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 168)
+        # brute force walks no word, so the walk cap of 5,000,000 words is
+        # gone: what it refused answers as det does, and the enumerate line
+        # cap leaves count alone
+        monkeypatch.setattr(cli, "MAX_ENUMERATE_LINES", 0)
+        for argv in (("--n", "20"), ("--n", "30", "--d", "20"), ("--n", "14", "--format", "json"),
+                     ("--n", "14", "--ascents", "2,2,3,3,4")):
+            assert run(capsys, "count", *argv, "--method", "brute") == \
+                run(capsys, "count", *argv), argv
+        # the tables of d = 4, 5, 6 at n = 7 hold 222, 256 and 35 entries;
+        # the band is refused on their sum, and --d sizes one table
+        monkeypatch.setattr(permutations_module, "MAX_TABLE_ENTRIES", 513)
+        assert run(capsys, "count", "--n", "7", "--method", "brute") == \
+            (0, "n,d,count\n7,4,84\n7,5,84\n7,6,1\n", "")
+        monkeypatch.setattr(permutations_module, "MAX_TABLE_ENTRIES", 512)
         assert run(capsys, "count", "--n", "7", "--method", "brute") == (
-            3, "", "error: count --method brute would walk 169 permutations, "
-                   "above the cap of 168\n")
+            3, "", "error: n=7 needs completion-count tables of at least 513 entries, "
+                   "above the cap of 512\n")
+        monkeypatch.setattr(permutations_module, "MAX_TABLE_ENTRIES", 256)
+        assert run(capsys, "count", "--n", "7", "--method", "brute")[:2] == (3, "")
+        assert run(capsys, "count", "--n", "7", "--d", "5", "--method", "brute") == \
+            (0, "n,d,count\n7,5,84\n", "")
+        monkeypatch.setattr(permutations_module, "MAX_TABLE_ENTRIES", 255)
+        assert run(capsys, "count", "--n", "7", "--d", "5", "--method", "brute") == (
+            3, "", "error: enumeration over S_7 needs a completion-count table of at least "
+                   "256 entries, above the cap of 255\n")
 
     def test_no_cap_read_from_the_environment(self, capsys, monkeypatch):
         # no cap is read from the environment: a stray variable changes nothing

@@ -8,8 +8,8 @@ non-permutations and non-minimal words, beside valid inputs.  main must
 return 0, 2 or 3 and raise nothing; a refusal prints nothing to stdout and
 one `error:` line to stderr, and an answer reports a round trip that holds.
 
-The search commands have no cap on n: the completion-count table's size
-and its exact line or walk total are their only refusals.  Their argvs
+The search commands have no cap on n: they refuse only on the size of the
+completion-count tables, and enumerate on its exact line total.  Their argvs
 draw n up to 40 and far past the table cap, with --d, --ascents and
 --double-descent-at around their bounds, and each call must end within a
 time budget, which shows that no input hangs.
@@ -164,8 +164,8 @@ def test_bijection_fuzz():
 
 SEARCH_SEED = 1010_6261
 SEARCH_CASES = 400
-# the line and walk cap while the search fuzz runs, so that an answer stays
-# cheap to print and to check
+# the enumerate line cap while the search fuzz runs, so that an answer
+# stays cheap to print
 SEARCH_LINES = 2000
 # seconds for one call; the slowest draw takes a few hundredths
 BUDGET = 2.0
@@ -249,7 +249,7 @@ def test_search_fuzz(monkeypatch):
                         for row in map(json.loads, out.splitlines())]
             else:
                 rows = [tuple(map(int, line.split(","))) for line in out.splitlines()[1:]]
-            if runs is not None:  # brute force finds no word with a run below 2
+            if runs is not None:  # the table holds no word with a run below 2
                 want = [(n, n - len(runs), minimal_count_by_runs(runs) if min(runs) > 1 else 0)]
             else:
                 want = [(n, k, minimal_count(n, k))

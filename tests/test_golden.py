@@ -98,10 +98,9 @@ HUGE_N = 99_999_999_999
 def count_matrix_argvs():
     """The `count` argvs of the matrix.  Every one parses: argparse's own
     messages differ between Python versions.  Accepted inputs at the slow
-    caps are left out (the det band near MAX_DET_N, brute force at n = 10
-    and 11 and its band at n = 12, closed near MAX_CLOSED_N, profiles near
-    the ascent cap), and so is every count too long for the int-to-text
-    limit."""
+    caps are left out (the det band near MAX_DET_N, closed near
+    MAX_CLOSED_N, profiles near the ascent cap), and so is every count too
+    long for the int-to-text limit."""
     argvs = []
 
     def add(n, *rest):
@@ -112,10 +111,7 @@ def count_matrix_argvs():
         low = (n + 1) // 2
         ds = sorted({-1, 0, low - 1, low, n - 1, n, n + 1})
         for method in ("det", "closed", "brute"):
-            if method == "brute" and n in (10, 11):
-                continue
-            if not (method == "brute" and n == 12):
-                add(n, "--method", method)
+            add(n, "--method", method)
             for d in ds:
                 add(n, "--d", str(d), "--method", method)
     # each cap and its neighbours, on the side that answers quickly
