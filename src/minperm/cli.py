@@ -56,7 +56,7 @@ BROKEN_PIPE = 141
 # count --method closed refuses an in-band n above MAX_CLOSED_N.  Its
 # slowest form is Catalan(n // 2), whose binomial grows about as n^2: the
 # full band took 1.0 s at n = 200,000 (216 kB printed with the int-to-text
-# limit off; exit 2 after 0.7 s under the default limit of 4,300 digits),
+# limit off; exit 3 after 0.7 s under the default limit of 4,300 digits),
 # and the Catalan form alone took 2.2 s at n = 400,000; the band took 11.6 s
 # at n = 1,000,000.
 # enumerate refuses an input whose line count, the exact total of the table
@@ -156,11 +156,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit_rows(n: int, counts: dict[int, int], fmt: str) -> None:
     """Print n's row for each d in counts, all formatted before the first
-    write, so that a count too long to convert to text leaves stdout empty."""
-    if fmt == "csv":
-        lines = ["n,d,count", *(f"{n},{d},{value}" for d, value in counts.items())]
-    else:
-        lines = [json.dumps({"n": n, "d": d, "count": str(value)}) for d, value in counts.items()]
+    write, so that a count too long for the interpreter's int-to-text limit
+    leaves stdout empty; it is refused as a cap, which the user can raise."""
+    try:
+        if fmt == "csv":
+            lines = ["n,d,count", *(f"{n},{d},{value}" for d, value in counts.items())]
+        else:
+            lines = [json.dumps({"n": n, "d": d, "count": str(value)})
+                     for d, value in counts.items()]
+    except ValueError:  # n and d were parsed from text, so only a count can be too long
+        raise CapExceededError(
+            f"a count has more digits than the int-to-text limit of "
+            f"{sys.get_int_max_str_digits()} digits; set PYTHONINTMAXSTRDIGITS to a higher limit, "
+            "or to 0 for none") from None
     sys.stdout.write("".join(line + "\n" for line in lines))
 
 

@@ -303,20 +303,28 @@ class TestCount:
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="this Python converts an int of any length to text")
     def test_unprintable_count_prints_nothing(self, capsys):
-        # at a limit of 640 digits the band at n = 1400 prints its first rows,
-        # Catalan(700) of 420 digits among them, but not 3^1400 at d = 1397;
-        # every row is formatted before the first write
+        # at a limit of 640 digits the band at n = 1400 formats its first rows,
+        # Catalan(700) of 420 digits among them, but not the 668 digits of
+        # two_ascent_count(1400) at d = 1397.  Every row is formatted before
+        # the first write, and the count is refused as a cap, which
+        # PYTHONINTMAXSTRDIGITS raises
+        message = ("error: a count has more digits than the int-to-text limit of 640 "
+                   "digits; set PYTHONINTMAXSTRDIGITS to a higher limit, or to 0 for none\n")
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
             for argv in (("--n", "1400"), ("--n", "1400", "--format", "json"),
                          ("--n", "1400", "--d", "1397")):
-                code, out, err = run(capsys, "count", *argv, "--method", "closed")
-                assert (code, out) == (2, ""), argv
-                assert err.startswith("error: Exceeds the limit (640 digits)")
-                assert err.count("\n") == 1
+                assert run(capsys, "count", *argv, "--method", "closed") == (3, "", message), argv
         finally:
             sys.set_int_max_str_digits(old)
+        argv = [*CHILD, "count", "--n", "1400", "--d", "1397", "--method", "closed"]
+        row = f"n,d,count\n1400,1397,{two_ascent_count(1400)}\n"
+        for limit, code, out in (("640", 3, ""), ("0", 0, row)):
+            child = subprocess.run(argv, capture_output=True, text=True,
+                                   env=dict(CHILD_ENV, PYTHONINTMAXSTRDIGITS=limit))
+            assert (child.returncode, child.stdout) == (code, out), limit
+            assert child.stderr == (message if code else ""), limit
 
     def test_ascents_caps(self, capsys):
         # the one cap is on cells: parts of 2 or more bound its 1,500 cells
