@@ -550,6 +550,15 @@ class TestCompletionCounts:
             for d in range(n + 1):
                 assert _minimal_search(n, d=d)[0] == minimal_count(n, d), (n, d)
 
+    def test_excess_rows_to_n60(self):
+        # the rows of excess e = 2, 3 and 4, n = 2k + e and d = k + e, next to
+        # the Catalan (e = 0) and Mansour-Yan (e = 1) rows at the low end of
+        # the band: an oracle for recurrences in k at a fixed excess
+        rows = [(2 * k + e, k + e) for e in (2, 3, 4) for k in range(1, (60 - e) // 2 + 1)]
+        assert len(rows) == 85 and max(rows) == (60, 32)
+        for n, d in rows:
+            assert _minimal_search(n, d=d)[0] == minimal_count(n, d), (n, d)
+
     def test_double_descents_to_length_21(self):
         # length 2m+1 with m+1 descents has one double descent, at an odd j
         for m in range(1, 11):
