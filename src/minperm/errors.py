@@ -7,6 +7,15 @@ not of its value type, and _Validated the value types' contract."""
 from typing import Callable
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, or, where the value nests too deeply
+    for repr, its type's name, so that building the message cannot fail."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deeply to show"
+
+
 class CapExceededError(RuntimeError):
     """Raised when a brute-force sweep, a determinant count or a printed
     Knuth chain would exceed its size cap."""
@@ -17,7 +26,7 @@ def _check_int(name: str, value, lo: int | None = None, hi: int | None = None) -
     either bound may be None, and hi is given only with lo.  An empty
     range, hi < lo, refuses every value."""
     if type(value) is not int:  # exact type: no bool, no float
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if hi is not None:
         if hi < lo:
             raise ValueError(f"no {name} is valid here ({lo}..{hi} is empty), got {value}")
@@ -32,7 +41,7 @@ def _check_type(name: str, value, cls: type) -> None:
     types, so that a function handed something else refuses at the call
     instead of failing on an attribute or an index later."""
     if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+        raise ValueError(f"{name} must be a {cls.__name__}, got {_shown(value)}")
 
 
 class _Validated:
@@ -56,7 +65,7 @@ def _as_tuple(name: str, values) -> tuple:
     try:
         it = iter(values)
     except TypeError:
-        raise ValueError(f"expected an iterable for {name}, got {values!r}") from None
+        raise ValueError(f"expected an iterable for {name}, got {_shown(values)}") from None
     return tuple(it)
 
 
@@ -64,7 +73,7 @@ def _check_ints(name: str, values) -> tuple:
     """values as a tuple, each checked by _check_int's exact-int rule."""
     t = _as_tuple(name, values)
     if not {int}.issuperset(map(type, t)):  # exact type: no bool, no float
-        raise ValueError(f"{name} must be integers: {t}")
+        raise ValueError(f"{name} must be integers: {_shown(t)}")
     return t
 
 

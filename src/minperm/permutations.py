@@ -26,7 +26,7 @@ import operator
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (CapExceededError, _as_tuple, _check_int, _check_ints,
-                     _parse_int)
+                     _parse_int, _shown)
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -292,7 +292,7 @@ def duplicate_loss(perm: Sequence[int], start: int, stop: int,
         elif choice == "second":
             drop.add(start - 1 + t)
         else:
-            raise ValueError(f"keep entries must be 'first' or 'second', got {choice!r}")
+            raise ValueError(f"keep entries must be 'first' or 'second', got {_shown(choice)}")
     return tuple(x for idx, x in enumerate(duplicated) if idx not in drop)
 
 
@@ -487,7 +487,7 @@ def _separator(n: int) -> str:
 def parse_permutation(text: str) -> tuple[int, ...]:
     """Parse either serialization; reports the offending token on failure."""
     if not isinstance(text, str):
-        raise ValueError(f"permutation text must be a string, got {text!r}")
+        raise ValueError(f"permutation text must be a string, got {_shown(text)}")
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty permutation")

@@ -30,7 +30,8 @@ import bisect
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
-from .errors import _Validated, _as_tuple, _check_int, _check_ints, _check_type
+from .errors import (_Validated, _as_tuple, _check_int, _check_ints, _check_type,
+                     _shown)
 from .permutations import _check_minimal, check_permutation, standardize
 
 Rows = tuple[tuple[int, ...], ...]
@@ -90,7 +91,7 @@ def _straight(rows: Iterable[Sequence[int]], what: str) -> list[list[int]]:
     rows = _as_tuple(what, rows)
     # an exact-type test first: isinstance against Sequence costs far more
     if not all(type(row) in (tuple, list) or isinstance(row, Sequence) for row in rows):
-        raise ValueError(f"{what} rows must be sequences: {rows!r}")
+        raise ValueError(f"{what} rows must be sequences: {_shown(rows)}")
     tableau = [list(row) for row in rows]
     _word([x for row in tableau for x in row], what)
     # the entries are distinct from here on, so sorted means increasing
@@ -198,7 +199,7 @@ def inverse_bump(rows: Iterable[Sequence[int]], corner: Cell) -> tuple[Rows, int
     """
     tableau = _straight(rows, "tableau")
     if not isinstance(corner, Iterable):
-        raise ValueError(f"corner must be a (row, column) pair, got {corner!r}")
+        raise ValueError(f"corner must be a (row, column) pair, got {_shown(corner)}")
     r, c = _check_ints("cell coordinates", corner)
     if not (1 <= r <= len(tableau) and c == len(tableau[r - 1])):
         raise ValueError(f"cell ({r}, {c}) is not the last cell of its row")
@@ -221,7 +222,7 @@ class KnuthMove(_Validated, NamedTuple("KnuthMove", [("position", int), ("kind",
     def __new__(cls, position: int, kind: str):
         _check_int("position", position)
         if not isinstance(kind, str) or kind not in _PATTERNS:
-            raise ValueError(f"unknown move kind {kind!r}")
+            raise ValueError(f"unknown move kind {_shown(kind)}")
         return tuple.__new__(cls, (position, kind))
 
     def inverse(self) -> "KnuthMove":

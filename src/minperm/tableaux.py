@@ -34,7 +34,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (CapExceededError, _Validated, _as_tuple, _check_ints,
-                     _check_type, _exact_div, _parse_int)
+                     _check_type, _exact_div, _parse_int, _shown)
 
 # count_standard_fillings' work in key entries read and built; 16 unrelated
 # cells, the most of any 16-cell shape, take 10,026,991 (0.43 s).
@@ -131,7 +131,7 @@ def parse_shape(text: str) -> SkewShape:
     """Parse the "outer/inner" shape format; the "/inner" half may be
     omitted, empty, or the empty-set sign."""
     if not isinstance(text, str):
-        raise ValueError(f"shape text must be a string, got {text!r}")
+        raise ValueError(f"shape text must be a string, got {_shown(text)}")
 
     def parse_parts(chunk: str, what: str) -> tuple[int, ...]:
         chunk = chunk.strip()
@@ -168,7 +168,7 @@ class SkewTableau(_Validated, NamedTuple("SkewTableau", [
                     if x is not None:
                         raise ValueError(f"cell ({i + 1},{c}) lies inside the inner shape")
                 elif type(x) is not int:
-                    raise ValueError(f"cell ({i + 1},{c}) must hold an integer, got {x!r}")
+                    raise ValueError(f"cell ({i + 1},{c}) must hold an integer, got {_shown(x)}")
         return tuple.__new__(cls, (shape, rows))
 
     def entry(self, row: int, col: int) -> int:
@@ -481,5 +481,5 @@ def tableau_from_json(data: dict) -> SkewTableau:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"tableau JSON needs 'shape' and 'rows': {exc}") from None
     if type(text) is not str:
-        raise ValueError(f"tableau JSON 'shape' must be a string, got {text!r}")
+        raise ValueError(f"tableau JSON 'shape' must be a string, got {_shown(text)}")
     return SkewTableau(parse_shape(text), rows)

@@ -32,7 +32,7 @@ from .bijection import perm_to_tableau, tableau_to_perm
 from .counting import (_column_count, catalan, compositions_min2,
                        double_descent_count, mansour_yan, minimal_count_by_runs,
                        one_ascent_count, three_row_syt_count, two_ascent_count)
-from .errors import _check_int
+from .errors import _check_int, _shown
 from .permutations import (descent_count, enumerate_minimal, is_minimal,
                            is_minimal_by_deletion)
 from .rsk import (apply_knuth_move, even_odd_split, insertion_tableau,
@@ -464,7 +464,7 @@ def run_suite(suite: str, max_n: int = 8) -> dict:
     elif isinstance(suite, str) and suite in SUITES:
         functions = list(SUITES[suite])
     else:
-        raise ValueError(f"unknown suite {suite!r}; choose all, " + ", ".join(SUITES))
+        raise ValueError(f"unknown suite {_shown(suite)}; choose all, " + ", ".join(SUITES))
     _check_int("max_n", max_n, 1)
     checks = _run_checks(functions, max_n)
     return {

@@ -3,13 +3,15 @@ an int, not a bool, a float or anything else.  Each site names what it
 checks and shows the values it read as a tuple.  The bounds of one int,
 errors._check_int: each site's refusal, word for word.  And the value
 types, errors._check_type: a function that takes a SkewShape, a
-SkewTableau or a KnuthMove refuses anything else at the call."""
+SkewTableau or a KnuthMove refuses anything else at the call.  A refused
+value nested too deeply for repr is named by its type, errors._shown, so
+that the refusal stays a ValueError."""
 
 import pytest
 
 from minperm import (KnuthMove, SkewShape, SkewTableau, apply_knuth_move, catalan,
                      compositions_min2, conjugate, count_standard_fillings,
-                     double_descent_count, enumerate_minimal, format_shape,
+                     double_descent_count, duplicate_loss, enumerate_minimal, format_shape,
                      hook_length, insertion_tableau, inverse_bump, is_standard,
                      is_two_regular, legal_knuth_moves, mansour_yan,
                      one_ascent_count, row_insert, rsk, rsk_trace, run_suite,
@@ -17,6 +19,8 @@ from minperm import (KnuthMove, SkewShape, SkewTableau, apply_knuth_move, catala
                      skew_syt_count, tableau_to_json, tableau_to_perm,
                      three_row_syt_count, two_ascent_count)
 from minperm.cli import _build_parser
+from minperm.permutations import parse_permutation
+from minperm.tableaux import parse_shape, tableau_from_json
 
 
 def count_command(*argv):
@@ -120,3 +124,40 @@ def test_value_type_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def deep():
+    """A list nested past repr's recursion limit."""
+    value = []
+    for _ in range(5000):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: enumerate_minimal(deep()), "n must be an integer, got a list",
+                 id="_check_int"),
+    pytest.param(lambda: enumerate_minimal(5, runs=[deep()]), "run lengths must be integers: "
+                 "a tuple", id="_check_ints"),
+    pytest.param(lambda: format_shape(deep()), "shape must be a SkewShape, got a list",
+                 id="_check_type"),
+    pytest.param(lambda: parse_shape(deep()), "shape text must be a string, got a list",
+                 id="parse_shape"),
+    pytest.param(lambda: tableau_from_json({"shape": deep(), "rows": []}),
+                 "tableau JSON 'shape' must be a string, got a list", id="tableau_from_json"),
+    pytest.param(lambda: SkewTableau(SkewShape((1,)), [[deep()]]),
+                 "cell (1,1) must hold an integer, got a list", id="SkewTableau"),
+    pytest.param(lambda: parse_permutation(deep()), "permutation text must be a string, got "
+                 "a list", id="parse_permutation"),
+    pytest.param(lambda: duplicate_loss((1, 2), 1, 2, [deep(), "first"]),
+                 "keep entries must be 'first' or 'second', got a list", id="duplicate_loss"),
+    pytest.param(lambda: row_insert([deep(), 5], 1), "tableau rows must be sequences: a tuple",
+                 id="row_insert"),
+    pytest.param(lambda: KnuthMove(1, deep()), "unknown move kind a list", id="KnuthMove"),
+    pytest.param(lambda: run_suite(deep()), "unknown suite a list", id="run_suite"),
+])
+def test_deeply_nested_value_message(call, message):
+    # each once raised RecursionError while building its message
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(f"{message} nested too deeply to show")

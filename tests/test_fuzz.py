@@ -1,5 +1,8 @@
 """Seeded fuzz of the `bijection` command, and of `enumerate` and
-`count --method brute`.
+`count --method brute`, and seeded properties of the library entry points
+that read outside data: parse_shape, tableau_from_json and
+enumerate_minimal return, or refuse with ValueError, ArithmeticError or
+CapExceededError, on any argument.
 
 Each bijection argv is drawn from adversarial tokens with a fixed seed and
 a fixed count: malformed, deeply nested and non-object JSON, cells that are
@@ -17,18 +20,23 @@ time budget, which shows that no input hangs.
 
 import contextlib
 import io
+import itertools
 import json
 import random
 import signal
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import minperm.cli as cli
 from minperm import (enumerate_minimal, minimal_count, minimal_count_by_runs,
                      perm_to_tableau, tableau_to_json)
 from minperm.cli import main
+from minperm.errors import CapExceededError
 from minperm.permutations import _minimal_search
+from minperm.tableaux import parse_shape, tableau_from_json
 
 SEED = 20101029
 CASES = 400
@@ -259,3 +267,102 @@ def test_search_fuzz(monkeypatch):
         signal.signal(signal.SIGALRM, old)
     # the draws reach answers, usage errors and each cap
     assert min(codes[0], codes[2], codes[3]) >= SEARCH_CASES // 10, codes
+
+
+# the library entry points that read outside data: each returns, or refuses
+# with one of REFUSALS, on any argument
+REFUSALS = (ValueError, ArithmeticError, CapExceededError)
+
+
+class Deep:
+    """Stands, in a drawn argument, for a list nested depth deep, past
+    repr's recursion limit; built only in the test, since hypothesis itself
+    prints what it draws."""
+
+    def __init__(self, depth):
+        self.depth = depth
+
+    def __repr__(self):
+        return f"Deep({self.depth})"
+
+
+def built(value):
+    """value with each Deep in its lists and dicts made a nested list."""
+    if isinstance(value, Deep):
+        nested = []
+        for _ in range(value.depth):
+            nested = [nested]
+        return nested
+    if isinstance(value, list):
+        return [built(item) for item in value]
+    if isinstance(value, dict):
+        return {key: built(item) for key, item in value.items()}
+    return value
+
+
+SCALARS = st.one_of(
+    st.integers(-3, 14), st.sampled_from((2 ** 64, 10 ** 30, -(10 ** 30), 99_999_999_999)),
+    st.booleans(), st.none(), st.floats(allow_nan=True), st.text(max_size=6),
+    st.binary(max_size=3), st.sampled_from((1000, 5000)).map(Deep))
+# JSON-like values, nested a little
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.sampled_from(("shape", "rows", "x")), inner, max_size=3)),
+    max_leaves=8)
+# odd partitions: negative, zero, increasing or huge parts, bad tokens
+PARTS = st.lists(st.one_of(st.integers(-2, 6), st.sampled_from(("99999999999", "x", "", "1.5"))),
+                 max_size=4).map(lambda parts: ",".join(map(str, parts)))
+SHAPE_TEXT = st.one_of(PARTS, st.tuples(PARTS, PARTS).map("/".join),
+                       st.sampled_from(("∅", "/", "2/1/1", "2,1/∅", "9" * 5000)))
+ROWS = st.lists(st.lists(st.one_of(st.none(), st.integers(1, 6), VALUES), max_size=3), max_size=3)
+# a value, or the same scalars behind an iterator, which is read once
+ARGUMENTS = st.one_of(VALUES, st.lists(SCALARS, max_size=4).map(lambda v: iter(built(v))))
+
+
+def refuses_cleanly(call, *args):
+    """call(*args) with each Deep built, which must return or raise one of
+    REFUSALS."""
+    try:
+        call(*map(built, args))
+    except REFUSALS:
+        pass
+
+
+@seed(41)
+@settings(max_examples=120, deadline=None)
+@given(text=st.one_of(SHAPE_TEXT, ARGUMENTS))
+@example(text=Deep(5000))
+def test_parse_shape_refuses_cleanly(text):
+    refuses_cleanly(parse_shape, text)
+
+
+@seed(42)
+@settings(max_examples=120, deadline=None)
+@given(data=st.one_of(
+    ARGUMENTS, st.fixed_dictionaries({"shape": st.one_of(SHAPE_TEXT, VALUES),
+                                      "rows": st.one_of(ROWS, ARGUMENTS)})))
+@example(data={"shape": Deep(5000), "rows": []})
+@example(data={"shape": "1", "rows": [[Deep(5000)]]})
+def test_tableau_from_json_refuses_cleanly(data):
+    refuses_cleanly(tableau_from_json, data)
+
+
+SMALL = st.integers(-2, 16)
+
+
+def first_words(*args):
+    """The first words of enumerate_minimal(*args): the table is built on
+    the call, and a few words also run the walk."""
+    return list(itertools.islice(enumerate_minimal(*args), 20))
+
+
+@seed(43)
+@settings(max_examples=120, deadline=None)
+@given(n=st.one_of(SMALL, ARGUMENTS), d=st.one_of(st.none(), SMALL, ARGUMENTS),
+       runs=st.one_of(st.none(), st.lists(st.integers(-1, 6), max_size=5),
+                      st.lists(st.integers(-1, 6), max_size=5).map(iter), ARGUMENTS),
+       j=st.one_of(st.none(), SMALL, ARGUMENTS))
+@example(n=5, d=None, runs=[Deep(5000)], j=None)
+@example(n=Deep(5000), d=None, runs=None, j=None)
+def test_enumerate_minimal_refuses_cleanly(n, d, runs, j):
+    refuses_cleanly(first_words, n, d, runs, j)
