@@ -59,6 +59,10 @@ BROKEN_PIPE = 141
 # limit off; exit 3 after 0.7 s under the default limit of 4,300 digits),
 # and the Catalan form alone took 2.2 s at n = 400,000; the band took 11.6 s
 # at n = 1,000,000.
+# count --method brute prints the completion-count tables' totals, one
+# table per d, and refuses a band whose tables sum past
+# permutations.MAX_TABLE_ENTRIES entries: on a 2-CPU x86-64 machine under
+# Python 3.11, the band at n = 33 (941,180 entries) took 0.34 s.
 # enumerate refuses an input whose line count, the exact total of the table
 # that the search walks, is above MAX_ENUMERATE_LINES, or whose lines, each
 # as long as the first, pass MAX_OUTPUT_CHARS characters.  A line costs about
