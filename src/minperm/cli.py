@@ -170,7 +170,7 @@ def _emit_rows(n: int, counts: dict[int, int], fmt: str) -> None:
                      for d, value in counts.items()]
     except ValueError:  # n and d were parsed from text, so only a count can be too long
         raise CapExceededError(
-            f"a count has more digits than the int-to-text limit of "
+            "a count has more digits than the int-to-text limit of "
             f"{sys.get_int_max_str_digits()} digits; set PYTHONINTMAXSTRDIGITS to a higher limit, "
             "or to 0 for none") from None
     sys.stdout.write("".join(line + "\n" for line in lines))
