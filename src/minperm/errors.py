@@ -2,7 +2,8 @@
 from the package, so each command can load it without the rest.  Each
 argument rule lives here once: _check_int holds the bounds messages of
 every single-int argument, _check_type the refusal of an argument that is
-not of its value type, and _Validated the value types' contract."""
+not of its value type, _shown how a message shows a refused value, and
+_Validated the value types' contract."""
 
 from typing import Callable
 
@@ -17,8 +18,8 @@ def _shown(value) -> str:
 
 
 class CapExceededError(RuntimeError):
-    """Raised when a brute-force sweep, a determinant count or a printed
-    Knuth chain would exceed its size cap."""
+    """Raised when a completion-count table, a determinant count, a printed
+    output or a count's decimal text would exceed its cap."""
 
 
 def _check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
